@@ -15,8 +15,8 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-from .corpus import (FLAG_CORRECT, FLAG_ERROR, NULL_LABEL, Token, Utterance,
-                     repair_bio)
+from .corpus import (FLAG_CORRECT, FLAG_ERROR, NULL_LABEL, ParseError, Token,
+                     Utterance, read_blocks, repair_bio, write_blocks)
 from .numutil import derived_seed
 
 EPS = "<eps>"
@@ -143,7 +143,20 @@ def _substitute(word, cfg: NoiseConfig, rng) -> str:
     return cands[rng.randrange(len(cands))]
 
 
-def _insertion_word(cfg: NoiseConfig, rng) -> str:
+def _draw_decision(word, cfg: NoiseConfig, rng):
+    """("del",) | ("sub", replacement) | ("keep",) for one reference word."""
+    u = rng.random()
+    if u < cfg.del_rate:
+        return ("del",)
+    if u < cfg.del_rate + cfg.sub_rate:
+        return ("sub", _substitute(word, cfg, rng))
+    return ("keep",)
+
+
+def _draw_insert(cfg: NoiseConfig, rng):
+    """The word inserted after a reference position, or None."""
+    if rng.random() >= cfg.ins_rate:
+        return None
     pool = cfg.insertion_words or cfg.vocabulary or ("euh",)
     return pool[rng.randrange(len(pool))]
 
@@ -156,14 +169,8 @@ def _channel_decisions(words, cfg: NoiseConfig, rng):
     """
     decisions, inserts = [], []
     for w in words:
-        u = rng.random()
-        if u < cfg.del_rate:
-            decisions.append(("del",))
-        elif u < cfg.del_rate + cfg.sub_rate:
-            decisions.append(("sub", _substitute(w, cfg, rng)))
-        else:
-            decisions.append(("keep",))
-        inserts.append(_insertion_word(cfg, rng) if rng.random() < cfg.ins_rate else None)
+        decisions.append(_draw_decision(w, cfg, rng))
+        inserts.append(_draw_insert(cfg, rng))
     return decisions, inserts
 
 
@@ -223,40 +230,9 @@ def _redecode(words, decisions, inserts, cfg: NoiseConfig, rng):
     kappa = cfg.nbest_correlation
     new_dec, new_ins = [], []
     for w, dec, ins in zip(words, decisions, inserts):
-        if rng.random() < kappa:
-            new_dec.append(dec)
-        else:
-            u = rng.random()
-            if u < cfg.del_rate:
-                new_dec.append(("del",))
-            elif u < cfg.del_rate + cfg.sub_rate:
-                new_dec.append(("sub", _substitute(w, cfg, rng)))
-            else:
-                new_dec.append(("keep",))
-        if rng.random() < kappa:
-            new_ins.append(ins)
-        else:
-            new_ins.append(_insertion_word(cfg, rng) if rng.random() < cfg.ins_rate else None)
+        new_dec.append(dec if rng.random() < kappa else _draw_decision(w, cfg, rng))
+        new_ins.append(ins if rng.random() < kappa else _draw_insert(cfg, rng))
     return new_dec, new_ins
-
-
-def sample_nbest(utt: Utterance, cfg: NoiseConfig, n: int):
-    """n independent channel draws, most probable draw first.
-
-    Returns [(weight, words), ...] with unnormalized channel
-    probabilities as weights.
-    """
-    if n < 1:
-        raise AlignmentError(f"need n >= 1 hypotheses, got {n}")
-    words = utt.surfaces()
-    draws = []
-    for k in range(n):
-        rng = random.Random(derived_seed("asr", cfg.seed, utt.id, k))
-        decisions, inserts = _channel_decisions(words, cfg, rng)
-        logp = _decisions_logprob(decisions, inserts, cfg)
-        draws.append((logp, k, _emit(words, decisions, inserts)))
-    draws.sort(key=lambda d: (-d[0], d[1]))
-    return [(math.exp(logp), hyp if hyp else ["euh"]) for logp, _, hyp in draws]
 
 
 def decode_nbest(utt: Utterance, cfg: NoiseConfig, n: int):
@@ -323,7 +299,8 @@ def build_cn(nbest) -> ConfusionNetwork:
             elif op == DEL:
                 mass[i][EPS] = mass[i].get(EPS, 0.0) + weight
                 seen.add(i)
-        assert len(seen) == len(pivot)
+        if len(seen) != len(pivot):
+            raise AlignmentError("a hypothesis left a pivot bin without an entry")
     bins = []
     for entries in mass:
         scored = [(w, p / total) for w, p in entries.items()]
@@ -380,36 +357,27 @@ def project_labels(hyp: Utterance) -> Utterance:
 
 def write_nbest(path, per_utt) -> None:
     """per_utt: iterable of (utterance_id, [(weight, words), ...])."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for uid, nbest in per_utt:
-            fh.write(f"# id={uid}\n")
-            for weight, words in nbest:
-                fh.write(f"{weight:.9e}\t{' '.join(words)}\n")
-            fh.write("\n")
+    write_blocks(path, ((uid, [f"{weight:.9e}\t{' '.join(words)}" for weight, words in nbest])
+                        for uid, nbest in per_utt))
+
+
+def _nbest_entry(path, lineno, row):
+    weight, tab, words = row.partition("\t")
+    if not tab:
+        raise ParseError("expected weight<TAB>words", lineno, path)
+    try:
+        return float(weight), words.split()
+    except ValueError as exc:
+        raise ParseError(f"bad weight {weight!r}", lineno, path) from exc
 
 
 def read_nbest(path):
-    out = []
-    cur = None
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("# id="):
-                cur = (line[len("# id="):], [])
-                out.append(cur)
-                continue
-            weight, words = line.split("\t", 1)
-            cur[1].append((float(weight), words.split()))
-    return out
+    return [(uid, [_nbest_entry(path, lineno, row) for lineno, row in rows])
+            for uid, rows in read_blocks(path)]
 
 
 def write_cn(path, per_utt) -> None:
     """per_utt: iterable of (utterance_id, ConfusionNetwork)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for uid, cn in per_utt:
-            fh.write(f"# id={uid}\n")
-            for entries in cn.bins:
-                fh.write(" ".join(f"{w}:{p:.6f}" for w, p in entries) + "\n")
-            fh.write("\n")
+    write_blocks(path, ((uid, [" ".join(f"{w}:{p:.6f}" for w, p in entries)
+                               for entries in cn.bins])
+                        for uid, cn in per_utt))

@@ -232,12 +232,6 @@ def train_autoencoder(tables, d, epochs=300, lr=0.05, batch=32, seed=0):
     return model, loss
 
 
-def fuse_word(model: AutoencoderModel, tables, word):
-    """Bottleneck activation of the word's concatenated embeddings."""
-    x = np.concatenate([t.lookup(word) for t in tables])
-    return np.tanh(x @ model.w_enc.T + model.b_enc)
-
-
 def build_fused_table(model: AutoencoderModel, tables, vocab) -> EmbeddingTable:
     vocab = sorted(set(vocab))
     mat = model.encode(concat_vectors(tables, vocab))

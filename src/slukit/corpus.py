@@ -1,4 +1,5 @@
-"""Data model, corpus TSV format, and concept-label transformations.
+"""Data model, line-oriented block files, phrase tables, and concept-label
+transformations.
 
 A corpus is a sequence of utterances; each utterance is a sequence of
 tokens carrying lexical, syntactic, semantic-category and confidence
@@ -34,11 +35,16 @@ class CorpusError(Exception):
 
 
 class ParseError(CorpusError):
-    def __init__(self, message, line=None):
+    """A line of a file does not parse; the message names file and line."""
+
+    def __init__(self, message, line=None, path=None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line
+        self.path = path
 
 
 class SchemaError(CorpusError):
@@ -202,35 +208,58 @@ def repair_bio(labels):
     return out
 
 
-def _normalize_span(words, value_table):
-    """Greedy longest-match lookup of `words` in a phrase->value table."""
-    if not value_table:
-        return " ".join(w.lower() for w in words)
-    keys = {tuple(k.split()) for k in value_table}
-    max_len = max(len(k) for k in keys)
-    lowered = [w.lower() for w in words]
-    out = []
-    i = 0
-    while i < len(lowered):
-        for n in range(min(max_len, len(lowered) - i), 0, -1):
-            phrase = tuple(lowered[i:i + n])
-            if phrase in keys:
-                out.append(value_table[" ".join(phrase)])
-                i += n
-                break
-        else:
-            out.append(lowered[i])
-            i += 1
-    return " ".join(out)
+class PhraseTable:
+    """Phrase -> payload table matched by greedy longest match.
+
+    Keys are lowercased and split on whitespace once, when added; a
+    later entry for the same key replaces the earlier one.  Payloads
+    must not be None, which `matches` reserves for unmatched words.
+    """
+
+    def __init__(self, entries=()):
+        self.entries = {}
+        self.max_len = 0
+        for phrase, payload in entries:
+            self.add(phrase, payload)
+
+    @staticmethod
+    def key(phrase: str) -> tuple:
+        return tuple(phrase.lower().split())
+
+    def add(self, phrase: str, payload):
+        key = self.key(phrase)
+        self.entries[key] = payload
+        self.max_len = max(self.max_len, len(key))
+
+    def matches(self, words):
+        """Yield (start, end, payload) spans covering `words` in order.
+
+        Each span is the longest key starting at `start` (compared
+        lowercased), or the single word there with payload None when no
+        key starts at it.
+        """
+        lowered = [w.lower() for w in words]
+        i = 0
+        while i < len(lowered):
+            for n in range(min(self.max_len, len(lowered) - i), 0, -1):
+                payload = self.entries.get(tuple(lowered[i:i + n]))
+                if payload is not None:
+                    yield i, i + n, payload
+                    i += n
+                    break
+            else:
+                yield i, i + 1, None
+                i += 1
 
 
-def segments_of(utterance: Utterance, value_table=None):
+def segments_of(utterance: Utterance, value_table: PhraseTable | None = None):
     """Decode maximal B/I runs into concept segments.
 
     The value is the normalized form of the span: phrase lookup in
     `value_table` where possible, lowercased surface otherwise.  Error
     labels must have been stripped upstream.
     """
+    table = value_table or PhraseTable()
     segments = []
     start = None
     concept = None
@@ -239,7 +268,9 @@ def segments_of(utterance: Utterance, value_table=None):
         nonlocal start, concept
         if start is not None:
             words = [t.surface for t in utterance.tokens[start:end]]
-            segments.append(ConceptSegment(concept, _normalize_span(words, value_table), start, end))
+            value = " ".join(words[s].lower() if v is None else v
+                             for s, _, v in table.matches(words))
+            segments.append(ConceptSegment(concept, value, start, end))
         start, concept = None, None
 
     for i, tok in enumerate(utterance.tokens):
@@ -301,166 +332,171 @@ def strip_error_labels(output: TaggerOutput) -> TaggerOutput:
 
 
 # ---------------------------------------------------------------------------
-# TSV corpus format: one token per row, "# id=<text>" headers, blank line
-# between utterances, "_" for absent fields, SEMCATS "|"-joined, UTF-8.
+# Block files: a "# id=<text>" header, one row per line, and a blank line
+# closing each block, UTF-8.  The corpus TSV, tagger outputs, n-best lists
+# and confusion networks share this layout and differ only in their rows.
 # ---------------------------------------------------------------------------
+
+HEADER = "# id="
+
+
+def write_blocks(path, blocks) -> None:
+    """Write (id, rows) blocks in the layout `read_blocks` parses.
+
+    Raises SchemaError for an id or row that would not read back as
+    itself: an empty id, a blank row, a row that starts with the header,
+    or a line break in either; the file then holds the blocks before it.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for block_id, rows in blocks:
+            if not block_id or "\n" in block_id or "\r" in block_id:
+                raise SchemaError(f"id {block_id!r} is empty or holds a line break")
+            lines = [HEADER + block_id]
+            for row in rows:
+                if not row.strip() or row.startswith(HEADER) or "\n" in row or "\r" in row:
+                    raise SchemaError(f"block {block_id!r}: row {row!r} would not read back")
+                lines.append(row)
+            fh.write("\n".join(lines) + "\n\n")
+
+
+def read_blocks(path):
+    """Yield (id, [(line number, row), ...]) for each block of a block file.
+
+    Raises ParseError naming the file and line for an empty id and for a
+    row outside any block.
+    """
+    block = None
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.rstrip("\n")
+            if line.startswith(HEADER) or not line.strip():
+                if block is not None:
+                    yield block
+                block = None
+                if line.startswith(HEADER):
+                    if line == HEADER:
+                        raise ParseError("empty id", lineno, path)
+                    block = (line[len(HEADER):], [])
+            elif block is None:
+                raise ParseError(f"row before any {HEADER!r} header", lineno, path)
+            else:
+                block[1].append((lineno, line))
+    if block is not None:
+        yield block
+
+
+# ---------------------------------------------------------------------------
+# Corpus TSV rows: one token per row, "_" for absent fields, SEMCATS
+# "|"-joined.
+# ---------------------------------------------------------------------------
+
+def _fmt_opt(value):
+    if value == ABSENT:
+        raise SchemaError(f"field {ABSENT!r} would read back as absent")
+    return ABSENT if value is None else value
+
 
 def _fmt_conf(v):
     return ABSENT if v is None else f"{v:.6f}"
 
 
 def _token_row(i, tok: Token) -> str:
-    cats = "|".join(sorted(tok.sem_categories)) if tok.sem_categories else ABSENT
-    cells = (
+    for cat in tok.sem_categories:
+        if cat in ("", ABSENT) or "|" in cat:
+            raise SchemaError(f"semantic category {cat!r} would not read back")
+    row = "\t".join((
         str(i),
         tok.surface,
-        tok.lemma if tok.lemma is not None else ABSENT,
-        tok.pos if tok.pos is not None else ABSENT,
-        str(tok.governor) if tok.governor is not None else ABSENT,
-        tok.deprel if tok.deprel is not None else ABSENT,
-        cats,
+        _fmt_opt(tok.lemma),
+        _fmt_opt(tok.pos),
+        ABSENT if tok.governor is None else str(tok.governor),
+        _fmt_opt(tok.deprel),
+        "|".join(sorted(tok.sem_categories)) or ABSENT,
         _fmt_conf(tok.pap),
         _fmt_conf(tok.mlp_conf),
-        tok.error_flag if tok.error_flag is not None else ABSENT,
-        tok.label if tok.label is not None else ABSENT,
-    )
-    return "\t".join(cells)
+        _fmt_opt(tok.error_flag),
+        _fmt_opt(tok.label),
+    ))
+    if row.count("\t") != len(COLUMNS) - 1:
+        raise SchemaError(f"token {i} ({tok.surface!r}) has a field holding a tab")
+    return row
 
 
-def format_dataset(dataset: Dataset) -> str:
-    parts = []
-    for utt in dataset:
-        parts.append(f"# id={utt.id}\n")
-        for i, tok in enumerate(utt.tokens):
-            parts.append(_token_row(i, tok) + "\n")
-        parts.append("\n")
-    return "".join(parts)
+def _utterance_rows(utt: Utterance):
+    validate_label_sequence(utt.labels())
+    return [_token_row(i, tok) for i, tok in enumerate(utt.tokens)]
 
 
 def write_dataset(dataset: Dataset, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_dataset(dataset))
+    """Write the corpus TSV; SchemaError for a field it cannot represent."""
+    write_blocks(path, ((utt.id, _utterance_rows(utt)) for utt in dataset))
 
 
-def _parse_opt(cell, caster, what, line):
+def _parse_opt(cell, caster, what, line, path):
     if cell == ABSENT:
         return None
     try:
         return caster(cell)
     except ValueError as exc:
-        raise ParseError(f"bad {what} {cell!r}", line) from exc
+        raise ParseError(f"bad {what} {cell!r}", line, path) from exc
+
+
+def _parse_token(i, line, lineno, path) -> Token:
+    cells = line.split("\t")
+    if len(cells) != len(COLUMNS):
+        raise ParseError(f"expected {len(COLUMNS)} columns, found {len(cells)}", lineno, path)
+    if _parse_opt(cells[0], int, "index", lineno, path) != i:
+        raise ParseError(f"index {cells[0]} out of order", lineno, path)
+    opt = [None if cell == ABSENT else cell for cell in cells]
+    try:
+        return Token(
+            surface=cells[1],
+            lemma=opt[2],
+            pos=opt[3],
+            governor=_parse_opt(cells[4], int, "governor", lineno, path),
+            deprel=opt[5],
+            sem_categories=frozenset() if opt[6] is None else frozenset(opt[6].split("|")),
+            pap=_parse_opt(cells[7], float, "pap", lineno, path),
+            mlp_conf=_parse_opt(cells[8], float, "confidence", lineno, path),
+            error_flag=opt[9],
+            label=opt[10],
+        )
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: line {lineno}: {exc}") from exc
 
 
 def read_dataset(path, columns=COLUMNS) -> Dataset:
     """Parse a corpus TSV, validating every invariant on the way in.
 
     Missing fields stay absent (they are never defaulted to zero).
-    Raises ParseError with the offending line number for malformed rows
-    and SchemaError for invariant violations such as an I-x label that
-    does not continue a segment.
+    Raises ParseError naming the file and line for malformed rows and
+    SchemaError for invariant violations such as an I-x label that does
+    not continue a segment.
     """
     if tuple(columns) != COLUMNS:
         raise ValueError(f"unsupported column spec {columns!r}")
     utterances = []
-    cur_id = None
-    rows = []
-    first_row_line = None
-
-    def flush(line):
-        nonlocal cur_id, rows, first_row_line
-        if cur_id is None:
-            return
+    for uid, rows in read_blocks(path):
         if not rows:
-            raise ParseError(f"utterance {cur_id!r} has no tokens", line)
-        labels = [t.label for t in rows]
+            raise ParseError(f"utterance {uid!r} has no tokens", path=path)
+        tokens = tuple(_parse_token(i, line, lineno, path)
+                       for i, (lineno, line) in enumerate(rows))
         try:
-            validate_label_sequence(labels, line_base=first_row_line)
+            validate_label_sequence([t.label for t in tokens], line_base=rows[0][0])
+            utterances.append(Utterance(uid, tokens))
         except SchemaError as exc:
-            raise SchemaError(f"utterance {cur_id!r}: {exc}") from exc
-        try:
-            utterances.append(Utterance(cur_id, tuple(rows)))
-        except SchemaError as exc:
-            raise SchemaError(f"utterance {cur_id!r}: {exc}") from exc
-        cur_id, rows, first_row_line = None, [], None
-
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                flush(lineno)
-                continue
-            if line.startswith("# id="):
-                flush(lineno)
-                cur_id = line[len("# id="):]
-                if not cur_id:
-                    raise ParseError("empty utterance id", lineno)
-                continue
-            if cur_id is None:
-                raise ParseError("token row before any '# id=' header", lineno)
-            cells = line.split("\t")
-            if len(cells) != len(COLUMNS):
-                raise ParseError(
-                    f"expected {len(COLUMNS)} columns, found {len(cells)}", lineno)
-            idx = _parse_opt(cells[0], int, "index", lineno)
-            if idx != len(rows):
-                raise ParseError(f"index {cells[0]} out of order", lineno)
-            if first_row_line is None:
-                first_row_line = lineno
-            cats = frozenset(cells[6].split("|")) if cells[6] != ABSENT else frozenset()
-            try:
-                tok = Token(
-                    surface=cells[1],
-                    lemma=None if cells[2] == ABSENT else cells[2],
-                    pos=None if cells[3] == ABSENT else cells[3],
-                    governor=_parse_opt(cells[4], int, "governor", lineno),
-                    deprel=None if cells[5] == ABSENT else cells[5],
-                    sem_categories=cats,
-                    pap=_parse_opt(cells[7], float, "pap", lineno),
-                    mlp_conf=_parse_opt(cells[8], float, "confidence", lineno),
-                    error_flag=None if cells[9] == ABSENT else cells[9],
-                    label=None if cells[10] == ABSENT else cells[10],
-                )
-            except SchemaError as exc:
-                raise SchemaError(f"line {lineno}: {exc}") from exc
-            rows.append(tok)
-        flush(None)
+            raise SchemaError(f"utterance {uid!r}: {exc}") from exc
     return Dataset(tuple(utterances))
 
 
 # ---------------------------------------------------------------------------
-# Tagger output files: "# id=<text>" then one label per line.
+# Tagger output rows: one label per row.
 # ---------------------------------------------------------------------------
 
 def write_outputs(outputs, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for out in outputs:
-            fh.write(f"# id={out.id}\n")
-            for lab in out.labels:
-                fh.write(lab + "\n")
-            fh.write("\n")
+    write_blocks(path, ((out.id, out.labels) for out in outputs))
 
 
 def read_outputs(path):
-    outputs = []
-    cur_id = None
-    labels = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                if cur_id is not None:
-                    outputs.append(TaggerOutput(cur_id, tuple(labels)))
-                    cur_id, labels = None, []
-                continue
-            if line.startswith("# id="):
-                if cur_id is not None:
-                    outputs.append(TaggerOutput(cur_id, tuple(labels)))
-                    labels = []
-                cur_id = line[len("# id="):]
-                continue
-            if cur_id is None:
-                raise ParseError("label before any '# id=' header", lineno)
-            labels.append(line)
-    if cur_id is not None:
-        outputs.append(TaggerOutput(cur_id, tuple(labels)))
-    return outputs
+    return [TaggerOutput(uid, tuple(row for _, row in rows))
+            for uid, rows in read_blocks(path)]

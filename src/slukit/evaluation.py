@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 
 from . import alignment
-from .corpus import (NULL_LABEL, Dataset, TaggerOutput, Utterance,
-                     repair_bio, segments_of)
+from .corpus import (NULL_LABEL, Dataset, PhraseTable, TaggerOutput,
+                     Utterance, repair_bio, segments_of)
 
 ABSTAIN = "<abstain>"
 CLIP_EPS = 1e-6
@@ -155,7 +155,7 @@ def _edit_counts(ref_items, hyp_items):
     return (c[alignment.MATCH], c[alignment.SUB], c[alignment.INS], c[alignment.DEL])
 
 
-def output_segments(utt: Utterance, labels, value_table=None):
+def output_segments(utt: Utterance, labels, value_table: PhraseTable | None = None):
     """Segments of a tagger's label sequence over the utterance it tagged.
 
     Abstentions count as null and stray I-x continuations (possible
@@ -175,7 +175,9 @@ def score(ref: Dataset, hyp: Dataset, outputs, value_table=None) -> ScoreReport:
     `outputs` are matched to utterances by id and must cover every
     reference utterance; hypothesized values are recovered from the
     recognizer words in `hyp`.  Error labels must already be stripped.
+    `value_table` maps phrases to normalized values.
     """
+    values = PhraseTable((value_table or {}).items())
     by_id = {o.id: o for o in outputs}
     hyp_by_id = hyp.by_id()
     m_c = s_c = i_c = d_c = 0
@@ -185,8 +187,8 @@ def score(ref: Dataset, hyp: Dataset, outputs, value_table=None) -> ScoreReport:
         if ref_utt.id not in by_id or ref_utt.id not in hyp_by_id:
             raise EvaluationError(f"no output for utterance {ref_utt.id!r}")
         hyp_utt = hyp_by_id[ref_utt.id]
-        ref_segs = segments_of(ref_utt, value_table)
-        hyp_segs = output_segments(hyp_utt, by_id[ref_utt.id].labels, value_table)
+        ref_segs = segments_of(ref_utt, values)
+        hyp_segs = output_segments(hyp_utt, by_id[ref_utt.id].labels, values)
         ref_total += len(ref_segs)
         hyp_total += len(hyp_segs)
         m, s, i, d = _edit_counts([g.label for g in ref_segs], [g.label for g in hyp_segs])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import Token, Utterance
+from .corpus import PhraseTable, Token, Utterance
 
 FAMILIES = frozenset({
     "surface", "sem_categories", "syntactic", "morphological", "pap", "mlp_conf",
@@ -60,47 +60,34 @@ class Lexicon:
     """
 
     def __init__(self, entries=()):
-        self._table = {}
+        self._table = PhraseTable()
         for phrase, cat in entries:
             self.add(phrase, cat)
 
     def add(self, phrase: str, category: str):
-        key = tuple(phrase.lower().split())
+        key = PhraseTable.key(phrase)
         if not key:
             raise FeatureError("empty lexicon phrase")
-        self._table.setdefault(key, set()).add(category)
+        self._table.add(phrase, self._table.entries.get(key, frozenset()) | {category})
 
     def __len__(self):
-        return len(self._table)
-
-    @property
-    def max_len(self):
-        return max((len(k) for k in self._table), default=0)
+        return len(self._table.entries)
 
     def lookup(self, word: str):
-        return frozenset(self._table.get((word.lower(),), ()))
+        return self._table.entries.get((word.lower(),), frozenset())
 
     def annotate(self, words):
         """Greedy longest-match category sets per position."""
-        cats = [set() for _ in words]
-        lowered = [w.lower() for w in words]
-        i = 0
-        while i < len(lowered):
-            for n in range(min(self.max_len, len(lowered) - i), 0, -1):
-                key = tuple(lowered[i:i + n])
-                if key in self._table:
-                    for j in range(i, i + n):
-                        cats[j].update(self._table[key])
-                    i += n
-                    break
-            else:
-                i += 1
-        return [frozenset(c) for c in cats]
+        cats = [frozenset()] * len(words)
+        for start, end, found in self._table.matches(words):
+            if found is not None:
+                cats[start:end] = [found] * (end - start)
+        return cats
 
     def save(self, path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for key in sorted(self._table):
-                for cat in sorted(self._table[key]):
+            for key in sorted(self._table.entries):
+                for cat in sorted(self._table.entries[key]):
                     fh.write(f"{' '.join(key)}\t{cat}\n")
 
     @classmethod

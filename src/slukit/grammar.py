@@ -14,8 +14,9 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .corpus import Dataset, Token, Utterance
+from .corpus import Dataset, PhraseTable, Token, Utterance
 from .numutil import derived_seed
 
 
@@ -57,6 +58,12 @@ class DomainGrammar:
             for w, words in slot.realizations:
                 if w <= 0 or not words:
                     raise GrammarError(f"slot {name} has an empty realization")
+
+    @cached_property
+    def category_table(self) -> PhraseTable:
+        """`categories` as a phrase table, built on first use (so later
+        changes to `categories` are not seen)."""
+        return PhraseTable(self.categories.items())
 
     def concept_inventory(self):
         return sorted({slot.concept for slot in self.slots.values()})
@@ -346,28 +353,6 @@ def default_grammar() -> DomainGrammar:
 # Annotation
 # ---------------------------------------------------------------------------
 
-def annotate_categories(words, categories):
-    """Per-position semantic category sets by greedy longest phrase match."""
-    cats = [set() for _ in words]
-    if not categories:
-        return [frozenset(c) for c in cats]
-    keys = {tuple(k.split()): v for k, v in categories.items()}
-    max_len = max(len(k) for k in keys)
-    lowered = [w.lower() for w in words]
-    i = 0
-    while i < len(lowered):
-        for n in range(min(max_len, len(lowered) - i), 0, -1):
-            phrase = tuple(lowered[i:i + n])
-            if phrase in keys:
-                for j in range(i, i + n):
-                    cats[j].add(keys[phrase])
-                i += n
-                break
-        else:
-            i += 1
-    return [frozenset(c) for c in cats]
-
-
 def annotate_words(words, grammar: DomainGrammar, labels=None):
     """Build fully annotated tokens for any word sequence.
 
@@ -377,7 +362,10 @@ def annotate_words(words, grammar: DomainGrammar, labels=None):
     """
     pos = [grammar.word_pos.get(w, "X") for w in words]
     head = next((i for i, p in enumerate(pos) if p == "VERB"), 0)
-    cats = annotate_categories(words, grammar.categories)
+    cats = [frozenset()] * len(words)
+    for start, end, cat in grammar.category_table.matches(words):
+        if cat is not None:
+            cats[start:end] = [frozenset((cat,))] * (end - start)
     tokens = []
     for i, w in enumerate(words):
         tokens.append(Token(

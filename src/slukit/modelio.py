@@ -36,15 +36,20 @@ def save_blob(path, kind: str, header: dict, arrays: dict) -> None:
 
 
 def load_blob(path, expect_kind: str | None = None):
+    """(header, arrays) of a model file; ModelIOError if it is not one."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
             raise ModelIOError(f"{path}: bad magic {magic!r}")
-        version, hlen = struct.unpack(">II", fh.read(8))
-        if version != VERSION:
-            raise ModelIOError(f"{path}: unsupported version {version}")
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        arrays = {name: npformat.read_array(fh) for name in header["arrays"]}
+        try:
+            version, hlen = struct.unpack(">II", fh.read(8))
+            if version != VERSION:
+                raise ModelIOError(f"{path}: unsupported version {version}")
+            # JSON and numpy report bad or missing bytes as ValueError
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+            arrays = {name: npformat.read_array(fh) for name in header["arrays"]}
+        except (struct.error, ValueError) as exc:
+            raise ModelIOError(f"{path}: truncated or corrupt model file: {exc}") from exc
     if expect_kind is not None and header.get("kind") != expect_kind:
         raise ModelIOError(
             f"{path}: expected a {expect_kind!r} model, found {header.get('kind')!r}"

@@ -63,3 +63,20 @@ def fd_gradcheck(loss_fn, params, grads, h=1e-4, floor=1e-2):
             rel = abs(fd - gflat[idx]) / max(abs(fd), abs(gflat[idx]), floor)
             worst = max(worst, rel)
     return worst
+
+
+def brute_force_phrase_spans(words, phrases):
+    """Greedy longest-match (start, end, matched) spans, trying every end.
+
+    Keys and words are compared lowercased; unlike the library it does
+    not bound the span length by the longest key.
+    """
+    keys = {tuple(p.lower().split()) for p in phrases}
+    lowered = [w.lower() for w in words]
+    spans, i = [], 0
+    while i < len(lowered):
+        ends = [j for j in range(i + 1, len(lowered) + 1) if tuple(lowered[i:j]) in keys]
+        end = max(ends, default=i + 1)
+        spans.append((i, end, bool(ends)))
+        i = end
+    return spans

@@ -8,9 +8,8 @@ from slukit import alignment
 from slukit.alignment import (DEL, EPS, INS, MATCH, SUB, AlignmentError,
                               ConfusionNetwork, NoiseConfig, align, build_cn,
                               corrupt, decode_nbest, pap_of, project_labels,
-                              read_nbest, sample_nbest, wer, write_cn,
-                              write_nbest)
-from slukit.corpus import NULL_LABEL, Token, Utterance
+                              read_nbest, wer, write_cn, write_nbest)
+from slukit.corpus import NULL_LABEL, ParseError, Token, Utterance
 
 from helpers import brute_force_edit_cost, utt
 
@@ -81,18 +80,6 @@ def test_corrupt_deterministic_and_flags_follow_alignment(small_corpus, noise_co
         matched = {j for op, _, j in ali.ops if op == MATCH}
         for j, t in enumerate(h1.tokens):
             assert (t.error_flag == "correct") == (j in matched)
-
-
-def test_sample_nbest_contract(small_corpus, noise_config):
-    u = small_corpus.utterances[0]
-    single = sample_nbest(u, noise_config, 1)
-    assert len(single) == 1
-    assert sample_nbest(u, noise_config, 5) == sample_nbest(u, noise_config, 5)
-    long_u = max(small_corpus, key=len)
-    draws = sample_nbest(long_u, noise_config, 50)
-    assert len({tuple(h) for _, h in draws}) >= 2
-    weights = [w for w, _ in draws]
-    assert weights == sorted(weights, reverse=True)  # most probable first
 
 
 def test_decode_nbest_pivot_is_primary_draw(small_corpus, noise_config):
@@ -184,3 +171,25 @@ def test_nbest_and_cn_files(tmp_path, small_corpus, noise_config):
 def test_cn_validates_bin_sums():
     with pytest.raises(AlignmentError):
         ConfusionNetwork(bins=((("a", 0.5),),), pivot=("a",))
+
+
+@pytest.mark.parametrize("text, line", [
+    ("1.0\ta b\n", 1),
+    ("# id=u\n1.0\ta\n\n2.0\tb\n", 4),
+    ("# id=u\nheavy\ta b\n\n", 2),
+    ("# id=u\n1.0 a b\n\n", 2),
+], ids=["row-before-header", "row-after-closed-block", "bad-weight", "no-tab"])
+def test_read_nbest_malformed_names_file_and_line(tmp_path, text, line):
+    p = tmp_path / "bad.nbest"
+    p.write_text(text)
+    with pytest.raises(ParseError, match=f"bad.nbest: line {line}:"):
+        read_nbest(p)
+
+
+def test_build_cn_uncovered_bin_raises(monkeypatch):
+    # an alignment that skips a pivot bin breaks the one-entry-per-bin
+    # invariant; the check must raise, also under python -O
+    monkeypatch.setattr(alignment, "align",
+                        lambda ref, hyp: alignment.Alignment(((MATCH, 0, 0),), 0.0))
+    with pytest.raises(AlignmentError):
+        build_cn([(1.0, ["a", "b"])])

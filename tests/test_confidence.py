@@ -8,7 +8,7 @@ from slukit.confidence import (AutoencoderModel, ConfidenceError,
                                EmbeddingTable, MsMlpConfig, MsMlpModel,
                                MsMlpVectorizer, ae_loss_and_grads,
                                attach_confidence, build_fused_table,
-                               collect_ngrams, fuse_word, load_embeddings,
+                               collect_ngrams, load_embeddings,
                                make_hash_embeddings, mlp_loss_and_grads,
                                train_autoencoder, train_msmlp,
                                write_embeddings)
@@ -128,11 +128,12 @@ def test_ae_loss_monotone_full_batch(tiny_tables):
 
 def test_fuse_properties(tiny_tables):
     model, _ = train_autoencoder(tiny_tables, d=4, epochs=10, seed=0)
-    v1 = fuse_word(model, tiny_tables, "w3")
-    v2 = fuse_word(model, tiny_tables, "w3")
+    v1 = build_fused_table(model, tiny_tables, ["w3"]).lookup("w3")
+    v2 = build_fused_table(model, tiny_tables, ["w3"]).lookup("w3")
     assert np.array_equal(v1, v2) and v1.shape == (4,)
     # unseen word under zero-OOV tables: bottleneck of the zero vector
-    assert fuse_word(model, tiny_tables, "zzz") == pytest.approx(np.tanh(model.b_enc))
+    oov = build_fused_table(model, tiny_tables, ["zzz"]).lookup("zzz")
+    assert oov == pytest.approx(np.tanh(model.b_enc))
 
 
 def test_ae_file_roundtrip(tmp_path, tiny_tables):

@@ -4,13 +4,15 @@ from hypothesis import strategies as st
 
 from slukit import corpus
 from slukit.corpus import (ERROR_C, ERROR_N, NULL_LABEL, ConceptSegment,
-                           Dataset, ParseError, SchemaError, TaggerOutput,
-                           Token, Utterance, augment_error_labels,
-                           labels_for_segments, read_dataset, repair_bio,
+                           Dataset, ParseError, PhraseTable, SchemaError,
+                           TaggerOutput, Token, Utterance,
+                           augment_error_labels, labels_for_segments,
+                           read_dataset, read_outputs, repair_bio,
                            segments_of, strip_error_labels,
-                           validate_label_sequence, write_dataset)
+                           validate_label_sequence, write_dataset,
+                           write_outputs)
 
-from helpers import utt
+from helpers import brute_force_phrase_spans, utt
 
 
 def test_read_empty_file(tmp_path):
@@ -104,7 +106,7 @@ def test_segments_single_token():
 def test_segments_value_normalization():
     # independently derived from the number table: thirty three -> 33
     u = utt("u", ["thirty", "three"], ["B-DATE", "I-DATE"])
-    segs = segments_of(u, {"thirty three": "33"})
+    segs = segments_of(u, PhraseTable([("thirty three", "33")]))
     assert segs == [ConceptSegment("DATE", "33", 0, 2)]
 
 
@@ -197,3 +199,121 @@ def test_outputs_file_roundtrip(tmp_path):
     p = tmp_path / "o.lab"
     corpus.write_outputs(outs, p)
     assert corpus.read_outputs(p) == outs
+
+
+# ---------------------------------------------------------------------------
+# Phrase tables
+# ---------------------------------------------------------------------------
+
+_phrase_words = st.sampled_from(["a", "b", "c", "A", "B"])
+
+
+@given(st.dictionaries(st.lists(_phrase_words, min_size=1, max_size=3).map(" ".join),
+                       st.integers(), max_size=6),
+       st.lists(_phrase_words, max_size=10))
+def test_phrase_table_greedy_longest_match(entries, words):
+    table = PhraseTable(entries.items())
+    payloads = {PhraseTable.key(k): v for k, v in entries.items()}
+    lowered = tuple(w.lower() for w in words)
+    spans = list(table.matches(words))
+    # the spans cover the words exactly once, in order
+    assert [i for s, e, _ in spans for i in range(s, e)] == list(range(len(words)))
+    for s, e, payload in spans:
+        longer = [lowered[s:j] for j in range(e + 1, len(words) + 1)]
+        assert not any(k in payloads for k in longer)  # no longer key starts here
+        if payload is None:
+            assert e == s + 1 and lowered[s:e] not in payloads  # starts no key
+        else:
+            assert payloads[lowered[s:e]] == payload  # the span is a key
+    assert [(s, e, p is not None) for s, e, p in spans] == brute_force_phrase_spans(
+        words, entries)
+
+
+def test_phrase_table_lowercases_keys_and_words():
+    table = PhraseTable([("Swimming  Pool", "SERVICE")])
+    assert list(table.matches(["a", "SWIMMING", "pool"])) == [
+        (0, 1, None), (1, 3, "SERVICE")]
+
+
+# ---------------------------------------------------------------------------
+# Block files: every write either reads back as itself or is refused
+# ---------------------------------------------------------------------------
+
+_text = st.text(alphabet="ab #id=_|\t\n\rB-I", max_size=6)
+
+
+@st.composite
+def datasets(draw):
+    ids = draw(st.lists(_text, max_size=3, unique=True))
+    utts = []
+    for uid in ids:
+        n = draw(st.integers(min_value=1, max_value=3))
+        toks = tuple(Token(surface=draw(_text.filter(bool)),
+                           sem_categories=frozenset(draw(st.lists(_text, max_size=2))),
+                           label=draw(st.none() | _text | st.sampled_from(["B-x", "I-x"])))
+                     for _ in range(n))
+        utts.append(Utterance(uid, toks))
+    return Dataset(tuple(utts))
+
+
+@given(datasets())
+def test_tsv_roundtrips_or_refuses(tmp_path_factory, ds):
+    p = tmp_path_factory.mktemp("tsv") / "d.tsv"
+    try:
+        write_dataset(ds, p)
+    except SchemaError:
+        return
+    assert read_dataset(p) == ds
+
+
+@given(st.lists(st.tuples(_text, st.lists(_text, max_size=3)), max_size=3))
+def test_outputs_roundtrip_or_refuse(tmp_path_factory, blocks):
+    outs = [TaggerOutput(uid, tuple(labels)) for uid, labels in blocks]
+    p = tmp_path_factory.mktemp("out") / "o.lab"
+    try:
+        write_outputs(outs, p)
+    except SchemaError:
+        return
+    assert read_outputs(p) == outs
+
+
+@pytest.mark.parametrize("tok", [
+    Token(surface="a\tb"),
+    Token(surface="a", label="_"),
+    Token(surface="a", lemma="_"),
+    Token(surface="a", sem_categories=frozenset({"X|Y"})),
+    Token(surface="a", sem_categories=frozenset({"_"})),
+    Token(surface="a", sem_categories=frozenset({""})),
+    Token(surface="a", label="a\nb"),
+    Token(surface="a", label="I-TOWN"),
+])
+def test_write_dataset_refuses_unrepresentable_token(tmp_path, tok):
+    with pytest.raises(SchemaError):
+        write_dataset(Dataset((Utterance("u", (tok,)),)), tmp_path / "d.tsv")
+
+
+@pytest.mark.parametrize("out", [
+    TaggerOutput("a\nb", ("null",)),
+    TaggerOutput("a\rb", ("null",)),
+    TaggerOutput("", ("null",)),
+    TaggerOutput("u", ("# id=v",)),
+    TaggerOutput("u", ("",)),
+    TaggerOutput("u", (" ",)),
+])
+def test_write_outputs_refuses_unrepresentable_block(tmp_path, out):
+    with pytest.raises(SchemaError):
+        write_outputs([out], tmp_path / "o.lab")
+
+
+def test_read_outputs_rejects_empty_id(tmp_path):
+    p = tmp_path / "o.lab"
+    p.write_text("# id=\nnull\n\n")
+    with pytest.raises(ParseError, match="o.lab: line 1"):
+        read_outputs(p)
+
+
+def test_read_outputs_rejects_row_before_header(tmp_path):
+    p = tmp_path / "o.lab"
+    p.write_text("# id=u\nnull\n\nB-TOWN\n")
+    with pytest.raises(ParseError, match="o.lab: line 4"):
+        read_outputs(p)

@@ -1,6 +1,6 @@
 import pytest
 
-from slukit.corpus import segments_of, validate_label_sequence
+from slukit.corpus import PhraseTable, segments_of, validate_label_sequence
 from slukit.grammar import (DomainGrammar, GrammarError, annotate_words,
                             default_grammar, generate_corpus)
 
@@ -32,9 +32,10 @@ def test_every_concept_appears(default_grammar):
 
 
 def test_generated_labels_are_valid(default_grammar):
+    values = PhraseTable(default_grammar.values.items())
     for u in generate_corpus(default_grammar, 200, 2):
         validate_label_sequence(u.labels())
-        segments_of(u, default_grammar.values)  # must decode without error
+        segments_of(u, values)  # must decode without error
 
 
 def test_confusable_words_occur_as_concept_and_filler(default_grammar):
