@@ -15,8 +15,9 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-from .corpus import (FLAG_CORRECT, FLAG_ERROR, NULL_LABEL, ParseError, Token,
-                     Utterance, read_blocks, repair_bio, write_blocks)
+from .corpus import (FLAG_CORRECT, FLAG_ERROR, NULL_LABEL, ParseError,
+                     SchemaError, Token, Utterance, read_blocks, repair_bio,
+                     write_blocks)
 from .numutil import derived_seed
 
 EPS = "<eps>"
@@ -355,9 +356,20 @@ def project_labels(hyp: Utterance) -> Utterance:
 # N-best and confusion network files
 # ---------------------------------------------------------------------------
 
+def _nbest_row(uid, weight, words):
+    for word in words:
+        if word.split() != [word]:
+            raise SchemaError(f"utterance {uid!r}: word {word!r} is empty or holds whitespace")
+    return f"{weight:.9e}\t{' '.join(words)}"
+
+
 def write_nbest(path, per_utt) -> None:
-    """per_utt: iterable of (utterance_id, [(weight, words), ...])."""
-    write_blocks(path, ((uid, [f"{weight:.9e}\t{' '.join(words)}" for weight, words in nbest])
+    """per_utt: iterable of (utterance_id, [(weight, words), ...]).
+
+    Raises SchemaError naming the utterance for a word that is empty or
+    holds whitespace, since the words of a row are space-joined.
+    """
+    write_blocks(path, ((uid, [_nbest_row(uid, weight, words) for weight, words in nbest])
                         for uid, nbest in per_utt))
 
 

@@ -396,8 +396,13 @@ def _fmt_opt(value):
     return ABSENT if value is None else value
 
 
-def _fmt_conf(v):
-    return ABSENT if v is None else f"{v:.6f}"
+def _fmt_conf(name, v):
+    if v is None:
+        return ABSENT
+    text = f"{v:.6f}"
+    if float(text) != v:
+        raise SchemaError(f"{name}={v!r} would read back as {text}")
+    return text
 
 
 def _token_row(i, tok: Token) -> str:
@@ -412,8 +417,8 @@ def _token_row(i, tok: Token) -> str:
         ABSENT if tok.governor is None else str(tok.governor),
         _fmt_opt(tok.deprel),
         "|".join(sorted(tok.sem_categories)) or ABSENT,
-        _fmt_conf(tok.pap),
-        _fmt_conf(tok.mlp_conf),
+        _fmt_conf("pap", tok.pap),
+        _fmt_conf("mlp_conf", tok.mlp_conf),
         _fmt_opt(tok.error_flag),
         _fmt_opt(tok.label),
     ))

@@ -301,20 +301,29 @@ def tune_weights(outputs_by_system, ref: Dataset, hyp: Dataset,
                  step: float = 0.1, value_table=None, priority=None):
     """Exhaustive grid search over the weight simplex minimizing dev CER.
 
-    Ties prefer the candidate closest to uniform weights, then the
-    lexicographically smallest one.
+    A position's vote depends only on the tuple of labels the systems
+    give it, so each distinct label tuple of the dev set is voted once
+    per weighting, and a combined output is expanded and scored only
+    the first time its tuple of winners occurs.  Ties prefer the
+    candidate closest to uniform weights, then the lexicographically
+    smallest one.
     """
     _check_aligned(outputs_by_system)
     k = len(outputs_by_system)
+    tuples = {}  # each distinct label tuple -> its column in `table`
+    columns = [[tuples.setdefault(col, len(tuples)) for col in zip(*(o.labels for o in outs))]
+               for outs in zip(*outputs_by_system)]
+    table = [[TaggerOutput("", tuple(col[s] for col in tuples))] for s in range(k)]
     uniform = 1.0 / k
     best = None
     cer_cache = {}
     for weights in _simplex_grid(k, step):
-        combined = combine_weighted(outputs_by_system, weights, priority=priority)
-        signature = tuple(o.labels for o in combined)
-        if signature not in cer_cache:
-            cer_cache[signature] = score(ref, hyp, combined, value_table).cer
-        cer = cer_cache[signature]
+        winners = combine_weighted(table, weights, priority=priority)[0].labels
+        if winners not in cer_cache:
+            combined = [TaggerOutput(o.id, tuple(winners[c] for c in cols))
+                        for o, cols in zip(outputs_by_system[0], columns)]
+            cer_cache[winners] = score(ref, hyp, combined, value_table).cer
+        cer = cer_cache[winners]
         dist = sum((w - uniform) ** 2 for w in weights)
         key = (round(cer, 10), round(dist, 12), weights)
         if best is None or key < best[0]:

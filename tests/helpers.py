@@ -4,9 +4,12 @@ Everything here is deliberately naive: exhaustive recursions and
 element-wise finite differences that are independent of the library's
 own dynamic programming and backpropagation code paths.
 """
+import itertools
+
 import numpy as np
 
 from slukit.corpus import Token, Utterance
+from slukit.evaluation import combine_weighted, score
 
 
 def utt(uid, words, labels=None, flags=None, **token_kw):
@@ -80,3 +83,27 @@ def brute_force_phrase_spans(words, phrases):
         spans.append((i, end, bool(ends)))
         i = end
     return spans
+
+
+def simplex_grid(k, step):
+    """Weight vectors of the grid `tune_weights` searches, by enumeration
+    of `itertools.product` rather than the library's recursion."""
+    m = round(1.0 / step)
+    return [tuple(v / m for v in parts)
+            for parts in itertools.product(range(m + 1), repeat=k) if sum(parts) == m]
+
+
+def brute_force_tune_weights(outputs_by_system, ref, hyp, step, value_table=None,
+                             priority=None):
+    """Grid search that votes every position and scores every weighting,
+    with the selection key `tune_weights` documents."""
+    uniform = 1.0 / len(outputs_by_system)
+    best = None
+    for weights in simplex_grid(len(outputs_by_system), step):
+        combined = combine_weighted(outputs_by_system, weights, priority=priority)
+        cer = score(ref, hyp, combined, value_table).cer
+        dist = sum((w - uniform) ** 2 for w in weights)
+        key = (round(cer, 10), round(dist, 12), weights)
+        if best is None or key < best[0]:
+            best = (key, weights)
+    return best[1]

@@ -9,7 +9,7 @@ from slukit.alignment import (DEL, EPS, INS, MATCH, SUB, AlignmentError,
                               ConfusionNetwork, NoiseConfig, align, build_cn,
                               corrupt, decode_nbest, pap_of, project_labels,
                               read_nbest, wer, write_cn, write_nbest)
-from slukit.corpus import NULL_LABEL, ParseError, Token, Utterance
+from slukit.corpus import NULL_LABEL, ParseError, SchemaError, Token, Utterance
 
 from helpers import brute_force_edit_cost, utt
 
@@ -184,6 +184,37 @@ def test_read_nbest_malformed_names_file_and_line(tmp_path, text, line):
     p.write_text(text)
     with pytest.raises(ParseError, match=f"bad.nbest: line {line}:"):
         read_nbest(p)
+
+
+_ids = (st.text(alphabet="ab", min_size=1, max_size=3)
+        | st.text(alphabet="ab #id=_\t\n\r", max_size=4))
+# words the writer accepts, and words that are empty or hold whitespace
+_words = (st.text(alphabet="ab#_", min_size=1, max_size=3) | st.just("")
+          | st.text(alphabet="ab \t\n\r\x0b\x1c\x85\xa0", min_size=1, max_size=3))
+
+
+@given(st.lists(st.tuples(_ids, st.lists(st.tuples(st.floats(allow_nan=False),
+                                                   st.lists(_words, max_size=3)),
+                                         max_size=3)),
+                max_size=3))
+def test_nbest_roundtrips_or_refuses(tmp_path_factory, per_utt):
+    p = tmp_path_factory.mktemp("nbest") / "n.txt"
+    try:
+        write_nbest(p, per_utt)
+    except SchemaError:
+        return
+    again = read_nbest(p)
+    assert [uid for uid, _ in again] == [uid for uid, _ in per_utt]
+    assert [[words for _, words in nb] for _, nb in again] == \
+        [[words for _, words in nb] for _, nb in per_utt]
+    assert [[w for w, _ in nb] for _, nb in again] == \
+        [[float(f"{w:.9e}") for w, _ in nb] for _, nb in per_utt]
+
+
+@pytest.mark.parametrize("words", [["a b"], ["c\tx"], [""], ["a", "b\nc"], ["\xa0"]])
+def test_write_nbest_refuses_word_with_whitespace(tmp_path, words):
+    with pytest.raises(SchemaError, match="utterance 'u7'"):
+        write_nbest(tmp_path / "n.txt", [("u7", [(1.0, words)])])
 
 
 def test_build_cn_uncovered_bin_raises(monkeypatch):

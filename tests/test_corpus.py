@@ -240,17 +240,25 @@ def test_phrase_table_lowercases_keys_and_words():
 # ---------------------------------------------------------------------------
 
 _text = st.text(alphabet="ab #id=_|\t\n\rB-I", max_size=6)
+# text every writer accepts, so that some draws get past the refusals
+_plain = st.text(alphabet="ab", min_size=1, max_size=3)
+# six-decimal values (what the pipeline writes) and arbitrary ones
+_conf = st.none() | st.floats(min_value=0.0, max_value=1.0) | st.integers(
+    min_value=0, max_value=10**6).map(lambda i: round(i / 10**6, 6))
 
 
 @st.composite
 def datasets(draw):
-    ids = draw(st.lists(_text, max_size=3, unique=True))
+    ids = draw(st.lists(_plain | _text, max_size=3, unique=True))
     utts = []
     for uid in ids:
         n = draw(st.integers(min_value=1, max_value=3))
-        toks = tuple(Token(surface=draw(_text.filter(bool)),
-                           sem_categories=frozenset(draw(st.lists(_text, max_size=2))),
-                           label=draw(st.none() | _text | st.sampled_from(["B-x", "I-x"])))
+        toks = tuple(Token(surface=draw(_plain | _text.filter(bool)),
+                           sem_categories=frozenset(draw(st.lists(_plain | _text, max_size=2))),
+                           pap=draw(_conf),
+                           mlp_conf=draw(_conf),
+                           label=draw(st.none() | _plain | _text
+                                      | st.sampled_from(["B-x", "I-x"])))
                      for _ in range(n))
         utts.append(Utterance(uid, toks))
     return Dataset(tuple(utts))
@@ -286,6 +294,8 @@ def test_outputs_roundtrip_or_refuse(tmp_path_factory, blocks):
     Token(surface="a", sem_categories=frozenset({""})),
     Token(surface="a", label="a\nb"),
     Token(surface="a", label="I-TOWN"),
+    Token(surface="a", pap=0.1234567),
+    Token(surface="a", mlp_conf=1 / 3),
 ])
 def test_write_dataset_refuses_unrepresentable_token(tmp_path, tok):
     with pytest.raises(SchemaError):

@@ -2,16 +2,18 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from slukit import evaluation
 from slukit.corpus import NULL_LABEL, Dataset, TaggerOutput
 from slukit.evaluation import (ABSTAIN, CalibrationReport, ConfidenceRecord,
                                EvaluationError, calibration_bins,
                                combine_weighted, consensus, nce, score,
                                tune_weights)
 
-from helpers import brute_force_edit_cost, utt
+from helpers import (brute_force_edit_cost, brute_force_tune_weights, simplex_grid,
+                     utt)
 
 
 def rec(correct, conf, i=0):
@@ -228,3 +230,68 @@ def test_tune_weights_beats_every_corner():
         w = [0.0] * 3
         w[k] = 1.0
         assert best_cer <= score(ref, hyp, combine_weighted(systems, w)).cer + 1e-9
+
+
+@st.composite
+def tuning_cases(draw):
+    """Dev sets for `tune_weights`: k = 2-4 systems over a small label set,
+    some systems copies of others (forcing vote and CER ties), and
+    zero-token outputs for utterances the reference does not score."""
+    k = draw(st.integers(min_value=2, max_value=4))
+    lengths = draw(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4))
+    golds = [draw(st.lists(st.sampled_from(["B-A", "B-B", NULL_LABEL]), min_size=n, max_size=n))
+             for n in lengths]
+    words = [[f"w{j}" for j in range(n)] for n in lengths]
+    ref = Dataset(tuple(utt(f"u{i}", w, g) for i, (w, g) in enumerate(zip(words, golds))))
+    hyp = Dataset(tuple(utt(f"u{i}", w) for i, w in enumerate(words)))
+    shape = [(f"u{i}", n) for i, n in enumerate(lengths)]
+    shape += [(f"empty{i}", 0) for i in range(draw(st.integers(min_value=0, max_value=2)))]
+    shape = draw(st.permutations(shape))
+    labels = st.sampled_from(["B-A", "I-A", "B-B", NULL_LABEL, ABSTAIN])
+    systems = []
+    for s in range(k):
+        if s and draw(st.booleans()):
+            systems.append(systems[draw(st.integers(min_value=0, max_value=s - 1))])
+        else:
+            systems.append([TaggerOutput(uid, tuple(draw(st.lists(labels, min_size=n, max_size=n))))
+                            for uid, n in shape])
+    step = draw(st.sampled_from([0.5, 0.25]))
+    priority = draw(st.sampled_from([None, list(reversed(range(k)))])
+                    | st.permutations(range(k)))
+    return systems, ref, hyp, step, priority
+
+
+@given(tuning_cases())
+def test_tune_weights_equals_brute_force(case):
+    systems, ref, hyp, step, priority = case
+    try:
+        expected = brute_force_tune_weights(systems, ref, hyp, step, priority=priority)
+    except EvaluationError:
+        with pytest.raises(EvaluationError):
+            tune_weights(systems, ref, hyp, step=step, priority=priority)
+        return
+    assert tune_weights(systems, ref, hyp, step=step, priority=priority) == expected
+
+
+@given(tuning_cases())
+def test_tune_weights_call_contract(case):
+    # bench/tracing.py counts combine_weighted calls under tune_weights as
+    # grid points and divides score calls by them
+    systems, ref, hyp, step, priority = case
+    assume(any(lab != NULL_LABEL for u in ref for lab in u.labels()))
+    grid = simplex_grid(len(systems), step)
+    outputs = {tuple(o.labels for o in combine_weighted(systems, weights, priority=priority))
+               for weights in grid}
+    calls = {"combine_weighted": 0, "score": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            mp.setattr(evaluation, name, counted(name, getattr(evaluation, name)))
+        tune_weights(systems, ref, hyp, step=step, priority=priority)
+    assert calls == {"combine_weighted": len(grid), "score": len(outputs)}
