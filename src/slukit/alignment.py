@@ -23,8 +23,6 @@ from .numutil import derived_seed
 EPS = "<eps>"
 
 MATCH, SUB, DEL, INS = "match", "substitution", "deletion", "insertion"
-# preference on equal cost, applied while backtracking
-_OP_RANK = {MATCH: 0, SUB: 1, DEL: 2, INS: 3}
 
 
 class AlignmentError(Exception):
@@ -33,8 +31,10 @@ class AlignmentError(Exception):
 
 @dataclass(frozen=True)
 class Alignment:
+    """Edit operations in order, and their cost: the int S + D + I."""
+
     ops: tuple  # of (op, ref_index or None, hyp_index or None)
-    cost: float
+    cost: int
 
     def counts(self):
         c = {MATCH: 0, SUB: 0, DEL: 0, INS: 0}
@@ -43,47 +43,33 @@ class Alignment:
         return c
 
 
-def align(ref, hyp, costs=(1.0, 1.0, 1.0)) -> Alignment:
-    """Minimal-cost alignment of two sequences.
+def align(ref, hyp) -> Alignment:
+    """Minimal unit-cost (Levenshtein) alignment of two sequences.
 
-    costs = (substitution, insertion, deletion).  Ties are broken by
-    preferring match > substitution > deletion > insertion.
+    Ties are broken by preferring match or substitution, then deletion,
+    then insertion, while backtracking from the end of both sequences.
     """
-    sub_c, ins_c, del_c = costs
     n, m = len(ref), len(hyp)
-    INF = float("inf")
-    dist = [[0.0] * (m + 1) for _ in range(n + 1)]
+    dist = [list(range(m + 1))]
     for i in range(1, n + 1):
-        dist[i][0] = dist[i - 1][0] + del_c
-    for j in range(1, m + 1):
-        dist[0][j] = dist[0][j - 1] + ins_c
-    for i in range(1, n + 1):
-        row, prev = dist[i], dist[i - 1]
+        r, prev = ref[i - 1], dist[i - 1]
+        row = [i]
         for j in range(1, m + 1):
-            diag = prev[j - 1] + (0.0 if ref[i - 1] == hyp[j - 1] else sub_c)
-            row[j] = min(diag, prev[j] + del_c, row[j - 1] + ins_c)
+            row.append(min(prev[j - 1] + (r != hyp[j - 1]), prev[j] + 1, row[j - 1] + 1))
+        dist.append(row)
 
     ops = []
     i, j = n, m
     while i > 0 or j > 0:
-        cands = []
-        if i > 0 and j > 0:
-            if ref[i - 1] == hyp[j - 1] and math.isclose(dist[i][j], dist[i - 1][j - 1]):
-                cands.append((MATCH, i - 1, j - 1))
-            elif ref[i - 1] != hyp[j - 1] and math.isclose(dist[i][j], dist[i - 1][j - 1] + sub_c):
-                cands.append((SUB, i - 1, j - 1))
-        if i > 0 and math.isclose(dist[i][j], dist[i - 1][j] + del_c):
-            cands.append((DEL, i - 1, None))
-        if j > 0 and math.isclose(dist[i][j], dist[i][j - 1] + ins_c):
-            cands.append((INS, None, j - 1))
-        op = min(cands, key=lambda c: _OP_RANK[c[0]])
-        ops.append(op)
-        if op[0] in (MATCH, SUB):
+        if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
             i, j = i - 1, j - 1
-        elif op[0] == DEL:
+            ops.append((MATCH if ref[i] == hyp[j] else SUB, i, j))
+        elif i > 0 and dist[i][j] == dist[i - 1][j] + 1:
             i -= 1
+            ops.append((DEL, i, None))
         else:
             j -= 1
+            ops.append((INS, None, j))
     ops.reverse()
     return Alignment(tuple(ops), dist[n][m])
 
@@ -180,35 +166,31 @@ def _decisions_logprob(decisions, inserts, cfg: NoiseConfig) -> float:
     logp = 0.0
     for dec in decisions:
         if dec[0] == "del":
-            logp += math.log(cfg.del_rate) if cfg.del_rate > 0 else -1e9
+            logp += math.log(cfg.del_rate)
         elif dec[0] == "sub":
-            logp += math.log(cfg.sub_rate) if cfg.sub_rate > 0 else -1e9
+            logp += math.log(cfg.sub_rate)
         else:
             logp += math.log(keep_p)
     for ins in inserts:
-        if ins is None:
-            logp += math.log(1.0 - cfg.ins_rate) if cfg.ins_rate < 1 else -1e9
-        else:
-            logp += math.log(cfg.ins_rate) if cfg.ins_rate > 0 else -1e9
+        logp += math.log(1.0 - cfg.ins_rate if ins is None else cfg.ins_rate)
     return logp
 
 
 def _emit(words, decisions, inserts):
+    """The hypothesis words of one draw; a recognizer always emits something."""
     out = []
     for w, dec, ins in zip(words, decisions, inserts):
         if dec[0] == "keep":
             out.append(w)
         elif dec[0] == "sub":
             out.append(dec[1])
-        for extra in ([ins] if ins else []):
-            out.append(extra)
-    return out
+        if ins:
+            out.append(ins)
+    return out or ["euh"]
 
 
 def _hyp_utterance(utt: Utterance, hyp_words) -> Utterance:
     """Wrap channel output as an utterance; flags come from the alignment."""
-    if not hyp_words:
-        hyp_words = ["euh"]  # a recognizer always emits something
     ali = align(utt.surfaces(), hyp_words)
     matched = {j for op, _, j in ali.ops if op == MATCH}
     tokens = tuple(
@@ -249,12 +231,12 @@ def decode_nbest(utt: Utterance, cfg: NoiseConfig, n: int):
     rng0 = random.Random(derived_seed("asr", cfg.seed, utt.id, 0))
     decisions, inserts = _channel_decisions(words, cfg, rng0)
     out = [(math.exp(_decisions_logprob(decisions, inserts, cfg)),
-            _emit(words, decisions, inserts) or ["euh"])]
+            _emit(words, decisions, inserts))]
     for k in range(1, n):
         rng = random.Random(derived_seed("asr-re", cfg.seed, utt.id, k))
         dec_k, ins_k = _redecode(words, decisions, inserts, cfg, rng)
         out.append((math.exp(_decisions_logprob(dec_k, ins_k, cfg)),
-                    _emit(words, dec_k, ins_k) or ["euh"]))
+                    _emit(words, dec_k, ins_k)))
     return out
 
 

@@ -30,18 +30,14 @@ class ConfidenceError(Exception):
 # ---------------------------------------------------------------------------
 
 class EmbeddingTable:
-    """vocabulary -> fixed-dimension vectors with a total OOV policy."""
+    """vocabulary -> fixed-dimension vectors; an unknown word maps to the
+    zero vector."""
 
-    def __init__(self, words, matrix, oov="zero", name=""):
+    def __init__(self, words, matrix, name=""):
         self.words = list(words)
         self.matrix = np.asarray(matrix, dtype=np.float64)
         if self.matrix.ndim != 2 or len(self.words) != self.matrix.shape[0]:
             raise ConfidenceError("embedding matrix does not match vocabulary")
-        if oov not in ("zero", "unk"):
-            raise ConfidenceError(f"unknown OOV policy {oov!r}")
-        if oov == "unk" and "<unk>" not in words:
-            raise ConfidenceError("OOV policy 'unk' needs a <unk> row")
-        self.oov = oov
         self.name = name
         self._index = {w: i for i, w in enumerate(self.words)}
 
@@ -56,12 +52,10 @@ class EmbeddingTable:
         i = self._index.get(word)
         if i is not None:
             return self.matrix[i]
-        if self.oov == "unk":
-            return self.matrix[self._index["<unk>"]]
         return np.zeros(self.dim)
 
 
-def load_embeddings(path, oov="zero", name="") -> EmbeddingTable:
+def load_embeddings(path, name="") -> EmbeddingTable:
     """Text format: one "word v1 v2 ... vd" per line, space separated.
 
     The dimension is fixed by the first row; rows that disagree are a
@@ -92,8 +86,7 @@ def load_embeddings(path, oov="zero", name="") -> EmbeddingTable:
                 index[word] = len(words)
                 words.append(word)
                 rows.append(vec)
-    return EmbeddingTable(words, np.array(rows, dtype=np.float64), oov=oov,
-                          name=name or str(path))
+    return EmbeddingTable(words, np.array(rows, dtype=np.float64), name=name or str(path))
 
 
 def write_embeddings(table: EmbeddingTable, path) -> None:
@@ -171,10 +164,8 @@ def ae_loss_and_grads(model: AutoencoderModel, x):
     over the words of the batch, so a gradient step is not shrunk by the
     input width (the MS-MLP's cross entropy is per word in the same way).
     """
-    pre = x @ model.w_enc.T + model.b_enc
-    h = np.tanh(pre)
-    y = h @ model.w_dec.T + model.b_dec
-    diff = y - x
+    h = model.encode(x)
+    diff = model.decode(h) - x
     loss = float(np.sum(diff ** 2)) / len(x)
     dy = 2.0 * diff / len(x)
     grads = {
@@ -276,7 +267,6 @@ class MsMlpConfig:
     proj: int = 16
     merge: int = 64
     hidden: int = 32
-    window: int = 2
     epochs: int = 10
     lr: float = 0.3
     batch: int = 64
@@ -424,8 +414,7 @@ class MsMlpModel:
         )
         cfg = MsMlpConfig(proj=header["widths"]["proj"],
                           merge=header["widths"]["merge"],
-                          hidden=header["widths"]["hidden"],
-                          window=header["window"], **header["config"])
+                          hidden=header["widths"]["hidden"], **header["config"])
         return cls(vec, arrays, cfg)
 
 

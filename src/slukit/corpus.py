@@ -12,7 +12,7 @@ before scoring.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 NULL_LABEL = "null"
 ERROR_C = "ERROR-C"
@@ -131,31 +131,6 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class LabelScheme:
-    """Concept inventory plus the null and error tags."""
-
-    concepts: frozenset
-    null_label: str = NULL_LABEL
-    error_labels: tuple = ERROR_LABELS
-
-    def labels(self, include_errors=False):
-        out = [self.null_label]
-        for c in sorted(self.concepts):
-            out.append("B-" + c)
-            out.append("I-" + c)
-        if include_errors:
-            out.extend(self.error_labels)
-        return out
-
-    def is_valid(self, label: str) -> bool:
-        if label == self.null_label or label in self.error_labels:
-            return True
-        if label.startswith(("B-", "I-")):
-            return label[2:] in self.concepts
-        return False
-
-
-@dataclass(frozen=True)
 class ConceptSegment:
     label: str
     value: str
@@ -172,17 +147,6 @@ class TaggerOutput:
 
     def __len__(self):
         return len(self.labels)
-
-
-def scheme_of(dataset: Dataset) -> LabelScheme:
-    """Infer the concept inventory from the labels present in a dataset."""
-    concepts = set()
-    for utt in dataset:
-        for tok in utt.tokens:
-            lab = tok.label
-            if lab and lab.startswith(("B-", "I-")):
-                concepts.add(lab[2:])
-    return LabelScheme(frozenset(concepts))
 
 
 def validate_label_sequence(labels, line_base=None):
@@ -345,9 +309,10 @@ def write_blocks(path, blocks) -> None:
 
     Raises SchemaError for an id or row that would not read back as
     itself: an empty id, a blank row, a row that starts with the header,
-    or a line break in either; the file then holds the blocks before it.
+    a line break in either, or text UTF-8 cannot encode (a lone
+    surrogate); the file then holds the blocks before it.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(path, "wb") as fh:
         for block_id, rows in blocks:
             if not block_id or "\n" in block_id or "\r" in block_id:
                 raise SchemaError(f"id {block_id!r} is empty or holds a line break")
@@ -356,7 +321,10 @@ def write_blocks(path, blocks) -> None:
                 if not row.strip() or row.startswith(HEADER) or "\n" in row or "\r" in row:
                     raise SchemaError(f"block {block_id!r}: row {row!r} would not read back")
                 lines.append(row)
-            fh.write("\n".join(lines) + "\n\n")
+            try:
+                fh.write(("\n".join(lines) + "\n\n").encode("utf-8"))
+            except UnicodeEncodeError as exc:
+                raise SchemaError(f"block {block_id!r} holds text UTF-8 cannot encode") from exc
 
 
 def read_blocks(path):
@@ -470,7 +438,7 @@ def _parse_token(i, line, lineno, path) -> Token:
         raise SchemaError(f"{path}: line {lineno}: {exc}") from exc
 
 
-def read_dataset(path, columns=COLUMNS) -> Dataset:
+def read_dataset(path) -> Dataset:
     """Parse a corpus TSV, validating every invariant on the way in.
 
     Missing fields stay absent (they are never defaulted to zero).
@@ -478,8 +446,6 @@ def read_dataset(path, columns=COLUMNS) -> Dataset:
     SchemaError for invariant violations such as an I-x label that does
     not continue a segment.
     """
-    if tuple(columns) != COLUMNS:
-        raise ValueError(f"unsupported column spec {columns!r}")
     utterances = []
     for uid, rows in read_blocks(path):
         if not rows:

@@ -80,9 +80,6 @@ class CalibrationReport:
     fraction_correct: tuple
     nce: float | None
 
-    def lower_edges(self):
-        return [i / self.bins for i in range(self.bins)]
-
     def csv_rows(self):
         rows = ["bin_low,bin_high,count,mean_confidence,fraction_correct"]
         for i in range(self.bins):

@@ -33,15 +33,6 @@ def softmax(a: np.ndarray, axis=-1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def sigmoid(a: np.ndarray) -> np.ndarray:
-    out = np.empty_like(a, dtype=np.float64)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ea = np.exp(a[~pos])
-    out[~pos] = ea / (1.0 + ea)
-    return out
-
-
 def rng_for(*parts) -> np.random.Generator:
     """PCG64 generator seeded from `derived_seed(*parts)`."""
     return np.random.default_rng(derived_seed(*parts))

@@ -5,9 +5,11 @@ element-wise finite differences that are independent of the library's
 own dynamic programming and backpropagation code paths.
 """
 import itertools
+import math
 
 import numpy as np
 
+from slukit.alignment import DEL, INS, MATCH, SUB, Alignment
 from slukit.corpus import Token, Utterance
 from slukit.evaluation import combine_weighted, score
 
@@ -22,23 +24,67 @@ def utt(uid, words, labels=None, flags=None, **token_kw):
     return Utterance(uid, toks)
 
 
-def brute_force_edit_cost(ref, hyp, sub=1.0, ins=1.0, dele=1.0):
-    """Minimal edit cost by exhaustive recursion (no DP)."""
+def brute_force_edit_cost(ref, hyp):
+    """Minimal unit edit cost by exhaustive recursion (no DP)."""
 
     def rec(i, j):
         if i == len(ref) and j == len(hyp):
             return 0.0
         best = float("inf")
         if i < len(ref) and j < len(hyp):
-            step = 0.0 if ref[i] == hyp[j] else sub
-            best = min(best, rec(i + 1, j + 1) + step)
+            best = min(best, rec(i + 1, j + 1) + (ref[i] != hyp[j]))
         if i < len(ref):
-            best = min(best, rec(i + 1, j) + dele)
+            best = min(best, rec(i + 1, j) + 1)
         if j < len(hyp):
-            best = min(best, rec(i, j + 1) + ins)
+            best = min(best, rec(i, j + 1) + 1)
         return best
 
     return rec(0, 0)
+
+
+def reference_align(ref, hyp):
+    """Unit-cost edit alignment by a float DP and a candidate-list backtrack.
+
+    Among the steps that reach a cell at minimal cost, the backtrack
+    keeps the one ranked first in match > substitution > deletion >
+    insertion.
+    """
+    sub_c = ins_c = del_c = 1.0
+    rank = {MATCH: 0, SUB: 1, DEL: 2, INS: 3}
+    n, m = len(ref), len(hyp)
+    dist = [[0.0] * (m + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        dist[i][0] = dist[i - 1][0] + del_c
+    for j in range(1, m + 1):
+        dist[0][j] = dist[0][j - 1] + ins_c
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            diag = dist[i - 1][j - 1] + (0.0 if ref[i - 1] == hyp[j - 1] else sub_c)
+            dist[i][j] = min(diag, dist[i - 1][j] + del_c, dist[i][j - 1] + ins_c)
+
+    ops = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        cands = []
+        if i > 0 and j > 0:
+            if ref[i - 1] == hyp[j - 1] and math.isclose(dist[i][j], dist[i - 1][j - 1]):
+                cands.append((MATCH, i - 1, j - 1))
+            elif ref[i - 1] != hyp[j - 1] and math.isclose(dist[i][j], dist[i - 1][j - 1] + sub_c):
+                cands.append((SUB, i - 1, j - 1))
+        if i > 0 and math.isclose(dist[i][j], dist[i - 1][j] + del_c):
+            cands.append((DEL, i - 1, None))
+        if j > 0 and math.isclose(dist[i][j], dist[i][j - 1] + ins_c):
+            cands.append((INS, None, j - 1))
+        op = min(cands, key=lambda c: rank[c[0]])
+        ops.append(op)
+        if op[0] in (MATCH, SUB):
+            i, j = i - 1, j - 1
+        elif op[0] == DEL:
+            i -= 1
+        else:
+            j -= 1
+    ops.reverse()
+    return Alignment(tuple(ops), dist[n][m])
 
 
 def fd_gradcheck(loss_fn, params, grads, h=1e-4, floor=1e-2):

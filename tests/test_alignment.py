@@ -1,7 +1,8 @@
 import dataclasses
+import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from slukit import alignment
@@ -11,9 +12,13 @@ from slukit.alignment import (DEL, EPS, INS, MATCH, SUB, AlignmentError,
                               read_nbest, wer, write_cn, write_nbest)
 from slukit.corpus import NULL_LABEL, ParseError, SchemaError, Token, Utterance
 
-from helpers import brute_force_edit_cost, utt
+from helpers import brute_force_edit_cost, reference_align, utt
 
 words_st = st.lists(st.sampled_from("abcde"), min_size=0, max_size=6)
+# few symbols, so that equal-cost alignments (ties) are common
+tie_words_st = st.lists(st.sampled_from("ab"), max_size=7)
+# the (label, value) segments CER/CVER align
+segments_st = st.lists(st.tuples(st.sampled_from("xy"), st.sampled_from("pq")), max_size=7)
 
 
 def test_align_identity():
@@ -41,6 +46,17 @@ def test_align_matches_brute_force(ref, hyp):
             assert ref[i] == hyp[j]
         elif op == SUB:
             assert ref[i] != hyp[j]
+
+
+# at the last cell of "bab" -> "aba" a deletion and an insertion tie and
+# substituting costs more, so only the rank order decides
+@example((list("bab"), list("aba")))
+@given(st.one_of(st.tuples(tie_words_st, tie_words_st), st.tuples(segments_st, segments_st)))
+def test_align_matches_reference_tie_break(pair):
+    ref, hyp = pair
+    a, expected = align(ref, hyp), reference_align(ref, hyp)
+    assert a.ops == expected.ops
+    assert a.cost == expected.cost
 
 
 def test_wer_basics():
@@ -86,6 +102,28 @@ def test_decode_nbest_pivot_is_primary_draw(small_corpus, noise_config):
     for u in small_corpus.utterances[:10]:
         nbest = decode_nbest(u, noise_config, 6)
         assert nbest[0][1] == list(corrupt(u, noise_config).surfaces())
+
+
+@pytest.mark.parametrize("zero", [("sub_rate",), ("del_rate",), ("ins_rate",),
+                                  ("sub_rate", "del_rate", "ins_rate")])
+def test_decode_nbest_zero_rate_weights(monkeypatch, small_corpus, noise_config, zero):
+    # every weight is the product of the rates of the events drawn for it;
+    # an event of rate 0 is never drawn, so no weight is 0 and no log(0) is taken
+    cfg = dataclasses.replace(noise_config, **{name: 0.0 for name in zero})
+    rate = {"del": cfg.del_rate, "sub": cfg.sub_rate, "keep": 1.0 - cfg.sub_rate - cfg.del_rate}
+    drawn = []
+    real = alignment._decisions_logprob
+    monkeypatch.setattr(alignment, "_decisions_logprob",
+                        lambda dec, ins, c: drawn.append((dec, ins)) or real(dec, ins, c))
+    for u in small_corpus.utterances[:20]:
+        drawn.clear()
+        nbest = decode_nbest(u, cfg, 5)
+        assert len(drawn) == len(nbest)
+        for (weight, _), (dec, ins) in zip(nbest, drawn):
+            expected = math.prod([rate[d[0]] for d in dec]
+                                 + [1.0 - cfg.ins_rate if w is None else cfg.ins_rate for w in ins])
+            assert math.isfinite(weight) and weight > 0
+            assert weight == pytest.approx(expected, rel=1e-12)
 
 
 def test_build_cn_single_hypothesis():

@@ -5,7 +5,7 @@ import pytest
 
 from slukit import confidence as conf
 from slukit.confidence import (AutoencoderModel, ConfidenceError,
-                               EmbeddingTable, MsMlpConfig, MsMlpModel,
+                               MsMlpConfig, MsMlpModel,
                                MsMlpVectorizer, ae_loss_and_grads,
                                attach_confidence, build_fused_table,
                                collect_ngrams, load_embeddings,
@@ -54,11 +54,6 @@ def test_embeddings_file_roundtrip(tmp_path):
     again = load_embeddings(p)
     assert again.words == t.words
     assert np.allclose(again.matrix, t.matrix, atol=1e-6)
-
-
-def test_unk_policy():
-    t = EmbeddingTable(["<unk>", "a"], np.array([[9.0], [1.0]]), oov="unk")
-    assert t.lookup("zzz") == pytest.approx([9.0])
 
 
 # ---------------------------------------------------------------------------

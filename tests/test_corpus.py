@@ -274,7 +274,7 @@ def test_tsv_roundtrips_or_refuses(tmp_path_factory, ds):
     assert read_dataset(p) == ds
 
 
-@given(st.lists(st.tuples(_text, st.lists(_text, max_size=3)), max_size=3))
+@given(st.lists(st.tuples(_plain | _text, st.lists(_plain | _text, max_size=3)), max_size=3))
 def test_outputs_roundtrip_or_refuse(tmp_path_factory, blocks):
     outs = [TaggerOutput(uid, tuple(labels)) for uid, labels in blocks]
     p = tmp_path_factory.mktemp("out") / "o.lab"
@@ -313,6 +313,22 @@ def test_write_dataset_refuses_unrepresentable_token(tmp_path, tok):
 def test_write_outputs_refuses_unrepresentable_block(tmp_path, out):
     with pytest.raises(SchemaError):
         write_outputs([out], tmp_path / "o.lab")
+
+
+@pytest.mark.parametrize("write, good, bad", [
+    (write_outputs, [TaggerOutput("a", ("null",))],
+     [TaggerOutput("u", ("a\ud800",))]),
+    (write_outputs, [TaggerOutput("a", ("null",))],
+     [TaggerOutput("\udfff", ("null",))]),
+    (lambda utts, p: write_dataset(Dataset(tuple(utts)), p),
+     [Utterance("a", (Token(surface="x"),))],
+     [Utterance("u", (Token(surface="y"), Token(surface="a\ud800")))]),
+], ids=["outputs-row", "outputs-id", "dataset-surface"])
+def test_writers_refuse_lone_surrogate_before_its_block(tmp_path, write, good, bad):
+    write(good, tmp_path / "good")
+    with pytest.raises(SchemaError, match="UTF-8"):
+        write(good + bad, tmp_path / "bad")
+    assert (tmp_path / "bad").read_bytes() == (tmp_path / "good").read_bytes()
 
 
 def test_read_outputs_rejects_empty_id(tmp_path):
