@@ -11,6 +11,7 @@ bit-identical to serial ones.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, replace
@@ -48,17 +49,41 @@ def align(ref, hyp) -> Alignment:
 
     Ties are broken by preferring match or substitution, then deletion,
     then insertion, while backtracking from the end of both sequences.
+
+    The integer DP table is filled with explicit comparisons.  Trailing
+    words the two sequences share are matched without a table: where
+    ref[i-1] == hyp[j-1], D[i][j] == D[i-1][j-1], so the backtrack's
+    first (diagonal) test would take each of them as a match anyway, and
+    the tie order is the same as for the full table.  A common prefix is
+    not stripped, since that would change it: ["a"] against ["a", "a"]
+    matches hyp[1] on the full table.
     """
     n, m = len(ref), len(hyp)
-    dist = [list(range(m + 1))]
+    k = 0
+    while k < n and k < m and ref[n - 1 - k] == hyp[m - 1 - k]:
+        k += 1
+    n, m = n - k, m - k
+    prev = list(range(m + 1))
+    dist = [prev]
     for i in range(1, n + 1):
-        r, prev = ref[i - 1], dist[i - 1]
+        r = ref[i - 1]
         row = [i]
-        for j in range(1, m + 1):
-            row.append(min(prev[j - 1] + (r != hyp[j - 1]), prev[j] + 1, row[j - 1] + 1))
+        diag, left = i - 1, i
+        # D[i][j] is D[i-1][j-1] on a match (never above the other two),
+        # else 1 + the least of the three neighbours; zip stops at hyp[m-1]
+        for h, up in zip(hyp, prev[1:]):
+            if r != h:
+                if up < diag:
+                    diag = up
+                if left < diag:
+                    diag = left
+                diag += 1
+            row.append(diag)
+            left, diag = diag, up
         dist.append(row)
+        prev = row
 
-    ops = []
+    ops = [(MATCH, n + t, m + t) for t in range(k - 1, -1, -1)]
     i, j = n, m
     while i > 0 or j > 0:
         if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
@@ -121,10 +146,16 @@ class NoiseConfig:
         return 100.0 * (self.sub_rate + self.del_rate + self.ins_rate)
 
 
+@functools.lru_cache(maxsize=None)
+def _other_words(vocabulary: tuple, word) -> tuple:
+    """The vocabulary without `word`, in vocabulary order."""
+    return tuple(w for w in vocabulary if w != word)
+
+
 def _substitute(word, cfg: NoiseConfig, rng) -> str:
     cands = (cfg.confusions or {}).get(word)
     if not cands:
-        cands = [w for w in cfg.vocabulary if w != word]
+        cands = _other_words(tuple(cfg.vocabulary), word)
     if not cands:
         return word + "'"  # degenerate configs still must change the word
     return cands[rng.randrange(len(cands))]
@@ -162,17 +193,16 @@ def _channel_decisions(words, cfg: NoiseConfig, rng):
 
 
 def _decisions_logprob(decisions, inserts, cfg: NoiseConfig) -> float:
-    keep_p = 1.0 - cfg.sub_rate - cfg.del_rate
+    # an event of rate 0 is never drawn, so its log is never taken
+    rates = {"del": cfg.del_rate, "sub": cfg.sub_rate,
+             "keep": 1.0 - cfg.sub_rate - cfg.del_rate,
+             "ins": cfg.ins_rate, "no-ins": 1.0 - cfg.ins_rate}
+    log_rate = {event: math.log(p) for event, p in rates.items() if p > 0}
     logp = 0.0
     for dec in decisions:
-        if dec[0] == "del":
-            logp += math.log(cfg.del_rate)
-        elif dec[0] == "sub":
-            logp += math.log(cfg.sub_rate)
-        else:
-            logp += math.log(keep_p)
+        logp += log_rate[dec[0]]
     for ins in inserts:
-        logp += math.log(1.0 - cfg.ins_rate if ins is None else cfg.ins_rate)
+        logp += log_rate["no-ins" if ins is None else "ins"]
     return logp
 
 
@@ -256,34 +286,46 @@ class ConfusionNetwork:
                 raise AlignmentError(f"bin {k} posteriors sum to {total}")
 
 
+def _pivot_column(pivot, hyp) -> tuple:
+    """The word `hyp` puts in each pivot bin: its aligned word on
+    match/substitution, epsilon where it skips the bin."""
+    column = [None] * len(pivot)
+    for op, i, j in align(pivot, hyp).ops:
+        if op in (MATCH, SUB):
+            column[i] = hyp[j]
+        elif op == DEL:
+            column[i] = EPS
+    if None in column:
+        raise AlignmentError("a hypothesis left a pivot bin without an entry")
+    return tuple(column)
+
+
 def build_cn(nbest) -> ConfusionNetwork:
     """Align weighted hypotheses into the first (pivot) hypothesis.
 
     Every hypothesis contributes to each pivot bin exactly once: its
     aligned word on match/substitution, epsilon where it skips the bin.
     Words it inserts between bins are dropped; at this scale the pivot
-    positions are all the taggers consume.
+    positions are all the taggers consume.  Each distinct hypothesis is
+    aligned once; weights are still added in n-best order, so repeats
+    give the same posteriors, bit for bit, as aligning every entry.
     """
     if not nbest:
         raise AlignmentError("need at least one hypothesis")
     pivot = list(nbest[0][1])
     mass = [dict() for _ in pivot]
+    columns = {}  # tuple(hyp) -> its word in each pivot bin
     total = 0.0
     for weight, hyp in nbest:
         if weight <= 0:
             raise AlignmentError("hypothesis weights must be positive")
         total += weight
-        ali = align(pivot, list(hyp))
-        seen = set()
-        for op, i, j in ali.ops:
-            if op in (MATCH, SUB):
-                mass[i][hyp[j]] = mass[i].get(hyp[j], 0.0) + weight
-                seen.add(i)
-            elif op == DEL:
-                mass[i][EPS] = mass[i].get(EPS, 0.0) + weight
-                seen.add(i)
-        if len(seen) != len(pivot):
-            raise AlignmentError("a hypothesis left a pivot bin without an entry")
+        key = tuple(hyp)
+        column = columns.get(key)
+        if column is None:
+            column = columns[key] = _pivot_column(pivot, hyp)
+        for entries, word in zip(mass, column):
+            entries[word] = entries.get(word, 0.0) + weight
     bins = []
     for entries in mass:
         scored = [(w, p / total) for w, p in entries.items()]

@@ -90,6 +90,26 @@ def load_embeddings(path, name="") -> EmbeddingTable:
 
 
 def write_embeddings(table: EmbeddingTable, path) -> None:
+    """Write `table` in the format `load_embeddings` reads.
+
+    Raises ConfidenceError, before the file is opened, for a table that
+    would not read back as itself: one with no words or no vector
+    components, or a word that is empty, holds whitespace, holds text
+    UTF-8 cannot encode (a lone surrogate) or appears twice.
+    """
+    if not table.words or table.dim < 1:
+        raise ConfidenceError(f"cannot write a {len(table)} x {table.dim} embedding table")
+    seen = set()
+    for w in table.words:
+        if w.split() != [w]:
+            raise ConfidenceError(f"word {w!r} is empty or holds whitespace")
+        try:
+            w.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ConfidenceError(f"word {w!r} holds text UTF-8 cannot encode") from exc
+        if w in seen:
+            raise ConfidenceError(f"word {w!r} appears twice")
+        seen.add(w)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for w, row in zip(table.words, table.matrix):
             fh.write(w + " " + " ".join(f"{v:.6f}" for v in row) + "\n")

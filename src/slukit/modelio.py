@@ -22,11 +22,16 @@ class ModelIOError(Exception):
 
 
 def save_blob(path, kind: str, header: dict, arrays: dict) -> None:
+    """Write a model file; ModelIOError, before the file is opened, if
+    the header holds text UTF-8 cannot encode (a lone surrogate)."""
     names = sorted(arrays)
     head = dict(header)
     head["kind"] = kind
     head["arrays"] = names
-    payload = json.dumps(head, sort_keys=True, ensure_ascii=False).encode("utf-8")
+    try:
+        payload = json.dumps(head, sort_keys=True, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ModelIOError(f"{path}: header holds text UTF-8 cannot encode") from exc
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack(">II", VERSION, len(payload)))

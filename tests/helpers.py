@@ -9,7 +9,8 @@ import math
 
 import numpy as np
 
-from slukit.alignment import DEL, INS, MATCH, SUB, Alignment
+from slukit.alignment import (DEL, EPS, INS, MATCH, SUB, Alignment,
+                              ConfusionNetwork)
 from slukit.corpus import Token, Utterance
 from slukit.evaluation import combine_weighted, score
 
@@ -85,6 +86,29 @@ def reference_align(ref, hyp):
             j -= 1
     ops.reverse()
     return Alignment(tuple(ops), dist[n][m])
+
+
+def reference_build_cn(nbest):
+    """Confusion network with one `reference_align` per n-best entry (no
+    cache), each entry's weight added to its word in each pivot bin in
+    n-best order, then the bin normalization `build_cn` documents."""
+    pivot = list(nbest[0][1])
+    mass = [dict() for _ in pivot]
+    total = 0.0
+    for weight, hyp in nbest:
+        total += weight
+        for op, i, j in reference_align(pivot, list(hyp)).ops:
+            if op in (MATCH, SUB):
+                mass[i][hyp[j]] = mass[i].get(hyp[j], 0.0) + weight
+            elif op == DEL:
+                mass[i][EPS] = mass[i].get(EPS, 0.0) + weight
+    bins = []
+    for entries in mass:
+        scored = sorted(((w, p / total) for w, p in entries.items()),
+                        key=lambda e: (-e[1], e[0]))
+        s = sum(p for _, p in scored)
+        bins.append(tuple((w, p / s) for w, p in scored))
+    return ConfusionNetwork(tuple(bins), tuple(pivot))
 
 
 def fd_gradcheck(loss_fn, params, grads, h=1e-4, floor=1e-2):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -12,7 +13,8 @@ from slukit.alignment import (DEL, EPS, INS, MATCH, SUB, AlignmentError,
                               read_nbest, wer, write_cn, write_nbest)
 from slukit.corpus import NULL_LABEL, ParseError, SchemaError, Token, Utterance
 
-from helpers import brute_force_edit_cost, reference_align, utt
+from helpers import (brute_force_edit_cost, reference_align, reference_build_cn,
+                     utt)
 
 words_st = st.lists(st.sampled_from("abcde"), min_size=0, max_size=6)
 # few symbols, so that equal-cost alignments (ties) are common
@@ -51,6 +53,15 @@ def test_align_matches_brute_force(ref, hyp):
 # at the last cell of "bab" -> "aba" a deletion and an insertion tie and
 # substituting costs more, so only the rank order decides
 @example((list("bab"), list("aba")))
+# a shared prefix is not a shortcut: the full table matches the "a" to
+# hyp[1], not hyp[0]
+@example((["a"], ["a", "a"]))
+# the shared suffix "b" leaves "a" against "ba": an insertion, then a match
+@example((list("ab"), list("bab")))
+# all suffix; and no table at all
+@example((list("abba"), list("abba")))
+@example(([], list("ab")))
+@example((list("ab"), []))
 @given(st.one_of(st.tuples(tie_words_st, tie_words_st), st.tuples(segments_st, segments_st)))
 def test_align_matches_reference_tie_break(pair):
     ref, hyp = pair
@@ -157,6 +168,25 @@ def test_build_cn_against_positional_count_oracle():
         assert sum(p for _, p in cn.bins[pos]) == pytest.approx(1.0, abs=1e-9)
 
 
+# n-best lists drawn from a small pool of hypotheses, so that entries
+# repeat, also non-adjacently
+@st.composite
+def nbest_lists(draw):
+    pool = draw(st.lists(st.lists(st.sampled_from("abc"), max_size=5), min_size=1, max_size=4))
+    picks = draw(st.lists(st.tuples(st.floats(min_value=1e-9, max_value=1.0),
+                                    st.integers(0, len(pool) - 1)),
+                          min_size=1, max_size=8))
+    return [(weight, list(pool[k])) for weight, k in picks]
+
+
+# ["a"] comes back after ["a", "c"]: summing its two weights first would
+# give "a" the mass (0.1 + 0.6) + 0.1 = 0.7999999999999999, not 0.8
+@example([(0.1, ["a"]), (0.1, ["a", "c"]), (0.6, ["a"]), (0.1, ["b"]), (0.1, ["c"])])
+@given(nbest_lists())
+def test_build_cn_matches_reference(nbest):
+    assert build_cn(nbest) == reference_build_cn(nbest)
+
+
 def test_cn_epsilon_on_skipped_bin():
     cn = build_cn([(0.5, ["a", "b", "c"]), (0.5, ["a", "c"])])
     assert dict(cn.bins[1]) == {"b": 0.5, EPS: 0.5}
@@ -204,6 +234,21 @@ def test_nbest_and_cn_files(tmp_path, small_corpus, noise_config):
     write_cn(tmp_path / "cn.txt", cns)
     text = (tmp_path / "cn.txt").read_text()
     assert text.startswith(f"# id={per_utt[0][0]}")
+
+
+# sha256 of the n-best and confusion network files below, recorded
+# before `align` and `build_cn` were made faster; a change that moves
+# one bit of either file fails here
+NBEST_SHA256 = "791a3decb729a1d8397c8c0b607628ab2416deb5136ed9f8ba48af6470feb3f4"
+CN_SHA256 = "580d19520395697bad326849031ccd3d2047305f5ffb03584844ca94862eceeb"
+
+
+def test_nbest_and_cn_bytes_are_pinned(tmp_path, small_corpus, noise_config):
+    per_utt = [(u.id, decode_nbest(u, noise_config, 5)) for u in small_corpus.utterances]
+    write_nbest(tmp_path / "hyp.nbest", per_utt)
+    write_cn(tmp_path / "hyp.cn", [(uid, build_cn(nb)) for uid, nb in per_utt])
+    assert hashlib.sha256((tmp_path / "hyp.nbest").read_bytes()).hexdigest() == NBEST_SHA256
+    assert hashlib.sha256((tmp_path / "hyp.cn").read_bytes()).hexdigest() == CN_SHA256
 
 
 def test_cn_validates_bin_sums():

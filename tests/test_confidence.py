@@ -1,10 +1,13 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from slukit import confidence as conf
-from slukit.confidence import (AutoencoderModel, ConfidenceError,
+from slukit.confidence import (AutoencoderModel, ConfidenceError, EmbeddingTable,
                                MsMlpConfig, MsMlpModel,
                                MsMlpVectorizer, ae_loss_and_grads,
                                attach_confidence, build_fused_table,
@@ -54,6 +57,53 @@ def test_embeddings_file_roundtrip(tmp_path):
     again = load_embeddings(p)
     assert again.words == t.words
     assert np.allclose(again.matrix, t.matrix, atol=1e-6)
+
+
+# words the writer accepts, and words that are empty, hold whitespace or
+# hold a lone surrogate; a table holds at most one of the latter
+_emb_words = st.text(alphabet="ab#_\xe9", min_size=1, max_size=2)
+_bad_emb_words = (st.just("") | st.just("a\ud800")
+                  | st.text(alphabet="ab \t\n\r\x0b\x1c\x85\xa0\u2028", min_size=1, max_size=3)
+                  .filter(lambda w: w.split() != [w]))
+
+
+@given(st.lists(_emb_words, min_size=1, max_size=4, unique=True),
+       st.none() | st.none() | _bad_emb_words, st.integers(1, 3), st.data())
+def test_embeddings_roundtrip_or_refuse(tmp_path_factory, words, bad, dim, data):
+    if bad is not None:
+        words.insert(data.draw(st.integers(0, len(words))), bad)
+    values = data.draw(st.lists(st.floats(), min_size=len(words) * dim,
+                                max_size=len(words) * dim))
+    table = EmbeddingTable(words, np.array(values, dtype=float).reshape(len(words), dim))
+    p = tmp_path_factory.mktemp("emb") / "e.txt"
+    try:
+        write_embeddings(table, p)
+    except ConfidenceError:
+        assert not p.exists()
+        return
+    again = load_embeddings(p)
+    assert again.words == table.words
+    expected = np.array([[float(f"{v:.6f}") for v in row] for row in table.matrix])
+    assert np.array_equal(again.matrix, expected, equal_nan=True)
+
+
+@pytest.mark.parametrize("words, bad", [
+    (["a", "b c"], "b c"), (["a", ""], ""), (["\xa0"], "\xa0"),
+    (["a", "b\ud800"], "b\ud800"), (["a", "b", "a"], "a"),
+])
+def test_write_embeddings_names_the_word_before_opening(tmp_path, words, bad):
+    p = tmp_path / "e.txt"
+    with pytest.raises(ConfidenceError, match=re.escape(repr(bad))):
+        write_embeddings(EmbeddingTable(words, np.zeros((len(words), 2))), p)
+    assert not p.exists()
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (2, 0)], ids=["no-words", "no-components"])
+def test_write_embeddings_refuses_empty_table(tmp_path, shape):
+    p = tmp_path / "e.txt"
+    with pytest.raises(ConfidenceError):
+        write_embeddings(EmbeddingTable(["a", "b"][:shape[0]], np.zeros(shape)), p)
+    assert not p.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -20,3 +20,10 @@ def test_truncated_blob_raises_model_error(tmp_path, cut):
     p.write_bytes(data[:cut(data)])
     with pytest.raises(ModelIOError, match="m.slk"):
         load_blob(p)
+
+
+def test_save_blob_refuses_lone_surrogate_without_writing(tmp_path):
+    p = tmp_path / "m.slk"
+    with pytest.raises(ModelIOError, match="m.slk"):
+        save_blob(p, "toy", {"vocab": ["a", "b\ud800"]}, {"w": np.zeros(2)})
+    assert not p.exists()
