@@ -17,8 +17,8 @@ import random
 from dataclasses import dataclass, replace
 
 from .corpus import (FLAG_CORRECT, FLAG_ERROR, NULL_LABEL, ParseError,
-                     SchemaError, Token, Utterance, read_blocks, repair_bio,
-                     write_blocks)
+                     SchemaError, TextPool, Token, Utterance, read_blocks,
+                     repair_bio, write_blocks)
 from .numutil import derived_seed
 
 EPS = "<eps>"
@@ -282,7 +282,8 @@ class ConfusionNetwork:
     def __post_init__(self):
         for k, entries in enumerate(self.bins):
             total = sum(p for _, p in entries)
-            if abs(total - 1.0) > 1e-9:
+            # written so that a NaN sum is refused too
+            if not abs(total - 1.0) <= 1e-9:
                 raise AlignmentError(f"bin {k} posteriors sum to {total}")
 
 
@@ -309,6 +310,8 @@ def build_cn(nbest) -> ConfusionNetwork:
     positions are all the taggers consume.  Each distinct hypothesis is
     aligned once; weights are still added in n-best order, so repeats
     give the same posteriors, bit for bit, as aligning every entry.
+    Raises AlignmentError for a weight that is not finite and positive,
+    and for weights whose sum overflows.
     """
     if not nbest:
         raise AlignmentError("need at least one hypothesis")
@@ -317,8 +320,8 @@ def build_cn(nbest) -> ConfusionNetwork:
     columns = {}  # tuple(hyp) -> its word in each pivot bin
     total = 0.0
     for weight, hyp in nbest:
-        if weight <= 0:
-            raise AlignmentError("hypothesis weights must be positive")
+        if not (math.isfinite(weight) and weight > 0):
+            raise AlignmentError(f"hypothesis weight {weight!r} is not finite and positive")
         total += weight
         key = tuple(hyp)
         column = columns.get(key)
@@ -326,6 +329,8 @@ def build_cn(nbest) -> ConfusionNetwork:
             column = columns[key] = _pivot_column(pivot, hyp)
         for entries, word in zip(mass, column):
             entries[word] = entries.get(word, 0.0) + weight
+    if not math.isfinite(total):
+        raise AlignmentError(f"hypothesis weights sum to {total}")
     bins = []
     for entries in mass:
         scored = [(w, p / total) for w, p in entries.items()]
@@ -397,18 +402,19 @@ def write_nbest(path, per_utt) -> None:
                         for uid, nbest in per_utt))
 
 
-def _nbest_entry(path, lineno, row):
+def _nbest_entry(path, lineno, row, text: TextPool):
     weight, tab, words = row.partition("\t")
     if not tab:
         raise ParseError("expected weight<TAB>words", lineno, path)
     try:
-        return float(weight), words.split()
+        return float(weight), [text[w] for w in words.split()]
     except ValueError as exc:
         raise ParseError(f"bad weight {weight!r}", lineno, path) from exc
 
 
 def read_nbest(path):
-    return [(uid, [_nbest_entry(path, lineno, row) for lineno, row in rows])
+    text = TextPool()
+    return [(uid, [_nbest_entry(path, lineno, row, text) for lineno, row in rows])
             for uid, rows in read_blocks(path)]
 
 

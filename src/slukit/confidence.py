@@ -491,19 +491,25 @@ def mlp_loss_and_grads(model: MsMlpModel, streams, y):
 
 
 def _training_matrix(dataset: Dataset, vectorizer: MsMlpVectorizer):
-    per_stream = {name: [] for name in STREAM_ORDER}
-    labels = []
+    """Each stream's rows for every token of `dataset`, and the labels
+    (0 correct, 1 error), filled utterance by utterance into matrices
+    allocated once at the dataset's token count."""
+    n = dataset.n_tokens()
+    x = {name: np.empty((n, dim)) for name, dim in vectorizer.stream_dims().items()}
+    y = np.empty(n, dtype=np.int64)
+    at = 0
     for utt in dataset:
         streams = vectorizer.streams(utt)
+        end = at + len(utt)
         for name in STREAM_ORDER:
-            per_stream[name].append(streams[name])
+            x[name][at:end] = streams[name]
         for i, tok in enumerate(utt.tokens):
             if tok.error_flag is None:
                 raise ConfidenceError(
                     f"token {i} of {utt.id!r} lacks an error flag")
-            labels.append(0 if tok.error_flag == "correct" else 1)
-    x = {name: np.concatenate(chunks) for name, chunks in per_stream.items()}
-    return x, np.array(labels, dtype=np.int64)
+            y[at + i] = 0 if tok.error_flag == "correct" else 1
+        at = end
+    return x, y
 
 
 def train_msmlp(dataset: Dataset, vectorizer: MsMlpVectorizer,

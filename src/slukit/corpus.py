@@ -9,6 +9,10 @@ recovered exactly; `null` marks words conveying no domain information.
 Two extra labels, ERROR-C and ERROR-N, replace the regular label of
 erroneous recognizer words during training and are mapped back to null
 before scoring.
+
+The records held by the thousand are slotted dataclasses, and the block
+readers share equal text within one read (`TextPool`), so that reading a
+file back costs about what the data cost before it was written.
 """
 from __future__ import annotations
 
@@ -51,7 +55,7 @@ class SchemaError(CorpusError):
     """A row parsed but violates a corpus invariant."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     surface: str
     lemma: str | None = None
@@ -75,7 +79,7 @@ class Token:
             raise SchemaError(f"bad error flag {self.error_flag!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Utterance:
     id: str
     tokens: tuple
@@ -130,7 +134,7 @@ class Dataset:
         return sum(len(u) for u in self.utterances)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConceptSegment:
     label: str
     value: str
@@ -138,7 +142,7 @@ class ConceptSegment:
     end: int  # exclusive
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaggerOutput:
     """Per-word label sequence for one utterance from one system."""
 
@@ -327,6 +331,21 @@ def write_blocks(path, blocks) -> None:
                 raise SchemaError(f"block {block_id!r} holds text UTF-8 cannot encode") from exc
 
 
+class TextPool(dict):
+    """Text read from one file: `pool[text]` is the first equal string
+    the pool was given, so equal words and labels are one object.
+
+    Make one per read.  A pool is dropped with its read, unlike
+    `sys.intern`, whose strings are immortal on CPython 3.12.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, text):
+        self[text] = text
+        return text
+
+
 def read_blocks(path):
     """Yield (id, [(line number, row), ...]) for each block of a block file.
 
@@ -414,21 +433,30 @@ def _parse_opt(cell, caster, what, line, path):
         raise ParseError(f"bad {what} {cell!r}", line, path) from exc
 
 
-def _parse_token(i, line, lineno, path) -> Token:
+# the text cells a Token keeps besides SURFACE; the numeric cells are not
+# pooled, since their distinct values would outlive each row in the pool
+_POOLED = frozenset(COLUMNS.index(c) for c in ("LEMMA", "POS", "DEPREL", "ERRFLAG", "LABEL"))
+
+
+def _parse_token(i, line, lineno, path, text: TextPool, semcats: dict) -> Token:
     cells = line.split("\t")
     if len(cells) != len(COLUMNS):
         raise ParseError(f"expected {len(COLUMNS)} columns, found {len(cells)}", lineno, path)
     if _parse_opt(cells[0], int, "index", lineno, path) != i:
         raise ParseError(f"index {cells[0]} out of order", lineno, path)
-    opt = [None if cell == ABSENT else cell for cell in cells]
+    opt = [None if cell == ABSENT else text[cell] if k in _POOLED else cell
+           for k, cell in enumerate(cells)]
+    cats = semcats.get(cells[6])
+    if cats is None:
+        cats = semcats[cells[6]] = frozenset() if opt[6] is None else frozenset(opt[6].split("|"))
     try:
         return Token(
-            surface=cells[1],
+            surface=text[cells[1]],
             lemma=opt[2],
             pos=opt[3],
             governor=_parse_opt(cells[4], int, "governor", lineno, path),
             deprel=opt[5],
-            sem_categories=frozenset() if opt[6] is None else frozenset(opt[6].split("|")),
+            sem_categories=cats,
             pap=_parse_opt(cells[7], float, "pap", lineno, path),
             mlp_conf=_parse_opt(cells[8], float, "confidence", lineno, path),
             error_flag=opt[9],
@@ -447,10 +475,11 @@ def read_dataset(path) -> Dataset:
     not continue a segment.
     """
     utterances = []
+    text, semcats = TextPool(), {}  # one frozenset per distinct SEMCATS cell
     for uid, rows in read_blocks(path):
         if not rows:
             raise ParseError(f"utterance {uid!r} has no tokens", path=path)
-        tokens = tuple(_parse_token(i, line, lineno, path)
+        tokens = tuple(_parse_token(i, line, lineno, path, text, semcats)
                        for i, (lineno, line) in enumerate(rows))
         try:
             validate_label_sequence([t.label for t in tokens], line_base=rows[0][0])
@@ -469,5 +498,6 @@ def write_outputs(outputs, path) -> None:
 
 
 def read_outputs(path):
-    return [TaggerOutput(uid, tuple(row for _, row in rows))
+    text = TextPool()
+    return [TaggerOutput(uid, tuple(text[row] for _, row in rows))
             for uid, rows in read_blocks(path)]

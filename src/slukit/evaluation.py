@@ -23,7 +23,7 @@ class EvaluationError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConfidenceRecord:
     utterance_id: str
     index: int

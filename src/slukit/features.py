@@ -42,7 +42,7 @@ class FeatureVectorSpec:
         return FeatureVectorSpec(self.families - frozenset(families), self.bins)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiscreteFeature:
     family: str
     value: str

@@ -11,6 +11,7 @@ import numpy as np
 
 from slukit.alignment import (DEL, EPS, INS, MATCH, SUB, Alignment,
                               ConfusionNetwork)
+from slukit.confidence import STREAM_ORDER, ConfidenceError
 from slukit.corpus import Token, Utterance
 from slukit.evaluation import combine_weighted, score
 
@@ -177,3 +178,21 @@ def brute_force_tune_weights(outputs_by_system, ref, hyp, step, value_table=None
         if best is None or key < best[0]:
             best = (key, weights)
     return best[1]
+
+
+def reference_training_matrix(dataset, vectorizer):
+    """MS-MLP training streams and labels by stacking per-utterance
+    chunks with `np.concatenate`, rather than filling preallocated rows."""
+    per_stream = {name: [] for name in STREAM_ORDER}
+    labels = []
+    for u in dataset:
+        streams = vectorizer.streams(u)
+        for name in STREAM_ORDER:
+            per_stream[name].append(streams[name])
+        for i, tok in enumerate(u.tokens):
+            if tok.error_flag is None:
+                raise ConfidenceError(
+                    f"token {i} of {u.id!r} lacks an error flag")
+            labels.append(0 if tok.error_flag == "correct" else 1)
+    x = {name: np.concatenate(chunks) for name, chunks in per_stream.items()}
+    return x, np.array(labels, dtype=np.int64)

@@ -187,6 +187,17 @@ def test_build_cn_matches_reference(nbest):
     assert build_cn(nbest) == reference_build_cn(nbest)
 
 
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf"), 0.0, -0.5])
+def test_build_cn_refuses_weight_not_finite_and_positive(weight):
+    with pytest.raises(AlignmentError):
+        build_cn([(weight, ["a", "b"]), (0.5, ["a"])])
+
+
+def test_build_cn_refuses_weights_whose_sum_overflows():
+    with pytest.raises(AlignmentError):
+        build_cn([(1e308, ["a"]), (1e308, ["a"])])
+
+
 def test_cn_epsilon_on_skipped_bin():
     cn = build_cn([(0.5, ["a", "b", "c"]), (0.5, ["a", "c"])])
     assert dict(cn.bins[1]) == {"b": 0.5, EPS: 0.5}
@@ -236,6 +247,16 @@ def test_nbest_and_cn_files(tmp_path, small_corpus, noise_config):
     assert text.startswith(f"# id={per_utt[0][0]}")
 
 
+def test_read_nbest_shares_equal_words(tmp_path):
+    p = tmp_path / "hyp.nbest"
+    write_nbest(p, [("u1", [(0.5, ["paris", "lyon"]), (0.5, ["paris"])]),
+                    ("u2", [(1.0, ["lyon", "lyon"])])])
+    (_, [(_, w1), (_, w2)]), (_, [(_, w3)]) = read_nbest(p)
+    assert w1 == ["paris", "lyon"] and w2 == ["paris"] and w3 == ["lyon", "lyon"]
+    assert w1[0] is w2[0]
+    assert w1[1] is w3[0] is w3[1]
+
+
 # sha256 of the n-best and confusion network files below, recorded
 # before `align` and `build_cn` were made faster; a change that moves
 # one bit of either file fails here
@@ -254,6 +275,8 @@ def test_nbest_and_cn_bytes_are_pinned(tmp_path, small_corpus, noise_config):
 def test_cn_validates_bin_sums():
     with pytest.raises(AlignmentError):
         ConfusionNetwork(bins=((("a", 0.5),),), pivot=("a",))
+    with pytest.raises(AlignmentError):
+        ConfusionNetwork(bins=((("a", float("nan")),),), pivot=("a",))
 
 
 @pytest.mark.parametrize("text, line", [

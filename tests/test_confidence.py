@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from slukit import confidence as conf
-from slukit.confidence import (AutoencoderModel, ConfidenceError, EmbeddingTable,
-                               MsMlpConfig, MsMlpModel,
+from slukit.confidence import (STREAM_ORDER, AutoencoderModel, ConfidenceError,
+                               EmbeddingTable, MsMlpConfig, MsMlpModel,
                                MsMlpVectorizer, ae_loss_and_grads,
                                attach_confidence, build_fused_table,
                                collect_ngrams, load_embeddings,
@@ -19,7 +19,7 @@ from slukit.corpus import Dataset, Token, Utterance
 from slukit.grammar import generate_corpus
 from slukit.numutil import rng_for
 
-from helpers import fd_gradcheck, utt
+from helpers import fd_gradcheck, reference_training_matrix, utt
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +331,40 @@ def test_mlp_loss_monotone_small_lr():
         for name, g in grads.items():
             model.params[name] -= 0.05 * g
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+
+
+def _flag_every_third(corpus):
+    return Dataset(tuple(
+        dataclasses.replace(u, tokens=tuple(
+            dataclasses.replace(t, error_flag="error" if (k + i) % 3 == 0 else "correct")
+            for i, t in enumerate(u.tokens)))
+        for k, u in enumerate(corpus)))
+
+
+def test_training_matrix_matches_concatenated_reference(small_corpus):
+    hyp = _flag_every_third(small_corpus)
+    words = sorted({w.lower() for u in small_corpus for w in u.surfaces()})
+    vec = MsMlpVectorizer.from_training(
+        small_corpus, hyp, make_hash_embeddings(words, 4, "fused", 0))
+    x, y = conf._training_matrix(hyp, vec)
+    x_ref, y_ref = reference_training_matrix(hyp, vec)
+    assert list(x) == list(x_ref) == list(STREAM_ORDER)
+    for name in STREAM_ORDER:
+        assert x[name].dtype == x_ref[name].dtype
+        assert np.array_equal(x[name], x_ref[name]), name
+    assert y.dtype == y_ref.dtype and np.array_equal(y, y_ref)
+    assert 0 < y.sum() < len(y) == small_corpus.n_tokens()
+
+
+def test_training_matrix_missing_flag_error_matches_reference():
+    vec = _tiny_vectorizer(("aa", "bb"))
+    ds = Dataset((_flagged(["aa", "bb"], ["correct", "error"]),
+                  utt("u2", ["bb", "aa"], flags=["correct", None])))
+    with pytest.raises(ConfidenceError) as got:
+        conf._training_matrix(ds, vec)
+    with pytest.raises(ConfidenceError) as want:
+        reference_training_matrix(ds, vec)
+    assert str(got.value) == str(want.value) == "token 1 of 'u2' lacks an error flag"
 
 
 def test_mlp_requires_flags_and_data():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +13,8 @@ from slukit.corpus import (ERROR_C, ERROR_N, NULL_LABEL, ConceptSegment,
                            segments_of, strip_error_labels,
                            validate_label_sequence, write_dataset,
                            write_outputs)
+from slukit.evaluation import ConfidenceRecord
+from slukit.features import DiscreteFeature
 
 from helpers import brute_force_phrase_spans, utt
 
@@ -343,3 +347,45 @@ def test_read_outputs_rejects_row_before_header(tmp_path):
     p.write_text("# id=u\nnull\n\nB-TOWN\n")
     with pytest.raises(ParseError, match="o.lab: line 4"):
         read_outputs(p)
+
+
+@pytest.mark.parametrize("record", [
+    Token("paris", lemma="paris", sem_categories=frozenset({"TOWN"}), pap=0.5),
+    Utterance("u", (Token("paris"),)),
+    TaggerOutput("u", ("B-TOWN",)),
+    ConceptSegment("TOWN", "paris", 0, 1),
+    ConfidenceRecord("u", 0, True, 0.5),
+    DiscreteFeature("w", "paris"),
+], ids=lambda r: type(r).__name__)
+def test_records_are_slotted_frozen_values(record):
+    assert not hasattr(record, "__dict__")
+    first = dataclasses.fields(record)[0].name
+    same = dataclasses.replace(record)
+    assert same == record and hash(same) == hash(record) and same is not record
+    other = dataclasses.replace(record, **{first: getattr(record, first) + "x"})
+    assert other != record and getattr(other, first) == getattr(record, first) + "x"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, first, "y")
+
+
+def test_read_dataset_shares_equal_text(tmp_path):
+    def town(uid):
+        return Utterance(uid, (Token("paris", lemma="paris", pos="PROPN", deprel="obl",
+                                     sem_categories=frozenset({"TOWN", "CITY"}),
+                                     error_flag="correct", label="B-TOWN"),))
+
+    p = tmp_path / "two.tsv"
+    write_dataset(Dataset((town("u1"), town("u2"))), p)
+    (a,), (b,) = (u.tokens for u in read_dataset(p))
+    assert a == b == town("u1").tokens[0]
+    for name in ("surface", "lemma", "pos", "deprel", "sem_categories", "error_flag", "label"):
+        assert getattr(a, name) is getattr(b, name), name
+
+
+def test_read_outputs_shares_equal_labels(tmp_path):
+    p = tmp_path / "out.txt"
+    write_outputs([TaggerOutput("u1", ("B-TOWN", "I-TOWN")),
+                   TaggerOutput("u2", ("I-TOWN", "B-TOWN"))], p)
+    first, second = read_outputs(p)
+    assert first.labels == ("B-TOWN", "I-TOWN") and second.labels == ("I-TOWN", "B-TOWN")
+    assert first.labels[0] is second.labels[1] and first.labels[1] is second.labels[0]
