@@ -385,18 +385,28 @@ def project_labels(hyp: Utterance) -> Utterance:
 # N-best and confusion network files
 # ---------------------------------------------------------------------------
 
-def _nbest_row(uid, weight, words):
+def _check_words(uid, words):
     for word in words:
         if word.split() != [word]:
             raise SchemaError(f"utterance {uid!r}: word {word!r} is empty or holds whitespace")
-    return f"{weight:.9e}\t{' '.join(words)}"
+
+
+def _nbest_row(uid, weight, words):
+    _check_words(uid, words)
+    text = f"{weight:.9e}"
+    # `build_cn` takes only a finite weight > 0; checked as read back,
+    # since a weight near the float maximum rounds up to inf in this form
+    if not (math.isfinite(float(text)) and weight > 0):
+        raise SchemaError(f"utterance {uid!r}: weight {weight!r} is not finite and positive")
+    return f"{text}\t{' '.join(words)}"
 
 
 def write_nbest(path, per_utt) -> None:
     """per_utt: iterable of (utterance_id, [(weight, words), ...]).
 
     Raises SchemaError naming the utterance for a word that is empty or
-    holds whitespace, since the words of a row are space-joined.
+    holds whitespace, since the words of a row are space-joined, and for
+    a weight `build_cn` would refuse after the read-back.
     """
     write_blocks(path, ((uid, [_nbest_row(uid, weight, words) for weight, words in nbest])
                         for uid, nbest in per_utt))
@@ -418,8 +428,16 @@ def read_nbest(path):
             for uid, rows in read_blocks(path)]
 
 
+def _cn_row(uid, entries):
+    _check_words(uid, [w for w, _ in entries])
+    return " ".join(f"{w}:{p:.6f}" for w, p in entries)
+
+
 def write_cn(path, per_utt) -> None:
-    """per_utt: iterable of (utterance_id, ConfusionNetwork)."""
-    write_blocks(path, ((uid, [" ".join(f"{w}:{p:.6f}" for w, p in entries)
-                               for entries in cn.bins])
+    """per_utt: iterable of (utterance_id, ConfusionNetwork).
+
+    Raises SchemaError naming the utterance for a word that is empty or
+    holds whitespace, since the entries of a row are space-joined.
+    """
+    write_blocks(path, ((uid, [_cn_row(uid, entries) for entries in cn.bins])
                         for uid, cn in per_utt))

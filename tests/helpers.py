@@ -11,7 +11,8 @@ import numpy as np
 
 from slukit.alignment import (DEL, EPS, INS, MATCH, SUB, Alignment,
                               ConfusionNetwork)
-from slukit.confidence import STREAM_ORDER, ConfidenceError
+from slukit.confidence import (BOS, STREAM_ORDER, WINDOW, ConfidenceError,
+                               lm_category)
 from slukit.corpus import Token, Utterance
 from slukit.evaluation import combine_weighted, score
 
@@ -196,3 +197,36 @@ def reference_training_matrix(dataset, vectorizer):
             labels.append(0 if tok.error_flag == "correct" else 1)
     x = {name: np.concatenate(chunks) for name, chunks in per_stream.items()}
     return x, np.array(labels, dtype=np.int64)
+
+
+def reference_streams(vectorizer, u):
+    """MS-MLP input streams built token by token: each window slot
+    looked up in the fused table (zeros past either end) and joined with
+    `np.concatenate`, and each one-hot set in a fresh zero vector."""
+
+    def onehot(vocab, tag):
+        v = np.zeros(len(vocab))
+        v[vocab.index(tag) if tag in vocab else vocab.index("<unk>")] = 1.0
+        return v
+
+    n = len(u.tokens)
+    d = vectorizer.fused.dim
+    vecs = [vectorizer.fused.lookup(t.surface.lower()) for t in u.tokens]
+    pad = np.zeros(d)
+    out = {name: np.zeros((n, dim)) for name, dim in vectorizer.stream_dims().items()}
+    for i, tok in enumerate(u.tokens):
+        window = []
+        for off in range(-WINDOW, WINDOW + 1):
+            j = i + off
+            window.append(vecs[j] if 0 <= j < n else pad)
+        out["window"][i] = np.concatenate(window)
+        out["length"][i, 0] = len(tok.surface) / 10.0
+        prev = u.tokens[i - 1].surface if i > 0 else BOS
+        out["lm"][i, lm_category(prev, tok.surface, vectorizer.unigrams,
+                                 vectorizer.bigrams)] = 1.0
+        out["pos"][i] = onehot(vectorizer.pos_vocab, tok.pos or "<none>")
+        out["deprel"][i] = onehot(vectorizer.deprel_vocab, tok.deprel or "<none>")
+        gov = tok.governor
+        out["govpos"][i] = onehot(vectorizer.pos_vocab,
+                                  "root" if gov is None else (u.tokens[gov].pos or "<none>"))
+    return out

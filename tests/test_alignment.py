@@ -299,7 +299,7 @@ _words = (st.text(alphabet="ab#_", min_size=1, max_size=3) | st.just("")
           | st.text(alphabet="ab \t\n\r\x0b\x1c\x85\xa0", min_size=1, max_size=3))
 
 
-@given(st.lists(st.tuples(_ids, st.lists(st.tuples(st.floats(allow_nan=False),
+@given(st.lists(st.tuples(_ids, st.lists(st.tuples(st.floats(),
                                                    st.lists(_words, max_size=3)),
                                          max_size=3)),
                 max_size=3))
@@ -310,6 +310,7 @@ def test_nbest_roundtrips_or_refuses(tmp_path_factory, per_utt):
     except SchemaError:
         return
     again = read_nbest(p)
+    assert all(math.isfinite(w) and w > 0 for _, nb in again for w, _ in nb)
     assert [uid for uid, _ in again] == [uid for uid, _ in per_utt]
     assert [[words for _, words in nb] for _, nb in again] == \
         [[words for _, words in nb] for _, nb in per_utt]
@@ -321,6 +322,20 @@ def test_nbest_roundtrips_or_refuses(tmp_path_factory, per_utt):
 def test_write_nbest_refuses_word_with_whitespace(tmp_path, words):
     with pytest.raises(SchemaError, match="utterance 'u7'"):
         write_nbest(tmp_path / "n.txt", [("u7", [(1.0, words)])])
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0,
+                                    1.7976931348623157e308])
+def test_write_nbest_refuses_weight_build_cn_refuses(tmp_path, weight):
+    with pytest.raises(SchemaError, match="utterance 'u7'"):
+        write_nbest(tmp_path / "n.txt", [("u7", [(1.0, ["a"]), (weight, ["b"])])])
+
+
+@pytest.mark.parametrize("words", [["a b"], ["c\tx"], [""], ["a", "b\nc"], ["\xa0"]])
+def test_write_cn_refuses_word_with_whitespace(tmp_path, words):
+    cn = ConfusionNetwork(bins=(tuple((w, 1.0 / len(words)) for w in words),), pivot=("a",))
+    with pytest.raises(SchemaError, match="utterance 'u7'"):
+        write_cn(tmp_path / "cn.txt", [("u7", cn)])
 
 
 def test_build_cn_uncovered_bin_raises(monkeypatch):

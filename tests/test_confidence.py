@@ -7,6 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from slukit import confidence as conf
+from slukit import modelio
+from slukit.alignment import corrupt
 from slukit.confidence import (STREAM_ORDER, AutoencoderModel, ConfidenceError,
                                EmbeddingTable, MsMlpConfig, MsMlpModel,
                                MsMlpVectorizer, ae_loss_and_grads,
@@ -16,10 +18,11 @@ from slukit.confidence import (STREAM_ORDER, AutoencoderModel, ConfidenceError,
                                train_autoencoder, train_msmlp,
                                write_embeddings)
 from slukit.corpus import Dataset, Token, Utterance
-from slukit.grammar import generate_corpus
+from slukit.grammar import annotate_words, generate_corpus
 from slukit.numutil import rng_for
 
-from helpers import fd_gradcheck, reference_training_matrix, utt
+from helpers import (fd_gradcheck, reference_streams, reference_training_matrix,
+                     utt)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +321,18 @@ def test_mlp_deterministic_and_roundtrip(tmp_path):
     assert p.read_bytes() == (lambda q: (m1.save(q), q.read_bytes())[1])(tmp_path / "mlp2.slk")
 
 
+def test_msmlp_load_refuses_foreign_window(tmp_path):
+    vec = _tiny_vectorizer(("aa", "bb"))
+    cfg = MsMlpConfig(proj=2, merge=2, hidden=2)
+    p = tmp_path / "mlp.slk"
+    MsMlpModel(vec, conf._init_mlp_params(vec, cfg), cfg).save(p)
+    header, arrays = modelio.load_blob(p, "msmlp")
+    assert header["window"] == conf.WINDOW
+    modelio.save_blob(p, "msmlp", dict(header, window=1), arrays)
+    with pytest.raises(ConfidenceError, match=re.escape(str(p))):
+        MsMlpModel.load(p)
+
+
 def test_mlp_loss_monotone_small_lr():
     vec = _tiny_vectorizer(("aa", "bb", "cc"))
     cfg = MsMlpConfig(proj=3, merge=4, hidden=3, seed=1)
@@ -365,6 +380,61 @@ def test_training_matrix_missing_flag_error_matches_reference():
     with pytest.raises(ConfidenceError) as want:
         reference_training_matrix(ds, vec)
     assert str(got.value) == str(want.value) == "token 1 of 'u2' lacks an error flag"
+
+
+def _assert_streams_match_reference(vec, u):
+    got, want = vec.streams(u), reference_streams(vec, u)
+    assert list(got) == list(want) == list(STREAM_ORDER)
+    for name in STREAM_ORDER:
+        assert got[name].dtype == want[name].dtype == np.float64, name
+        assert got[name].shape == want[name].shape, name
+        assert np.array_equal(got[name], want[name]), name
+
+
+def test_streams_match_reference_on_hypotheses(small_corpus, noise_config,
+                                               default_grammar):
+    hyps = [Utterance(u.id, tuple(annotate_words(corrupt(u, noise_config).surfaces(),
+                                                 default_grammar)))
+            for u in small_corpus]
+    words = sorted({w.lower() for u in hyps for w in u.surfaces()})
+    # every other word has a fused vector, so the zero row is used too
+    vec = MsMlpVectorizer.from_training(
+        small_corpus, Dataset(tuple(hyps)), make_hash_embeddings(words[::2], 4, "fused", 0))
+    for u in hyps + list(small_corpus):
+        _assert_streams_match_reference(vec, u)
+
+
+def _tok(surface, pos="NOUN", deprel="obj", governor=None):
+    return Token(surface=surface, pos=pos, deprel=deprel, governor=governor)
+
+
+@pytest.mark.parametrize("toks", [
+    (_tok("aa"), _tok("zz", governor=0), _tok("bb", governor=0)),
+    (_tok("aa", pos=None, deprel=None), _tok("bb", pos=None, governor=0)),
+    (_tok("aa", pos="VERB", deprel="nsubj"), _tok("bb", governor=0)),
+    (_tok("aa", pos=None), _tok("bb", governor=0), _tok("cc", governor=1)),
+    (_tok("cc"),),
+    (_tok("zz", pos=None, deprel=None),),
+    (_tok("AA"), _tok("Bb", governor=0), _tok("cC", governor=0), _tok("ZZ", governor=2)),
+], ids=["oov-word", "pos-deprel-none", "pos-outside-vocab", "governor-pos-none",
+        "one-token", "one-oov-token", "upper-case"])
+def test_streams_match_reference_on_edge_cases(toks):
+    _assert_streams_match_reference(_tiny_vectorizer(("aa", "bb", "cc")),
+                                     Utterance("e", toks))
+
+
+def test_attach_confidence_shards_equal_serial(small_corpus):
+    hyp = _flag_every_third(small_corpus)
+    words = sorted({w.lower() for u in small_corpus for w in u.surfaces()})
+    vec = MsMlpVectorizer.from_training(
+        small_corpus, hyp, make_hash_embeddings(words, 4, "fused", 0))
+    model = train_msmlp(hyp, vec, MsMlpConfig(proj=3, merge=4, hidden=3,
+                                              epochs=2, seed=0))
+    serial = attach_confidence(hyp, model)
+    for k in range(len(hyp) + 1):
+        head = attach_confidence(Dataset(hyp.utterances[:k]), model)
+        tail = attach_confidence(Dataset(hyp.utterances[k:]), model)
+        assert head.utterances + tail.utterances == serial.utterances, k
 
 
 def test_mlp_requires_flags_and_data():
