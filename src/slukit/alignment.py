@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .corpus import (FLAG_CORRECT, FLAG_ERROR, NULL_LABEL, ParseError,
                      SchemaError, TextPool, Token, Utterance, read_blocks,
@@ -354,8 +354,7 @@ def pap_of(cn: ConfusionNetwork, hyp_words):
 
 def attach_pap(utt: Utterance, cn: ConfusionNetwork) -> Utterance:
     paps = pap_of(cn, utt.surfaces())
-    tokens = tuple(replace(t, pap=round(p, 6)) for t, p in zip(utt.tokens, paps))
-    return replace(utt, tokens=tokens)
+    return utt.with_column("pap", [round(p, 6) for p in paps])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ fuses several word embedding tables into one compact vector.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -312,6 +312,10 @@ class MsMlpVectorizer:
         self._rel_idx = {r: i for i, r in enumerate(self.deprel_vocab)}
         # fused rows plus one zero row for unknown words and padding
         self._rows = np.vstack([fused.matrix, np.zeros((1, fused.dim))])
+        # one-hot rows for the categorical streams
+        self._lm_eye = np.eye(3)
+        self._pos_eye = np.eye(len(self.pos_vocab))
+        self._rel_eye = np.eye(len(self.deprel_vocab))
 
     @classmethod
     def from_training(cls, clean_train: Dataset, hyp_train: Dataset,
@@ -352,14 +356,13 @@ class MsMlpVectorizer:
         rel = [self._rel_idx.get(t.deprel or "<none>", rel_unk) for t in toks]
         root = self._pos_idx.get("root", pos_unk)
         govpos = [root if t.governor is None else pos[t.governor] for t in toks]
-        pos_eye = np.eye(len(self.pos_vocab))
         return {
             "window": self._rows[rows[spans]].reshape(len(words), -1),
             "length": np.array([len(w) for w in words], dtype=np.float64)[:, None] / 10.0,
-            "lm": np.eye(3)[lm],
-            "pos": pos_eye[pos],
-            "deprel": np.eye(len(self.deprel_vocab))[rel],
-            "govpos": pos_eye[govpos],
+            "lm": self._lm_eye[lm],
+            "pos": self._pos_eye[pos],
+            "deprel": self._rel_eye[rel],
+            "govpos": self._pos_eye[govpos],
         }
 
 
@@ -417,20 +420,55 @@ class MsMlpModel:
 
     @classmethod
     def load(cls, path):
+        """Read a model `save` wrote.
+
+        Raises ConfidenceError naming the file and the key or array for
+        a header that lacks a key, a window other than WINDOW, and an
+        array that is missing or whose shape does not follow from the
+        header's widths and vocabularies; also for header stream_dims
+        that disagree with those vocabularies.
+        """
         header, arrays = modelio.load_blob(path, "msmlp")
-        if header["window"] != WINDOW:
-            raise ConfidenceError(f"{path}: window {header['window']!r} is not {WINDOW}")
-        fused = EmbeddingTable(header["fused_words"], arrays.pop("fused_matrix"),
-                               name="fused")
-        vec = MsMlpVectorizer(
-            fused, header["pos_vocab"], header["deprel_vocab"],
-            frozenset(header["unigrams"]),
-            frozenset(tuple(b) for b in header["bigrams"]),
-        )
-        cfg = MsMlpConfig(proj=header["widths"]["proj"],
-                          merge=header["widths"]["merge"],
-                          hidden=header["widths"]["hidden"], **header["config"])
+        try:
+            window, widths, words = header["window"], header["widths"], header["fused_words"]
+            vocabs = (header["pos_vocab"], header["deprel_vocab"],
+                      frozenset(header["unigrams"]),
+                      frozenset(tuple(b) for b in header["bigrams"]))
+            cfg = MsMlpConfig(proj=widths["proj"], merge=widths["merge"],
+                              hidden=widths["hidden"], **header["config"])
+            header_dims = header["stream_dims"]
+        except KeyError as exc:
+            raise ConfidenceError(f"{path}: header lacks key {exc.args[0]!r}") from exc
+        if window != WINDOW:
+            raise ConfidenceError(f"{path}: window {window!r} is not {WINDOW}")
+        matrix = arrays.pop("fused_matrix", None)
+        if matrix is None or matrix.ndim != 2 or matrix.shape[0] != len(words):
+            raise ConfidenceError(
+                f"{path}: array 'fused_matrix' does not have one row per fused word")
+        vec = MsMlpVectorizer(EmbeddingTable(words, matrix, name="fused"), *vocabs)
+        dims = vec.stream_dims()
+        for name, shape in _param_shapes(dims, cfg).items():
+            got = arrays[name].shape if name in arrays else None
+            if got != shape:
+                raise ConfidenceError(f"{path}: array {name!r} has shape {got}, "
+                                      f"the header implies {shape}")
+        if header_dims != dims:
+            raise ConfidenceError(
+                f"{path}: header stream_dims {header_dims} are not those of its "
+                f"vocabularies, {dims}")
         return cls(vec, arrays, cfg)
+
+
+def _param_shapes(stream_dims, cfg: MsMlpConfig):
+    """Shape of each MS-MLP parameter, in the order they are initialized."""
+    shapes = {}
+    for name in STREAM_ORDER:
+        shapes[f"w_{name}"] = (cfg.proj, stream_dims[name])
+        shapes[f"b_{name}"] = (cfg.proj,)
+    shapes.update(w_merge=(cfg.merge, cfg.proj * len(STREAM_ORDER)), b_merge=(cfg.merge,),
+                  w_hidden=(cfg.hidden, cfg.merge), b_hidden=(cfg.hidden,),
+                  w_out=(2, cfg.hidden), b_out=(2,))
+    return shapes
 
 
 def _init_mlp_params(vectorizer: MsMlpVectorizer, cfg: MsMlpConfig):
@@ -440,18 +478,8 @@ def _init_mlp_params(vectorizer: MsMlpVectorizer, cfg: MsMlpConfig):
         lim = np.sqrt(6.0 / (rows + cols))
         return rng.uniform(-lim, lim, size=(rows, cols))
 
-    params = {}
-    for name, dim in vectorizer.stream_dims().items():
-        params[f"w_{name}"] = glorot(cfg.proj, dim)
-        params[f"b_{name}"] = np.zeros(cfg.proj)
-    merged = cfg.proj * len(STREAM_ORDER)
-    params["w_merge"] = glorot(cfg.merge, merged)
-    params["b_merge"] = np.zeros(cfg.merge)
-    params["w_hidden"] = glorot(cfg.hidden, cfg.merge)
-    params["b_hidden"] = np.zeros(cfg.hidden)
-    params["w_out"] = glorot(2, cfg.hidden)
-    params["b_out"] = np.zeros(2)
-    return params
+    return {name: glorot(*shape) if name.startswith("w_") else np.zeros(shape)
+            for name, shape in _param_shapes(vectorizer.stream_dims(), cfg).items()}
 
 
 def mlp_loss_and_grads(model: MsMlpModel, streams, y):
@@ -532,7 +560,5 @@ def attach_confidence(dataset: Dataset, model: MsMlpModel) -> Dataset:
     utts = []
     for utt in dataset:
         conf = model.confidences(utt)
-        toks = tuple(replace(t, mlp_conf=round(float(c), 6))
-                     for t, c in zip(utt.tokens, conf))
-        utts.append(replace(utt, tokens=toks))
+        utts.append(utt.with_column("mlp_conf", [round(float(c), 6) for c in conf]))
     return Dataset(tuple(utts))

@@ -16,7 +16,8 @@ file back costs about what the data cost before it was written.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 NULL_LABEL = "null"
 ERROR_C = "ERROR-C"
@@ -79,6 +80,10 @@ class Token:
             raise SchemaError(f"bad error flag {self.error_flag!r}")
 
 
+TOKEN_FIELDS = tuple(f.name for f in fields(Token))
+_token_row_values = attrgetter(*TOKEN_FIELDS)
+
+
 @dataclass(frozen=True, slots=True)
 class Utterance:
     id: str
@@ -104,11 +109,25 @@ class Utterance:
     def labels(self):
         return [t.label for t in self.tokens]
 
+    def with_column(self, name: str, values) -> "Utterance":
+        """This utterance with `values` as its tokens' `name` field.
+
+        Each token is rebuilt through the constructor, so it is
+        validated as `dataclasses.replace` would validate it, at half
+        the cost.
+        """
+        if len(values) != len(self.tokens):
+            raise SchemaError(f"{len(values)} {name} values for {len(self.tokens)} tokens")
+        k = TOKEN_FIELDS.index(name)
+        toks = []
+        for tok, value in zip(self.tokens, values):
+            row = list(_token_row_values(tok))
+            row[k] = value
+            toks.append(Token(*row))
+        return Utterance(self.id, tuple(toks), self.reference_tokens)
+
     def with_labels(self, labels) -> "Utterance":
-        if len(labels) != len(self.tokens):
-            raise SchemaError("label count does not match token count")
-        toks = tuple(replace(t, label=lab) for t, lab in zip(self.tokens, labels))
-        return replace(self, tokens=toks)
+        return self.with_column("label", labels)
 
 
 @dataclass(frozen=True)
@@ -221,41 +240,41 @@ class PhraseTable:
 
 
 def segments_of(utterance: Utterance, value_table: PhraseTable | None = None):
-    """Decode maximal B/I runs into concept segments.
+    """`label_segments` of the utterance's words and token labels."""
+    return label_segments(utterance.surfaces(), utterance.labels(), value_table)
+
+
+def label_segments(words, labels, value_table: PhraseTable | None = None):
+    """Decode maximal B/I runs of `labels` over `words` into concept segments.
 
     The value is the normalized form of the span: phrase lookup in
-    `value_table` where possible, lowercased surface otherwise.  Error
-    labels must have been stripped upstream.
+    `value_table` where possible, lowercased words otherwise.  Raises
+    SchemaError for an error label (strip those upstream), an orphan
+    I-x (repair it first) and an unknown label.
     """
+    if len(words) != len(labels):
+        raise SchemaError(f"{len(labels)} labels for {len(words)} words")
     table = value_table or PhraseTable()
     segments = []
-    start = None
-    concept = None
-
-    def close(end):
-        nonlocal start, concept
-        if start is not None:
-            words = [t.surface for t in utterance.tokens[start:end]]
-            value = " ".join(words[s].lower() if v is None else v
-                             for s, _, v in table.matches(words))
-            segments.append(ConceptSegment(concept, value, start, end))
-        start, concept = None, None
-
-    for i, tok in enumerate(utterance.tokens):
-        lab = tok.label
+    start = concept = None
+    for i, lab in enumerate([*labels, None]):  # the None closes the last run
         if lab in ERROR_LABELS:
             raise SchemaError(f"error label {lab!r} present; strip before segmenting")
-        if lab is None or lab == NULL_LABEL:
-            close(i)
-        elif lab.startswith("B-"):
-            close(i)
-            start, concept = i, lab[2:]
-        elif lab.startswith("I-"):
+        if lab is not None and lab.startswith("I-"):
             if concept != lab[2:]:
                 raise SchemaError(f"orphan {lab!r} at position {i}; repair first")
-        else:
+            continue
+        if start is not None:
+            span = words[start:i]
+            value = " ".join(span[s].lower() if v is None else v
+                             for s, _, v in table.matches(span))
+            segments.append(ConceptSegment(concept, value, start, i))
+            start = concept = None
+        if lab is None or lab == NULL_LABEL:
+            continue
+        if not lab.startswith("B-"):
             raise SchemaError(f"unknown label {lab!r}")
-    close(len(utterance.tokens))
+        start, concept = i, lab[2:]
     return segments
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import alignment
 from .corpus import (NULL_LABEL, Dataset, PhraseTable, TaggerOutput,
-                     Utterance, repair_bio, segments_of)
+                     Utterance, label_segments, repair_bio, segments_of)
 
 ABSTAIN = "<abstain>"
 CLIP_EPS = 1e-6
@@ -163,16 +163,18 @@ def output_segments(utt: Utterance, labels, value_table: PhraseTable | None = No
         raise EvaluationError(
             f"{utt.id!r}: {len(labels)} labels for {len(utt.tokens)} tokens")
     cleaned = [NULL_LABEL if lab == ABSTAIN else lab for lab in labels]
-    return segments_of(utt.with_labels(repair_bio(cleaned)), value_table)
+    return label_segments(utt.surfaces(), repair_bio(cleaned), value_table)
 
 
 def score(ref: Dataset, hyp: Dataset, outputs, value_table=None) -> ScoreReport:
     """CER/CVER of tagger outputs against the reference annotation.
 
     `outputs` are matched to utterances by id and must cover every
-    reference utterance; hypothesized values are recovered from the
-    recognizer words in `hyp`.  Error labels must already be stripped.
-    `value_table` maps phrases to normalized values.
+    reference utterance.  Each output's label list is segmented over the
+    recognizer words of its `hyp` utterance as it is (`output_segments`),
+    with no token copied, and the hypothesized values are recovered from
+    those words.  Error labels must already be stripped.  `value_table`
+    maps phrases to normalized values.
     """
     values = PhraseTable((value_table or {}).items())
     by_id = {o.id: o for o in outputs}
@@ -298,26 +300,35 @@ def tune_weights(outputs_by_system, ref: Dataset, hyp: Dataset,
                  step: float = 0.1, value_table=None, priority=None):
     """Exhaustive grid search over the weight simplex minimizing dev CER.
 
-    A position's vote depends only on the tuple of labels the systems
-    give it, so each distinct label tuple of the dev set is voted once
-    per weighting, and a combined output is expanded and scored only
-    the first time its tuple of winners occurs.  Ties prefer the
-    candidate closest to uniform weights, then the lexicographically
-    smallest one.
+    A position's vote depends only on which systems agree there.  For
+    the tuple `col` of labels the systems give a position, its agreement
+    pattern `tuple(col.index(lab) for lab in col)` names, for each
+    system, the first system giving the same label.  So each weighting
+    votes the distinct patterns of the dev set, at most Bell(k) for k
+    systems, in one `combine_weighted` call; the winner of a pattern is
+    the index of a system whose label wins in every label tuple of that
+    pattern.  A tuple of winners is mapped back to labels and scored
+    only the first time it occurs, so `score` runs once per distinct
+    combined output.  Ties prefer the candidate closest to uniform
+    weights, then the lexicographically smallest one.
     """
     _check_aligned(outputs_by_system)
     k = len(outputs_by_system)
-    tuples = {}  # each distinct label tuple -> its column in `table`
+    tuples = {}  # each distinct label tuple -> its index
     columns = [[tuples.setdefault(col, len(tuples)) for col in zip(*(o.labels for o in outs))]
                for outs in zip(*outputs_by_system)]
-    table = [[TaggerOutput("", tuple(col[s] for col in tuples))] for s in range(k)]
+    patterns = {}  # each distinct agreement pattern -> its column in `table`
+    pattern_of = [patterns.setdefault(tuple(map(col.index, col)), len(patterns))
+                  for col in tuples]
+    table = [[TaggerOutput("", tuple(pattern[s] for pattern in patterns))] for s in range(k)]
     uniform = 1.0 / k
     best = None
     cer_cache = {}
     for weights in _simplex_grid(k, step):
         winners = combine_weighted(table, weights, priority=priority)[0].labels
         if winners not in cer_cache:
-            combined = [TaggerOutput(o.id, tuple(winners[c] for c in cols))
+            labels = [col[winners[p]] for col, p in zip(tuples, pattern_of)]
+            combined = [TaggerOutput(o.id, tuple(labels[c] for c in cols))
                         for o, cols in zip(outputs_by_system[0], columns)]
             cer_cache[winners] = score(ref, hyp, combined, value_table).cer
         cer = cer_cache[winners]

@@ -8,6 +8,13 @@ settings.register_profile(
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# the reference-equivalence properties again at 1000 examples:
+# pytest --hypothesis-profile deep, which overrides the default below
+settings.register_profile(
+    "deep",
+    parent=settings.get_profile("ci"),
+    max_examples=1000,
+)
 settings.load_profile("ci")
 
 

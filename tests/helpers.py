@@ -13,7 +13,8 @@ from slukit.alignment import (DEL, EPS, INS, MATCH, SUB, Alignment,
                               ConfusionNetwork)
 from slukit.confidence import (BOS, STREAM_ORDER, WINDOW, ConfidenceError,
                                lm_category)
-from slukit.corpus import Token, Utterance
+from slukit.corpus import (ERROR_LABELS, NULL_LABEL, ConceptSegment, PhraseTable,
+                           SchemaError, Token, Utterance)
 from slukit.evaluation import combine_weighted, score
 
 
@@ -138,6 +139,42 @@ def fd_gradcheck(loss_fn, params, grads, h=1e-4, floor=1e-2):
             rel = abs(fd - gflat[idx]) / max(abs(fd), abs(gflat[idx]), floor)
             worst = max(worst, rel)
     return worst
+
+
+def reference_segments_of(utterance, value_table=None):
+    """Concept segments read token by token off the utterance, closing
+    each run in a nested function: `segments_of` as it was before it
+    decoded plain label lists."""
+    table = value_table or PhraseTable()
+    segments = []
+    start = None
+    concept = None
+
+    def close(end):
+        nonlocal start, concept
+        if start is not None:
+            words = [t.surface for t in utterance.tokens[start:end]]
+            value = " ".join(words[s].lower() if v is None else v
+                             for s, _, v in table.matches(words))
+            segments.append(ConceptSegment(concept, value, start, end))
+        start, concept = None, None
+
+    for i, tok in enumerate(utterance.tokens):
+        lab = tok.label
+        if lab in ERROR_LABELS:
+            raise SchemaError(f"error label {lab!r} present; strip before segmenting")
+        if lab is None or lab == NULL_LABEL:
+            close(i)
+        elif lab.startswith("B-"):
+            close(i)
+            start, concept = i, lab[2:]
+        elif lab.startswith("I-"):
+            if concept != lab[2:]:
+                raise SchemaError(f"orphan {lab!r} at position {i}; repair first")
+        else:
+            raise SchemaError(f"unknown label {lab!r}")
+    close(len(utterance.tokens))
+    return segments
 
 
 def brute_force_phrase_spans(words, phrases):

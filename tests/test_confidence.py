@@ -333,6 +333,61 @@ def test_msmlp_load_refuses_foreign_window(tmp_path):
         MsMlpModel.load(p)
 
 
+def _saved_tiny_model(tmp_path):
+    vec = _tiny_vectorizer(("aa", "bb"))
+    cfg = MsMlpConfig(proj=2, merge=3, hidden=2)
+    p = tmp_path / "mlp.slk"
+    MsMlpModel(vec, conf._init_mlp_params(vec, cfg), cfg).save(p)
+    header, arrays = modelio.load_blob(p, "msmlp")
+    return p, header, arrays
+
+
+@pytest.mark.parametrize("path", [
+    ("window",), ("widths",), ("widths", "proj"), ("stream_dims",), ("pos_vocab",),
+    ("deprel_vocab",), ("unigrams",), ("bigrams",), ("fused_words",), ("config",),
+], ids="-".join)
+def test_msmlp_load_names_a_missing_header_key(tmp_path, path):
+    p, header, arrays = _saved_tiny_model(tmp_path)
+    *outer, key = path
+    holder = header
+    for name in outer:
+        holder[name] = holder = dict(holder[name])
+    del holder[key]
+    modelio.save_blob(p, "msmlp", header, arrays)
+    with pytest.raises(ConfidenceError, match=re.escape(str(p)) + ".*" + re.escape(repr(key))):
+        MsMlpModel.load(p)
+
+
+def _grown(header, key, extra):
+    return dict(header, **{key: header[key] + [extra]})
+
+
+@pytest.mark.parametrize("edit, array", [
+    (lambda h, a: (dict(h, widths=dict(h["widths"], proj=3)), a), "w_window"),
+    (lambda h, a: (dict(h, widths=dict(h["widths"], hidden=3)), a), "w_hidden"),
+    (lambda h, a: (_grown(h, "pos_vocab", "VERB"), a), "w_pos"),
+    (lambda h, a: (_grown(h, "deprel_vocab", "nsubj"), a), "w_deprel"),
+    (lambda h, a: (h, dict(a, w_merge=a["w_merge"].T)), "w_merge"),
+    (lambda h, a: (h, {k: v for k, v in a.items() if k != "b_out"}), "b_out"),
+    (lambda h, a: (_grown(h, "fused_words", "cc"), a), "fused_matrix"),
+    (lambda h, a: (h, dict(a, fused_matrix=a["fused_matrix"][:, :3])), "w_window"),
+], ids=["wider-proj", "wider-hidden", "more-pos", "more-deprel", "transposed-merge",
+        "no-b_out", "more-fused-words", "narrower-fused"])
+def test_msmlp_load_names_a_misshapen_array(tmp_path, edit, array):
+    p, header, arrays = _saved_tiny_model(tmp_path)
+    modelio.save_blob(p, "msmlp", *edit(header, arrays))
+    with pytest.raises(ConfidenceError, match=re.escape(str(p)) + ".*" + repr(array)):
+        MsMlpModel.load(p)
+
+
+def test_msmlp_load_refuses_stream_dims_its_vocabularies_contradict(tmp_path):
+    p, header, arrays = _saved_tiny_model(tmp_path)
+    dims = dict(header["stream_dims"], lm=4)
+    modelio.save_blob(p, "msmlp", dict(header, stream_dims=dims), arrays)
+    with pytest.raises(ConfidenceError, match=re.escape(str(p)) + ".*stream_dims"):
+        MsMlpModel.load(p)
+
+
 def test_mlp_loss_monotone_small_lr():
     vec = _tiny_vectorizer(("aa", "bb", "cc"))
     cfg = MsMlpConfig(proj=3, merge=4, hidden=3, seed=1)

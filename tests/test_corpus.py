@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import re
 
 import pytest
 from hypothesis import given
@@ -7,16 +9,17 @@ from hypothesis import strategies as st
 from slukit import corpus
 from slukit.corpus import (ERROR_C, ERROR_N, NULL_LABEL, ConceptSegment,
                            Dataset, ParseError, PhraseTable, SchemaError,
-                           TaggerOutput, Token, Utterance,
-                           augment_error_labels, labels_for_segments,
-                           read_dataset, read_outputs, repair_bio,
+                           TOKEN_FIELDS, TaggerOutput, Token, Utterance,
+                           augment_error_labels, label_segments,
+                           labels_for_segments, read_dataset, read_outputs,
+                           repair_bio,
                            segments_of, strip_error_labels,
                            validate_label_sequence, write_dataset,
                            write_outputs)
 from slukit.evaluation import ConfidenceRecord
 from slukit.features import DiscreteFeature
 
-from helpers import brute_force_phrase_spans, utt
+from helpers import brute_force_phrase_spans, reference_segments_of, utt
 
 
 def test_read_empty_file(tmp_path):
@@ -140,6 +143,87 @@ def test_segments_labels_roundtrip(case):
     labels = labels_for_segments(segs, n)
     u = utt("u", words, labels)
     assert segments_of(u) == segs
+
+
+_seg_words = st.sampled_from(["thirty", "three", "Paris", "a"])
+# B/I runs, nulls, orphan continuations, error labels, an empty concept
+# and labels that are not B/I at all
+_seg_labels = st.none() | st.sampled_from(
+    ["B-TOWN", "I-TOWN", "B-DATE", "I-DATE", NULL_LABEL, ERROR_C, ERROR_N,
+     "B-", "I-", "TOWN", ""])
+
+
+@given(st.lists(st.tuples(_seg_words, _seg_labels), min_size=1, max_size=8), st.booleans())
+def test_label_segments_equal_reference(rows, with_table):
+    words, labels = (list(col) for col in zip(*rows))
+    table = PhraseTable([("thirty three", "33"), ("paris", "PAR")]) if with_table else None
+    u = utt("u", words, labels)
+    try:
+        expected = reference_segments_of(u, table)
+    except SchemaError as exc:
+        for decode in (lambda: label_segments(words, labels, table),
+                       lambda: segments_of(u, table)):
+            with pytest.raises(SchemaError, match=re.escape(str(exc))):
+                decode()
+        return
+    assert label_segments(words, labels, table) == expected
+    assert segments_of(u, table) == expected
+
+
+def test_label_segments_refuse_length_mismatch():
+    with pytest.raises(SchemaError):
+        label_segments(["a", "b"], ["B-TOWN"])
+
+
+# values of each Token field, including ones the constructor refuses
+# (empty surface, pap/mlp_conf outside [0,1] or NaN, an unknown flag)
+# and governors the utterance refuses
+_confidences = st.none() | st.floats(min_value=-0.5, max_value=1.5) | st.just(math.nan)
+_column_values = {
+    "surface": st.text(alphabet="ab", max_size=2),
+    "lemma": st.none() | st.text(alphabet="ab", max_size=2),
+    "pos": st.none() | st.sampled_from(["NOUN", "VERB"]),
+    "governor": st.none() | st.integers(min_value=-1, max_value=3),
+    "deprel": st.none() | st.sampled_from(["obj", "nsubj"]),
+    "sem_categories": st.frozensets(st.sampled_from(["TOWN", "DATE"])),
+    "pap": _confidences,
+    "mlp_conf": _confidences,
+    "error_flag": st.sampled_from([None, "correct", "error", "wrong"]),
+    "label": st.none() | st.sampled_from(["B-TOWN", "I-TOWN", NULL_LABEL]),
+}
+
+
+@st.composite
+def column_cases(draw, name):
+    n = draw(st.integers(min_value=1, max_value=3))
+    toks = tuple(Token(f"w{i}", lemma=f"w{i}", pos="NOUN", governor=0 if i else None,
+                       deprel="obj", sem_categories=frozenset({"TOWN"}), pap=0.5,
+                       mlp_conf=0.25, error_flag="correct", label="B-TOWN")
+                 for i in range(n))
+    refs = draw(st.none() | st.just(toks[:1]))
+    values = draw(st.lists(_column_values[name], min_size=n, max_size=n))
+    return Utterance("u", toks, refs), values
+
+
+@pytest.mark.parametrize("name", TOKEN_FIELDS)
+@given(data=st.data())
+def test_with_column_matches_reference_replace(name, data):
+    u, values = data.draw(column_cases(name))
+    try:
+        expected = dataclasses.replace(u, tokens=tuple(
+            dataclasses.replace(t, **{name: v}) for t, v in zip(u.tokens, values)))
+    except SchemaError as exc:
+        with pytest.raises(SchemaError, match=re.escape(str(exc))):
+            u.with_column(name, values)
+        return
+    got = u.with_column(name, values)
+    assert got == expected and got.reference_tokens is u.reference_tokens
+    assert [getattr(t, name) for t in got.tokens] == values
+
+
+def test_with_column_refuses_length_mismatch():
+    with pytest.raises(SchemaError):
+        utt("u", ["a", "b"]).with_column("label", ["B-TOWN"])
 
 
 def test_validate_label_sequence_rejects_switch():

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from slukit import evaluation
@@ -261,7 +261,20 @@ def tuning_cases(draw):
     return systems, ref, hyp, step, priority
 
 
+def _shared_pattern_case():
+    """Positions 0 and 1 carry different label tuples with one agreement
+    pattern (systems 0 and 2 agree, system 1 differs); priority is
+    reversed, so equal-weight ties go to the last system."""
+    words = ["w0", "w1", "w2"]
+    ref = Dataset((utt("u", words, ["B-B", NULL_LABEL, "B-A"]),))
+    hyp = Dataset((utt("u", words),))
+    rows = [("B-A", "B-B", NULL_LABEL), ("B-B", NULL_LABEL, "B-A"), ("B-A", "B-B", "B-B")]
+    systems = [[TaggerOutput("u", row)] for row in rows]
+    return systems, ref, hyp, 0.5, [2, 1, 0]
+
+
 @given(tuning_cases())
+@example(_shared_pattern_case())
 def test_tune_weights_equals_brute_force(case):
     systems, ref, hyp, step, priority = case
     try:
