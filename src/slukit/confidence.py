@@ -86,6 +86,8 @@ def load_embeddings(path, name="") -> EmbeddingTable:
                 index[word] = len(words)
                 words.append(word)
                 rows.append(vec)
+    if not words:
+        raise ConfidenceError(f"{path}: no embedding rows")
     return EmbeddingTable(words, np.array(rows, dtype=np.float64), name=name or str(path))
 
 

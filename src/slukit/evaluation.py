@@ -38,7 +38,9 @@ class ConfidenceRecord:
 def records_from_dataset(dataset: Dataset, measure: str):
     """Confidence records for every token carrying an error flag and the
     requested measure ('pap' or 'mlp')."""
-    attr = {"pap": "pap", "mlp": "mlp_conf"}[measure]
+    attr = {"pap": "pap", "mlp": "mlp_conf"}.get(measure)
+    if attr is None:
+        raise EvaluationError(f"unknown confidence measure {measure!r}, expected 'pap' or 'mlp'")
     records = []
     for utt in dataset:
         for i, tok in enumerate(utt.tokens):
@@ -281,8 +283,10 @@ def consensus(outputs_by_system):
 
 
 def _simplex_grid(k: int, step: float):
+    if not 0.0 < step <= 1.0:
+        raise EvaluationError(f"grid step {step} outside (0, 1]")
     m = round(1.0 / step)
-    if abs(m * step - 1.0) > 1e-9 or m < 1:
+    if abs(m * step - 1.0) > 1e-9:
         raise EvaluationError(f"grid step {step} does not divide 1")
 
     def rec(remaining, parts):

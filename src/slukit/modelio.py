@@ -52,7 +52,11 @@ def load_blob(path, expect_kind: str | None = None):
                 raise ModelIOError(f"{path}: unsupported version {version}")
             # JSON and numpy report bad or missing bytes as ValueError
             header = json.loads(fh.read(hlen).decode("utf-8"))
-            arrays = {name: npformat.read_array(fh) for name in header["arrays"]}
+            names = header.get("arrays") if isinstance(header, dict) else None
+            if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+                raise ModelIOError(f"{path}: header is not an object with an 'arrays' "
+                                   "list of names")
+            arrays = {name: npformat.read_array(fh) for name in names}
         except (struct.error, ValueError) as exc:
             raise ModelIOError(f"{path}: truncated or corrupt model file: {exc}") from exc
     if expect_kind is not None and header.get("kind") != expect_kind:

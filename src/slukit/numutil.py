@@ -17,16 +17,6 @@ def derived_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
-    """Stable log(sum(exp(a))) along an axis."""
-    m = np.max(a, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    out = np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True)) + m
-    if axis is None:
-        return float(out.reshape(()))
-    return np.squeeze(out, axis=axis)
-
-
 def softmax(a: np.ndarray, axis=-1) -> np.ndarray:
     m = np.max(a, axis=axis, keepdims=True)
     e = np.exp(a - m)

@@ -45,6 +45,13 @@ def test_load_embeddings_dim_mismatch(tmp_path):
         load_embeddings(p)
 
 
+def test_load_embeddings_refuses_empty_file(tmp_path):
+    p = tmp_path / "emb.txt"
+    p.write_text("")
+    with pytest.raises(ConfidenceError, match="emb.txt"):
+        load_embeddings(p)
+
+
 def test_load_embeddings_duplicate_last_wins(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("a 1.0 1.0\na 2.0 2.0\n")

@@ -17,7 +17,6 @@ from slukit.corpus import (ERROR_C, ERROR_N, NULL_LABEL, ConceptSegment,
                            validate_label_sequence, write_dataset,
                            write_outputs)
 from slukit.evaluation import ConfidenceRecord
-from slukit.features import DiscreteFeature
 
 from helpers import brute_force_phrase_spans, reference_segments_of, utt
 
@@ -439,7 +438,6 @@ def test_read_outputs_rejects_row_before_header(tmp_path):
     TaggerOutput("u", ("B-TOWN",)),
     ConceptSegment("TOWN", "paris", 0, 1),
     ConfidenceRecord("u", 0, True, 0.5),
-    DiscreteFeature("w", "paris"),
 ], ids=lambda r: type(r).__name__)
 def test_records_are_slotted_frozen_values(record):
     assert not hasattr(record, "__dict__")

@@ -9,8 +9,8 @@ from slukit import evaluation
 from slukit.corpus import NULL_LABEL, Dataset, TaggerOutput
 from slukit.evaluation import (ABSTAIN, CalibrationReport, ConfidenceRecord,
                                EvaluationError, calibration_bins,
-                               combine_weighted, consensus, nce, score,
-                               tune_weights)
+                               combine_weighted, consensus, nce,
+                               records_from_dataset, score, tune_weights)
 
 from helpers import (brute_force_edit_cost, brute_force_tune_weights, simplex_grid,
                      utt)
@@ -211,6 +211,19 @@ def test_tune_weights_prefers_dominant_system():
     bad2 = [TaggerOutput("u", ("B-D", "B-D", "B-D"))]
     weights = tune_weights([good, bad1, bad2], ref, hyp, step=1.0)
     assert weights == (1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda systems, ref, hyp: tune_weights(systems, ref, hyp, step=0.0),
+    lambda systems, ref, hyp: tune_weights(systems, ref, hyp, step=math.nan),
+    lambda systems, ref, hyp: records_from_dataset(hyp, "bogus"),
+], ids=["step-zero", "step-nan", "unknown-measure"])
+def test_bad_arguments_raise_evaluation_error(call):
+    ref = Dataset((utt("u", ["a"], ["B-A"]),))
+    hyp = Dataset((utt("u", ["a"]),))
+    systems = [[TaggerOutput("u", ("B-A",))], [TaggerOutput("u", (NULL_LABEL,))]]
+    with pytest.raises(EvaluationError):
+        call(systems, ref, hyp)
 
 
 def test_tune_weights_beats_every_corner():

@@ -1,125 +1,134 @@
+import hashlib
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from slukit.corpus import Token
-from slukit.features import (FAMILIES, DiscreteFeature, FeatureError,
-                             FeatureVectorSpec, Lexicon,
-                             discretize_confidence, morphological_features,
-                             semantic_category_features, token_features,
-                             utterance_features)
-from slukit.grammar import default_grammar, generate_corpus
+from slukit.corpus import Token, Utterance
+from slukit.features import (CONF_BINS, FAMILIES, FeatureError, FeatureVectorSpec,
+                             confidence_bin, utterance_features)
+from slukit.grammar import annotate_words, default_grammar, generate_corpus
+
+PREFIXES = frozenset({"w", "cat", "lemma", "pos", "deprel", "govpos", "cap", "pre", "suf",
+                      "conf_pap", "conf_mlp"})
 
 
-@pytest.fixture(scope="module")
-def category_lexicon():
-    g = default_grammar()
-    return Lexicon((phrase, cat) for phrase, cat in g.categories.items())
+def _features(tokens, *families):
+    """Feature keys per token of one utterance, with only `families` enabled."""
+    spec = FeatureVectorSpec(frozenset(families)) if families else FeatureVectorSpec()
+    return utterance_features(Utterance("u", tuple(tokens)), spec)
 
 
-def _values(feats, family):
-    return {f.value for f in feats if f.family == family}
+def _values(feats, prefix):
+    return {k.partition("=")[2] for k in feats if k.partition("=")[0] == prefix}
 
 
 def test_morphological_paris():
-    feats = morphological_features(Token(surface="paris"))
+    (feats,) = _features([Token(surface="paris")], "morphological")
     assert _values(feats, "pre") == {"p", "pa", "par", "pari"}
     assert _values(feats, "suf") == {"s", "is", "ris", "aris"}
     assert _values(feats, "cap") == {"0"}
 
 
 def test_morphological_capitalized():
-    feats = morphological_features(Token(surface="Paris"))
+    (feats,) = _features([Token(surface="Paris")], "morphological")
     assert _values(feats, "cap") == {"1"}
     assert _values(feats, "pre") == {"p", "pa", "par", "pari"}
 
 
 def test_morphological_short_word():
-    feats = morphological_features(Token(surface="ab"))
+    (feats,) = _features([Token(surface="ab")], "morphological")
     assert _values(feats, "pre") == {"a", "ab"}
     assert _values(feats, "suf") == {"b", "ab"}
 
 
-def test_semantic_categories(category_lexicon):
-    assert _values(semantic_category_features(Token(surface="paris"), category_lexicon),
-                   "cat") == {"TOWN"}
-    assert _values(semantic_category_features(Token(surface="thirty-three"), category_lexicon),
-                   "cat") == {"FIGURE"}
-    assert semantic_category_features(Token(surface="zzz"), category_lexicon) == frozenset()
+def test_semantic_categories():
+    g = default_grammar()
+    for word, cats in [("paris", {"cat=TOWN"}), ("thirty-three", {"cat=FIGURE"}), ("zzz", set())]:
+        assert _features(annotate_words([word], g), "sem_categories") == [cats]
+    assert _features(annotate_words(["swimming", "pool", "in", "nice"], g), "sem_categories") == [
+        {"cat=SERVICE"}, {"cat=SERVICE"}, set(), {"cat=TOWN"}]
 
 
 def test_discretize_bounds():
-    assert discretize_confidence(0.0, 10, "pap").value == "0"
-    assert discretize_confidence(1.0, 10, "pap").value == "9"
-    assert discretize_confidence(0.55, 10, "pap").value == "5"
-    with pytest.raises(FeatureError):
-        discretize_confidence(1.5, 10, "pap")
+    assert CONF_BINS == 10
+    assert confidence_bin(0.0) == "0"
+    assert confidence_bin(1.0) == "9"
+    assert confidence_bin(0.55) == "5"
+    assert confidence_bin(None) == "absent"
+    for bad in (1.5, -0.1, math.nan):
+        with pytest.raises(FeatureError):
+            confidence_bin(bad)
 
 
 @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
 def test_discretize_monotone(c1, c2):
     lo, hi = sorted((c1, c2))
-    assert int(discretize_confidence(lo, 10, "m").value) <= int(
-        discretize_confidence(hi, 10, "m").value)
+    assert int(confidence_bin(lo)) <= int(confidence_bin(hi))
 
 
 def test_spec_validation():
     with pytest.raises(FeatureError):
         FeatureVectorSpec(families=frozenset())
     with pytest.raises(FeatureError):
-        FeatureVectorSpec(bins=1)
-    with pytest.raises(FeatureError):
         FeatureVectorSpec(families=frozenset({"bogus"}))
+    with pytest.raises(FeatureError):
+        FeatureVectorSpec().without(*FAMILIES)
+    assert FeatureVectorSpec().without("pap").families == FAMILIES - {"pap"}
 
 
-def test_token_features_surface_only():
-    spec = FeatureVectorSpec(families=frozenset({"surface"}))
-    feats = token_features(Token(surface="Paris"), spec)
-    assert feats == frozenset({DiscreteFeature("w", "paris")})
+def test_utterance_features_surface_only():
+    assert _features([Token(surface="Paris")], "surface") == [{"w=paris"}]
 
 
-def test_token_features_all_families(category_lexicon):
-    tok = Token(surface="Paris", lemma="paris", pos="PROPN", deprel="nmod", pap=0.92)
-    feats = token_features(tok, FeatureVectorSpec(), lexicon=category_lexicon,
-                           governor_pos="VERB")
-    assert DiscreteFeature("cat", "TOWN") in feats
-    assert DiscreteFeature("cap", "1") in feats
-    assert DiscreteFeature("conf_pap", "9") in feats
-    assert DiscreteFeature("conf_mlp", "absent") in feats
-    assert DiscreteFeature("govpos", "VERB") in feats
+def test_utterance_features_all_families():
+    utt = Utterance("u", annotate_words(["want", "Paris"], default_grammar()))
+    utt = utt.with_column("pap", [0.3, 0.92])
+    head, paris = _features(utt.tokens)
+    assert "govpos=root" in head and "conf_pap=3" in head
+    assert paris == {"w=paris", "cat=TOWN", "lemma=paris", "pos=X", "deprel=dep",
+                     "govpos=VERB", "cap=1", "pre=p", "pre=pa", "pre=par", "pre=pari",
+                     "suf=s", "suf=is", "suf=ris", "suf=aris", "conf_pap=9",
+                     "conf_mlp=absent"}
 
 
 def test_absent_confidence_is_explicit():
-    spec = FeatureVectorSpec(families=frozenset({"pap", "mlp_conf"}))
-    feats = token_features(Token(surface="x"), spec)
-    assert feats == frozenset({DiscreteFeature("conf_pap", "absent"),
-                               DiscreteFeature("conf_mlp", "absent")})
+    assert _features([Token(surface="x")], "pap", "mlp_conf") == [
+        {"conf_pap=absent", "conf_mlp=absent"}]
 
 
-def test_extraction_is_pure(category_lexicon):
-    tok = Token(surface="paris", pos="PROPN")
-    spec = FeatureVectorSpec()
-    assert token_features(tok, spec, category_lexicon) == token_features(
-        tok, spec, category_lexicon)
+def test_extraction_is_pure():
+    tokens = [Token(surface="paris", pos="PROPN")]
+    assert _features(tokens) == _features(tokens)
 
 
-def test_feature_keys_collision_free_over_corpus(category_lexicon):
-    ds = generate_corpus(default_grammar(), 100, 3)
-    spec = FeatureVectorSpec()
-    seen = {}
-    for u in ds:
-        for feats in utterance_features(u, spec, category_lexicon):
-            for f in feats:
-                assert seen.setdefault(f.key, f.family) == f.family
-    families = {f for f in seen.values()}
-    assert families >= {"w", "pre", "suf", "cap", "pos"}
+def test_feature_keys_collision_free_over_corpus():
+    seen = set()
+    for u in generate_corpus(default_grammar(), 100, 3):
+        for feats in utterance_features(u, FeatureVectorSpec()):
+            assert all(type(k) is str for k in feats)
+            seen |= {k.partition("=")[0] for k in feats}
+    assert seen == PREFIXES
+    assert not any("=" in p for p in PREFIXES)
 
 
-def test_lexicon_file_roundtrip(tmp_path, category_lexicon):
-    p = tmp_path / "cats.lex"
-    category_lexicon.save(p)
-    again = Lexicon.load(p)
-    assert again.lookup("paris") == {"TOWN"}
-    cats = again.annotate(["swimming", "pool", "in", "nice"])
-    assert cats[0] == {"SERVICE"} and cats[1] == {"SERVICE"}
-    assert cats[3] == {"TOWN"}
+# confidences cycled over the tokens, with both ends of [0,1] and None
+_CONF_CYCLE = (0.0, 0.05, 0.1, 0.35, 0.5, 0.95, 0.999, 1.0, None)
+# sha256 of every token's sorted keys on this corpus, pinned so that no
+# rewrite of `utterance_features` changes a key set unnoticed
+_GOLDEN_KEYS_SHA256 = "5fed49d5590435df22ddfb3ca2a4ca76e7eb10be6a70ac07de280ed2b249ad04"
+
+
+def test_feature_keys_golden_digest():
+    digest = hashlib.sha256()
+    n = 0
+    for u in generate_corpus(default_grammar(), 200, 3):
+        idx = range(n, n + len(u.tokens))
+        n += len(u.tokens)
+        u = u.with_column("pap", [_CONF_CYCLE[j % 9] for j in idx])
+        u = u.with_column("mlp_conf", [_CONF_CYCLE[4 * j % 9] for j in idx])
+        for feats in utterance_features(u, FeatureVectorSpec()):
+            digest.update(("\t".join(sorted(feats)) + "\n").encode("utf-8"))
+    assert n == 1370
+    assert digest.hexdigest() == _GOLDEN_KEYS_SHA256

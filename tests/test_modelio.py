@@ -1,7 +1,11 @@
+import json
+import struct
+
 import numpy as np
 import pytest
+from numpy.lib import format as npformat
 
-from slukit.modelio import ModelIOError, load_blob, save_blob
+from slukit.modelio import MAGIC, VERSION, ModelIOError, load_blob, save_blob
 
 
 def _header_length(data):
@@ -27,3 +31,18 @@ def test_save_blob_refuses_lone_surrogate_without_writing(tmp_path):
     with pytest.raises(ModelIOError, match="m.slk"):
         save_blob(p, "toy", {"vocab": ["a", "b\ud800"]}, {"w": np.zeros(2)})
     assert not p.exists()
+
+
+@pytest.mark.parametrize("header", [
+    ["w"], {"kind": "toy"}, {"kind": "toy", "arrays": "w"}, {"kind": "toy", "arrays": [1]},
+], ids=["not-an-object", "no-arrays", "arrays-not-a-list", "array-name-not-a-string"])
+def test_malformed_header_raises_model_error(tmp_path, header):
+    # the header is followed by one well-formed array, so only the
+    # header can be at fault
+    p = tmp_path / "m.slk"
+    payload = json.dumps(header).encode("utf-8")
+    with open(p, "wb") as fh:
+        fh.write(MAGIC + struct.pack(">II", VERSION, len(payload)) + payload)
+        npformat.write_array(fh, np.zeros(2))
+    with pytest.raises(ModelIOError, match="m.slk"):
+        load_blob(p)
