@@ -304,6 +304,9 @@ def _pivot_column(pivot, hyp) -> tuple:
 def build_cn(nbest) -> ConfusionNetwork:
     """Align weighted hypotheses into the first (pivot) hypothesis.
 
+    `nbest` is any sequence of (weight, words) pairs: a `decode_nbest`
+    list or an `NBest` read back by `read_nbest`.
+
     Every hypothesis contributes to each pivot bin exactly once: its
     aligned word on match/substitution, epsilon where it skips the bin.
     Words it inserts between bins are dropped; at this scale the pivot
@@ -401,7 +404,8 @@ def _nbest_row(uid, weight, words):
 
 
 def write_nbest(path, per_utt) -> None:
-    """per_utt: iterable of (utterance_id, [(weight, words), ...]).
+    """per_utt: iterable of (utterance_id, nbest), where nbest is any
+    sequence of (weight, words) pairs: a `decode_nbest` list or an `NBest`.
 
     Raises SchemaError naming the utterance for a word that is empty or
     holds whitespace, since the words of a row are space-joined, and for
@@ -411,20 +415,68 @@ def write_nbest(path, per_utt) -> None:
                         for uid, nbest in per_utt))
 
 
-def _nbest_entry(path, lineno, row, text: TextPool):
-    weight, tab, words = row.partition("\t")
-    if not tab:
-        raise ParseError("expected weight<TAB>words", lineno, path)
-    try:
-        return float(weight), [text[w] for w in words.split()]
-    except ValueError as exc:
-        raise ParseError(f"bad weight {weight!r}", lineno, path) from exc
+@dataclass(frozen=True, slots=True)
+class NBest:
+    """One utterance's n-best list as two equal-length columns:
+    `weights[k]` is the weight of `hyps[k]`, a tuple of words.
+
+    It reads as the sequence of (weight, words) pairs `decode_nbest`
+    returns: `len`, `nbest[k]` for an int k, and iteration in order.
+    """
+
+    weights: tuple
+    hyps: tuple
+
+    def __post_init__(self):
+        if len(self.weights) != len(self.hyps):
+            raise AlignmentError(f"{len(self.weights)} weights for {len(self.hyps)} hypotheses")
+
+    def __len__(self):
+        return len(self.hyps)
+
+    def __getitem__(self, k):
+        return self.weights[k], self.hyps[k]
+
+    def __iter__(self):
+        return zip(self.weights, self.hyps)
+
+
+def _nbest_block(path, rows, text: TextPool) -> NBest:
+    weights, hyps = [], []
+    floats, tuples = {}, {}  # this block's weight and words texts, parsed once
+    for lineno, row in rows:
+        weight_text, tab, words_text = row.partition("\t")
+        if not tab:
+            raise ParseError("expected weight<TAB>words", lineno, path)
+        weight = floats.get(weight_text)
+        if weight is None:
+            try:
+                weight = floats[weight_text] = float(weight_text)
+            except ValueError as exc:
+                raise ParseError(f"bad weight {weight_text!r}", lineno, path) from exc
+        hyp = tuples.get(words_text)
+        if hyp is None:
+            hyp = tuples[words_text] = tuple([text[w] for w in words_text.split()])
+        weights.append(weight)
+        hyps.append(hyp)
+    return NBest(tuple(weights), tuple(hyps))
 
 
 def read_nbest(path):
+    """[(utterance_id, NBest), ...] from a file `write_nbest` wrote, in order.
+
+    Each `NBest` holds the block's weights and hypotheses as two tuples.
+    Within one block, equal hypothesis texts are one tuple object and
+    equal weight texts one float; across the whole file, equal words are
+    one string.  So a list that repeats a hypothesis costs one tuple for
+    it, and reading the file back costs less than the lists written.
+    Weights are parsed as written: `build_cn` refuses one that is not
+    finite and positive.  Raises ParseError naming the file and line for
+    a row without a tab, a weight that is not a float, text that is not
+    UTF-8, and each layout error `corpus.read_blocks` refuses.
+    """
     text = TextPool()
-    return [(uid, [_nbest_entry(path, lineno, row, text) for lineno, row in rows])
-            for uid, rows in read_blocks(path)]
+    return [(uid, _nbest_block(path, rows, text)) for uid, rows in read_blocks(path)]
 
 
 def _cn_row(uid, entries):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modelio
-from .corpus import Dataset, Utterance
+from .corpus import Dataset, Utterance, text_lines
 from .numutil import rng_for, softmax
 
 LM_FULL, LM_BACKOFF, LM_UNKNOWN = 0, 1, 2
@@ -60,32 +60,35 @@ def load_embeddings(path, name="") -> EmbeddingTable:
 
     The dimension is fixed by the first row; rows that disagree are a
     format error.  A repeated word wins with its last row (warned).
+    Raises ConfidenceError naming the file, and the line where there is
+    one, for a row without components, a bad float, a row of another
+    dimension, bytes that are not UTF-8, and a file with no rows.
     """
     words, rows = [], []
     index = {}
     dim = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            parts = raw.rstrip("\n").split(" ")
-            if len(parts) < 2:
-                raise ConfidenceError(f"{path} line {lineno}: no vector components")
-            word, comps = parts[0], parts[1:]
-            try:
-                vec = [float(c) for c in comps]
-            except ValueError as exc:
-                raise ConfidenceError(f"{path} line {lineno}: bad float") from exc
-            if dim is None:
-                dim = len(vec)
-            elif len(vec) != dim:
-                raise ConfidenceError(
-                    f"{path} line {lineno}: dimension {len(vec)} != {dim}")
-            if word in index:
-                warnings.warn(f"{path}: duplicate word {word!r}, keeping last")
-                rows[index[word]] = vec
-            else:
-                index[word] = len(words)
-                words.append(word)
-                rows.append(vec)
+    for lineno, line in text_lines(
+            path, lambda n: ConfidenceError(f"{path} line {n}: text is not UTF-8")):
+        parts = line.split(" ")
+        if len(parts) < 2:
+            raise ConfidenceError(f"{path} line {lineno}: no vector components")
+        word, comps = parts[0], parts[1:]
+        try:
+            vec = [float(c) for c in comps]
+        except ValueError as exc:
+            raise ConfidenceError(f"{path} line {lineno}: bad float") from exc
+        if dim is None:
+            dim = len(vec)
+        elif len(vec) != dim:
+            raise ConfidenceError(
+                f"{path} line {lineno}: dimension {len(vec)} != {dim}")
+        if word in index:
+            warnings.warn(f"{path}: duplicate word {word!r}, keeping last")
+            rows[index[word]] = vec
+        else:
+            index[word] = len(words)
+            words.append(word)
+            rows.append(vec)
     if not words:
         raise ConfidenceError(f"{path}: no embedding rows")
     return EmbeddingTable(words, np.array(rows, dtype=np.float64), name=name or str(path))
@@ -160,10 +163,31 @@ class AutoencoderModel:
 
     @classmethod
     def load(cls, path):
+        """Read a model `save` wrote.
+
+        Raises ConfidenceError naming the file and the key or array for
+        a header that lacks a key, source names and dims of different
+        lengths, and an array that is missing or whose shape does not
+        follow from the bottleneck and the sum of the source dims.
+        """
         header, arrays = modelio.load_blob(path, "autoencoder")
+        try:
+            names, dims = tuple(header["source_names"]), tuple(header["source_dims"])
+            d = header["bottleneck"]
+        except KeyError as exc:
+            raise ConfidenceError(f"{path}: header lacks key {exc.args[0]!r}") from exc
+        if len(names) != len(dims):
+            raise ConfidenceError(f"{path}: {len(names)} source_names for "
+                                  f"{len(dims)} source_dims")
+        din = sum(dims)
+        shapes = {"w_enc": (d, din), "b_enc": (d,), "w_dec": (din, d), "b_dec": (din,)}
+        for name, shape in shapes.items():
+            got = arrays[name].shape if name in arrays else None
+            if got != shape:
+                raise ConfidenceError(f"{path}: array {name!r} has shape {got}, "
+                                      f"the header implies {shape}")
         return cls(arrays["w_enc"], arrays["b_enc"], arrays["w_dec"],
-                   arrays["b_dec"], tuple(header["source_names"]),
-                   tuple(header["source_dims"]))
+                   arrays["b_dec"], names, dims)
 
 
 def _init_ae(din, d, seed) -> AutoencoderModel:

@@ -12,7 +12,11 @@ before scoring.
 
 The records held by the thousand are slotted dataclasses, and the block
 readers share equal text within one read (`TextPool`), so that reading a
-file back costs about what the data cost before it was written.
+file back costs about what the data cost before it was written.  The
+n-best reader, `alignment.read_nbest`, also shares equal hypotheses and
+weights within a block and gives back tuple columns (`NBest`): a
+1000-utterance 40-best file reads back in 3.9 MB, where the
+`decode_nbest` lists it was written from hold 8.9 MB (tracemalloc).
 """
 from __future__ import annotations
 
@@ -365,28 +369,53 @@ class TextPool(dict):
         return text
 
 
+def _undecodable_line(path):
+    """The number of the first line of `path` holding bytes that are not
+    UTF-8, counting lines as a text-mode read does; None if it has none."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, 1):
+            try:
+                line.encode("utf-8")  # fails on the escaped bytes only
+            except UnicodeEncodeError:
+                return lineno
+    return None
+
+
+def text_lines(path, refuse):
+    """Yield (line number, line without its line break) for each line of
+    a UTF-8 text file, lines split as a text-mode `open` splits them.
+
+    Raises the exception `refuse(n)` returns for bytes that are not
+    UTF-8, n being the number of the first line that holds them.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                yield lineno, raw.rstrip("\n")
+    except UnicodeDecodeError as exc:
+        raise refuse(_undecodable_line(path)) from exc
+
+
 def read_blocks(path):
     """Yield (id, [(line number, row), ...]) for each block of a block file.
 
-    Raises ParseError naming the file and line for an empty id and for a
-    row outside any block.
+    Raises ParseError naming the file and line for an empty id, for a
+    row outside any block, and for bytes that are not UTF-8.
     """
     block = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if line.startswith(HEADER) or not line.strip():
-                if block is not None:
-                    yield block
-                block = None
-                if line.startswith(HEADER):
-                    if line == HEADER:
-                        raise ParseError("empty id", lineno, path)
-                    block = (line[len(HEADER):], [])
-            elif block is None:
-                raise ParseError(f"row before any {HEADER!r} header", lineno, path)
-            else:
-                block[1].append((lineno, line))
+    for lineno, line in text_lines(path, lambda n: ParseError("text is not UTF-8", n, path)):
+        if line.startswith(HEADER) or not line.strip():
+            if block is not None:
+                yield block
+            block = None
+            if line.startswith(HEADER):
+                if line == HEADER:
+                    raise ParseError("empty id", lineno, path)
+                block = (line[len(HEADER):], [])
+        elif block is None:
+            raise ParseError(f"row before any {HEADER!r} header", lineno, path)
+        else:
+            block[1].append((lineno, line))
     if block is not None:
         yield block
 

@@ -358,9 +358,12 @@ def annotate_words(words, grammar: DomainGrammar, labels=None):
 
     The dependency layer is deliberately shallow: the first verb (or
     the first token) heads the utterance and every other token attaches
-    to it with a POS-typed relation.
+    to it with a POS-typed relation.  POS and lemma are looked up
+    lowercased, as categories are matched; an unknown word's lemma is
+    its lowercased form.
     """
-    pos = [grammar.word_pos.get(w, "X") for w in words]
+    lowered = [w.lower() for w in words]
+    pos = [grammar.word_pos.get(w, "X") for w in lowered]
     head = next((i for i, p in enumerate(pos) if p == "VERB"), 0)
     cats = [frozenset()] * len(words)
     for start, end, cat in grammar.category_table.matches(words):
@@ -370,7 +373,8 @@ def annotate_words(words, grammar: DomainGrammar, labels=None):
     for i, w in enumerate(words):
         tokens.append(Token(
             surface=w,
-            lemma=grammar.lemmas.get(w, w),
+            # an unknown lowercase word is its own lemma, the same object
+            lemma=grammar.lemmas.get(lowered[i], w if lowered[i] == w else lowered[i]),
             pos=pos[i],
             governor=None if i == head else head,
             deprel="root" if i == head else _DEPREL_BY_POS.get(pos[i], "dep"),

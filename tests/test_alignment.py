@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from slukit import alignment
 from slukit.alignment import (DEL, EPS, INS, MATCH, SUB, AlignmentError,
-                              ConfusionNetwork, NoiseConfig, align, build_cn,
+                              ConfusionNetwork, NBest, NoiseConfig, align, build_cn,
                               corrupt, decode_nbest, pap_of, project_labels,
                               read_nbest, wer, write_cn, write_nbest)
 from slukit.corpus import NULL_LABEL, ParseError, SchemaError, Token, Utterance
@@ -239,7 +239,7 @@ def test_nbest_and_cn_files(tmp_path, small_corpus, noise_config):
     again = read_nbest(p)
     assert [uid for uid, _ in again] == [uid for uid, _ in per_utt]
     for (_, a), (_, b) in zip(again, per_utt):
-        assert [h for _, h in a] == [h for _, h in b]
+        assert [list(h) for _, h in a] == [h for _, h in b]
         assert [w for w, _ in a] == pytest.approx([w for w, _ in b])
     cns = [(uid, build_cn(nb)) for uid, nb in per_utt]
     write_cn(tmp_path / "cn.txt", cns)
@@ -249,12 +249,25 @@ def test_nbest_and_cn_files(tmp_path, small_corpus, noise_config):
 
 def test_read_nbest_shares_equal_words(tmp_path):
     p = tmp_path / "hyp.nbest"
-    write_nbest(p, [("u1", [(0.5, ["paris", "lyon"]), (0.5, ["paris"])]),
-                    ("u2", [(1.0, ["lyon", "lyon"])])])
-    (_, [(_, w1), (_, w2)]), (_, [(_, w3)]) = read_nbest(p)
-    assert w1 == ["paris", "lyon"] and w2 == ["paris"] and w3 == ["lyon", "lyon"]
-    assert w1[0] is w2[0]
-    assert w1[1] is w3[0] is w3[1]
+    write_nbest(p, [("u1", [(0.5, ["paris", "lyon"]), (0.5, ["paris"]),
+                            (0.25, ["paris", "lyon"])]),
+                    ("u2", [(1.0, ["lyon", "lyon"]), (0.5, ["paris"])])])
+    (_, nb1), (_, nb2) = read_nbest(p)
+    assert isinstance(nb1, NBest) and isinstance(nb2, NBest)
+    (x1, w1), (x2, w2), (x3, w3) = nb1
+    (x4, w4), (x5, w5) = nb2
+    assert [list(w) for w in (w1, w2, w3, w4, w5)] == \
+        [["paris", "lyon"], ["paris"], ["paris", "lyon"], ["lyon", "lyon"], ["paris"]]
+    assert (x1, x2, x3, x4, x5) == (0.5, 0.5, 0.25, 1.0, 0.5)
+    # equal words are one string across the file
+    assert w1[0] is w2[0] is w5[0]
+    assert w1[1] is w4[0] is w4[1]
+    # within one block, equal hypothesis rows are one tuple and equal
+    # weight texts one float
+    assert type(w1) is tuple and w1 is w3
+    assert x1 is x2
+    assert nb1.hyps == (w1, w2, w3) and nb1.weights == (x1, x2, x3)
+    assert len(nb1) == 3 and nb1[2] == (x3, w3)
 
 
 # sha256 of the n-best and confusion network files below, recorded
@@ -279,15 +292,17 @@ def test_cn_validates_bin_sums():
         ConfusionNetwork(bins=((("a", float("nan")),),), pivot=("a",))
 
 
-@pytest.mark.parametrize("text, line", [
-    ("1.0\ta b\n", 1),
-    ("# id=u\n1.0\ta\n\n2.0\tb\n", 4),
-    ("# id=u\nheavy\ta b\n\n", 2),
-    ("# id=u\n1.0 a b\n\n", 2),
-], ids=["row-before-header", "row-after-closed-block", "bad-weight", "no-tab"])
-def test_read_nbest_malformed_names_file_and_line(tmp_path, text, line):
+@pytest.mark.parametrize("data, line", [
+    (b"1.0\ta b\n", 1),
+    (b"# id=u\n1.0\ta\n\n2.0\tb\n", 4),
+    (b"# id=u\nheavy\ta b\n\n", 2),
+    (b"# id=u\n1.0 a b\n\n", 2),
+    (b"# id=u\r\n1.0\ta\r\n\r\n# id=v\r\n1.0\ta \xffb\r\n\r\n", 5),
+], ids=["row-before-header", "row-after-closed-block", "bad-weight", "no-tab",
+        "not-utf8"])
+def test_read_nbest_malformed_names_file_and_line(tmp_path, data, line):
     p = tmp_path / "bad.nbest"
-    p.write_text(text)
+    p.write_bytes(data)
     with pytest.raises(ParseError, match=f"bad.nbest: line {line}:"):
         read_nbest(p)
 
@@ -312,10 +327,13 @@ def test_nbest_roundtrips_or_refuses(tmp_path_factory, per_utt):
     again = read_nbest(p)
     assert all(math.isfinite(w) and w > 0 for _, nb in again for w, _ in nb)
     assert [uid for uid, _ in again] == [uid for uid, _ in per_utt]
-    assert [[words for _, words in nb] for _, nb in again] == \
+    assert [[list(words) for _, words in nb] for _, nb in again] == \
         [[words for _, words in nb] for _, nb in per_utt]
     assert [[w for w, _ in nb] for _, nb in again] == \
         [[float(f"{w:.9e}") for w, _ in nb] for _, nb in per_utt]
+    q = p.with_name("again.txt")
+    write_nbest(q, again)
+    assert q.read_bytes() == p.read_bytes()
 
 
 @pytest.mark.parametrize("words", [["a b"], ["c\tx"], [""], ["a", "b\nc"], ["\xa0"]])

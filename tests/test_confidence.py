@@ -52,6 +52,13 @@ def test_load_embeddings_refuses_empty_file(tmp_path):
         load_embeddings(p)
 
 
+def test_load_embeddings_names_the_line_that_is_not_utf8(tmp_path):
+    p = tmp_path / "emb.txt"
+    p.write_bytes(b"a 0.1 0.2\r\nb 0.3 0.4\r\n\xff 0.5 0.6\r\n")
+    with pytest.raises(ConfidenceError, match="emb.txt line 3: text is not UTF-8"):
+        load_embeddings(p)
+
+
 def test_load_embeddings_duplicate_last_wins(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("a 1.0 1.0\na 2.0 2.0\n")
@@ -201,6 +208,39 @@ def test_ae_file_roundtrip(tmp_path, tiny_tables):
     fused_a = build_fused_table(model, tiny_tables, ["w0", "w1"])
     fused_b = build_fused_table(again, tiny_tables, ["w0", "w1"])
     assert np.array_equal(fused_a.matrix, fused_b.matrix)
+
+
+def _saved_tiny_ae(tmp_path, tiny_tables):
+    model, _ = train_autoencoder(tiny_tables, d=2, epochs=0, seed=0)
+    p = tmp_path / "ae.slk"
+    model.save(p)
+    header, arrays = modelio.load_blob(p, "autoencoder")
+    return p, header, arrays
+
+
+@pytest.mark.parametrize("key", ["source_names", "source_dims", "bottleneck"])
+def test_ae_load_names_a_missing_header_key(tmp_path, tiny_tables, key):
+    p, header, arrays = _saved_tiny_ae(tmp_path, tiny_tables)
+    del header[key]
+    modelio.save_blob(p, "autoencoder", header, arrays)
+    with pytest.raises(ConfidenceError, match=re.escape(str(p)) + ".*" + repr(key)):
+        AutoencoderModel.load(p)
+
+
+@pytest.mark.parametrize("edit, what", [
+    (lambda h, a: (h, {k: v for k, v in a.items() if k != "b_enc"}), "'b_enc'"),
+    (lambda h, a: (h, dict(a, w_dec=a["w_dec"][:-1])), "'w_dec'"),
+    (lambda h, a: (h, dict(a, b_dec=a["b_dec"][:, None])), "'b_dec'"),
+    (lambda h, a: (dict(h, source_dims=[5, 6]), a), "'w_enc'"),
+    (lambda h, a: (dict(h, bottleneck=3), a), "'w_enc'"),
+    (lambda h, a: (dict(h, source_names=["cbow"]), a), "source_names"),
+], ids=["no-b_enc", "shorter-w_dec", "column-b_dec", "fewer-source-dims",
+        "wider-bottleneck", "one-source-name"])
+def test_ae_load_names_a_misshapen_array(tmp_path, tiny_tables, edit, what):
+    p, header, arrays = _saved_tiny_ae(tmp_path, tiny_tables)
+    modelio.save_blob(p, "autoencoder", *edit(header, arrays))
+    with pytest.raises(ConfidenceError, match=re.escape(str(p)) + ".*" + what):
+        AutoencoderModel.load(p)
 
 
 def test_ae_rejects_bad_config(tiny_tables):

@@ -65,6 +65,16 @@ def test_read_malformed_row_reports_line(tmp_path):
     assert "line 2" in str(exc.value)
 
 
+def test_read_dataset_names_the_line_that_is_not_utf8(tmp_path):
+    row = b"0\ta\t_\t_\t_\t_\t_\t_\t_\t_\tnull"
+    p = tmp_path / "bad.tsv"
+    # CRLF line breaks count as one each, as they always have
+    p.write_bytes(b"# id=u1\r\n" + row + b"\r\n\r\n# id=u2\r\n"
+                  + row.replace(b"a", b"\xff") + b"\r\n\r\n")
+    with pytest.raises(ParseError, match="bad.tsv: line 5: text is not UTF-8"):
+        read_dataset(p)
+
+
 def test_read_invalid_continuation(tmp_path):
     p = tmp_path / "bad.tsv"
     p.write_text(
@@ -430,6 +440,16 @@ def test_read_outputs_rejects_row_before_header(tmp_path):
     p.write_text("# id=u\nnull\n\nB-TOWN\n")
     with pytest.raises(ParseError, match="o.lab: line 4"):
         read_outputs(p)
+
+
+def test_read_outputs_names_the_line_that_is_not_utf8(tmp_path):
+    p = tmp_path / "o.lab"
+    p.write_bytes(b"# id=u\r\nnull\r\n\r\n# id=v\r\nB-TOWN\r\n\xe9\r\n\r\n")
+    with pytest.raises(ParseError, match="o.lab: line 6: text is not UTF-8"):
+        read_outputs(p)
+    p.write_bytes(b"# id=u\r\nnull\r\n\r\n# id=v\r\nB-TOWN\r\n\xc3\xa9\r\n\r\n")
+    assert read_outputs(p) == [TaggerOutput("u", ("null",)),
+                               TaggerOutput("v", ("B-TOWN", "\xe9"))]
 
 
 @pytest.mark.parametrize("record", [

@@ -87,7 +87,7 @@ def test_utterance_features_all_families():
     utt = utt.with_column("pap", [0.3, 0.92])
     head, paris = _features(utt.tokens)
     assert "govpos=root" in head and "conf_pap=3" in head
-    assert paris == {"w=paris", "cat=TOWN", "lemma=paris", "pos=X", "deprel=dep",
+    assert paris == {"w=paris", "cat=TOWN", "lemma=paris", "pos=PROPN", "deprel=nmod",
                      "govpos=VERB", "cap=1", "pre=p", "pre=pa", "pre=par", "pre=pari",
                      "suf=s", "suf=is", "suf=ris", "suf=aris", "conf_pap=9",
                      "conf_mlp=absent"}

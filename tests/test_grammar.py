@@ -67,6 +67,18 @@ def test_annotation_is_total(default_grammar):
     assert toks[-1].pos == "X"
 
 
+def test_annotation_looks_words_up_lowercased(default_grammar):
+    mixed = annotate_words(["Want", "Paris", "ROOMS"], default_grammar)
+    lower = annotate_words(["want", "paris", "rooms"], default_grammar)
+    assert [t.surface for t in mixed] == ["Want", "Paris", "ROOMS"]
+    assert [(t.lemma, t.pos, t.governor, t.deprel, t.sem_categories) for t in mixed] == \
+        [(t.lemma, t.pos, t.governor, t.deprel, t.sem_categories) for t in lower]
+    assert mixed[1].pos == "PROPN" and mixed[1].lemma == "paris"
+    assert mixed[2].lemma == "room"
+    # a lowercase word that is its own lemma keeps one string for both
+    assert lower[0].lemma is lower[0].surface
+
+
 def test_annotation_multiword_category(default_grammar):
     toks = annotate_words(["swimming", "pool"], default_grammar)
     assert "SERVICE" in toks[0].sem_categories
