@@ -15,6 +15,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .corpus import (FLAG_CORRECT, FLAG_ERROR, NULL_LABEL, ParseError,
                      SchemaError, TextPool, Token, Utterance, read_blocks,
@@ -152,71 +153,60 @@ def _other_words(vocabulary: tuple, word) -> tuple:
     return tuple(w for w in vocabulary if w != word)
 
 
-def _substitute(word, cfg: NoiseConfig, rng) -> str:
-    cands = (cfg.confusions or {}).get(word)
-    if not cands:
-        cands = _other_words(tuple(cfg.vocabulary), word)
-    if not cands:
-        return word + "'"  # degenerate configs still must change the word
-    return cands[rng.randrange(len(cands))]
+@functools.lru_cache(maxsize=None)
+def _log_rates(del_rate, sub_rate, ins_rate) -> MappingProxyType:
+    # an event of rate 0 is never drawn, so its log is never taken; read
+    # only, since every draw with these rates shares it
+    rates = {"del": del_rate, "sub": sub_rate, "keep": 1.0 - sub_rate - del_rate,
+             "ins": ins_rate, "no-ins": 1.0 - ins_rate}
+    return MappingProxyType({event: math.log(p) for event, p in rates.items() if p > 0})
 
 
-def _draw_decision(word, cfg: NoiseConfig, rng):
-    """("del",) | ("sub", replacement) | ("keep",) for one reference word."""
-    u = rng.random()
-    if u < cfg.del_rate:
-        return ("del",)
-    if u < cfg.del_rate + cfg.sub_rate:
-        return ("sub", _substitute(word, cfg, rng))
-    return ("keep",)
+def _draw(words, cfg: NoiseConfig, uid, k, primary=None):
+    """Entry k of utterance `uid`'s n-best list, drawn in one pass as
+    `decode_nbest` documents: (decisions, inserts, weight, hyp).
 
-
-def _draw_insert(cfg: NoiseConfig, rng):
-    """The word inserted after a reference position, or None."""
-    if rng.random() >= cfg.ins_rate:
-        return None
-    pool = cfg.insertion_words or cfg.vocabulary or ("euh",)
-    return pool[rng.randrange(len(pool))]
-
-
-def _channel_decisions(words, cfg: NoiseConfig, rng):
-    """One channel draw as per-reference-position decisions.
-
-    Each decision is ("keep",) | ("sub", word) | ("del",), optionally
-    followed by an inserted word recorded separately per gap.
+    A decision is ("keep", word), ("sub", replacement) or ("del", None),
+    an insert the word inserted after a reference word or None.  The
+    weight is exp of the decisions' log-rates added in order, then the
+    inserts'.  A recognizer always emits something: ("euh",) if no word.
     """
-    decisions, inserts = [], []
-    for w in words:
-        decisions.append(_draw_decision(w, cfg, rng))
-        inserts.append(_draw_insert(cfg, rng))
-    return decisions, inserts
-
-
-def _decisions_logprob(decisions, inserts, cfg: NoiseConfig) -> float:
-    # an event of rate 0 is never drawn, so its log is never taken
-    rates = {"del": cfg.del_rate, "sub": cfg.sub_rate,
-             "keep": 1.0 - cfg.sub_rate - cfg.del_rate,
-             "ins": cfg.ins_rate, "no-ins": 1.0 - cfg.ins_rate}
-    log_rate = {event: math.log(p) for event, p in rates.items() if p > 0}
+    rng = random.Random(derived_seed("asr-re" if k else "asr", cfg.seed, uid, k))
+    log_rate = _log_rates(cfg.del_rate, cfg.sub_rate, cfg.ins_rate)
+    kappa = cfg.nbest_correlation
+    decisions, inserts, out = [], [], []
     logp = 0.0
-    for dec in decisions:
+    for i, w in enumerate(words):
+        if primary is not None and rng.random() < kappa:
+            dec = primary[0][i]
+        else:
+            u = rng.random()
+            if u < cfg.del_rate:
+                dec = ("del", None)
+            elif u < cfg.del_rate + cfg.sub_rate:
+                cands = ((cfg.confusions or {}).get(w)
+                         or _other_words(tuple(cfg.vocabulary), w))
+                # degenerate configs still must change the word
+                dec = ("sub", cands[rng.randrange(len(cands))] if cands else w + "'")
+            else:
+                dec = ("keep", w)
+        if primary is not None and rng.random() < kappa:
+            ins = primary[1][i]
+        elif rng.random() < cfg.ins_rate:
+            pool = cfg.insertion_words or cfg.vocabulary or ("euh",)
+            ins = pool[rng.randrange(len(pool))]
+        else:
+            ins = None
+        decisions.append(dec)
+        inserts.append(ins)
         logp += log_rate[dec[0]]
-    for ins in inserts:
-        logp += log_rate["no-ins" if ins is None else "ins"]
-    return logp
-
-
-def _emit(words, decisions, inserts):
-    """The hypothesis words of one draw; a recognizer always emits something."""
-    out = []
-    for w, dec, ins in zip(words, decisions, inserts):
-        if dec[0] == "keep":
-            out.append(w)
-        elif dec[0] == "sub":
+        if dec[1] is not None:
             out.append(dec[1])
         if ins:
             out.append(ins)
-    return out or ["euh"]
+    for ins in inserts:
+        logp += log_rate["no-ins" if ins is None else "ins"]
+    return decisions, inserts, math.exp(logp), tuple(out) or ("euh",)
 
 
 def _hyp_utterance(utt: Utterance, hyp_words) -> Utterance:
@@ -231,43 +221,72 @@ def _hyp_utterance(utt: Utterance, hyp_words) -> Utterance:
 
 
 def corrupt(utt: Utterance, cfg: NoiseConfig) -> Utterance:
-    """Primary channel draw for an utterance, keyed by (seed, id)."""
-    rng = random.Random(derived_seed("asr", cfg.seed, utt.id, 0))
-    words = utt.surfaces()
-    decisions, inserts = _channel_decisions(words, cfg, rng)
-    return _hyp_utterance(utt, _emit(words, decisions, inserts))
+    """The primary channel draw for an utterance, keyed by (seed, id):
+    the words of `decode_nbest`'s first entry, with error flags."""
+    return _hyp_utterance(utt, _draw(utt.surfaces(), cfg, utt.id, 0)[3])
 
 
-def _redecode(words, decisions, inserts, cfg: NoiseConfig, rng):
-    """Secondary decode correlated with the primary decisions."""
-    kappa = cfg.nbest_correlation
-    new_dec, new_ins = [], []
-    for w, dec, ins in zip(words, decisions, inserts):
-        new_dec.append(dec if rng.random() < kappa else _draw_decision(w, cfg, rng))
-        new_ins.append(ins if rng.random() < kappa else _draw_insert(cfg, rng))
-    return new_dec, new_ins
+@dataclass(frozen=True, slots=True)
+class NBest:
+    """One utterance's n-best list as two equal-length columns:
+    `weights[k]` is the weight of `hyps[k]`, a tuple of words.
+
+    `decode_nbest` and `read_nbest` both return one, and within one
+    list equal hypotheses are one tuple.  It reads as a sequence of
+    (weight, words) pairs: `len`, `nbest[k]` for an int k, and iteration
+    in order; a slice `nbest[a:b]` is the `NBest` of those entries.
+    """
+
+    weights: tuple
+    hyps: tuple
+
+    def __post_init__(self):
+        if len(self.weights) != len(self.hyps):
+            raise AlignmentError(f"{len(self.weights)} weights for {len(self.hyps)} hypotheses")
+
+    def __len__(self):
+        return len(self.hyps)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return NBest(self.weights[k], self.hyps[k])
+        return self.weights[k], self.hyps[k]
+
+    def __iter__(self):
+        return zip(self.weights, self.hyps)
 
 
-def decode_nbest(utt: Utterance, cfg: NoiseConfig, n: int):
+def decode_nbest(utt: Utterance, cfg: NoiseConfig, n: int) -> NBest:
     """Primary draw plus n-1 correlated re-decodes, primary first.
 
     This is the pipeline's recognizer surrogate: the first entry is the
     transcription the taggers consume, and the remaining entries mimic
-    the correlated alternatives a lattice would hold.
+    the correlated alternatives a lattice would hold.  Equal weights in
+    the list are one float, and equal hypotheses one tuple.
+
+    Draw contract, on which the file bytes rest: entry k takes its own
+    `random.Random`, seeded with `derived_seed("asr", seed, id, 0)` for
+    the primary and `derived_seed("asr-re", seed, id, k)` for k > 0, so
+    no entry depends on n or on another utterance.  Per reference word
+    in order, the primary draws (1) the decision: `random()`, deleting
+    below `del_rate` and substituting below `del_rate + sub_rate`, and a
+    substitution `randrange` over the word's confusions, else the rest
+    of the vocabulary (with neither, the word gains a "'" and draws
+    nothing); then (2) the insertion after the word: `random()`,
+    inserting below `ins_rate`, and an insertion `randrange` over the
+    insertion words, else the vocabulary, else "euh".  A re-decode
+    draws, per word, `random()` and keeps the primary's decision if it
+    is below `nbest_correlation`, else draws (1); then `random()` and
+    keeps the primary's insertion likewise, else draws (2).
     """
     if n < 1:
         raise AlignmentError(f"need n >= 1 hypotheses, got {n}")
     words = utt.surfaces()
-    rng0 = random.Random(derived_seed("asr", cfg.seed, utt.id, 0))
-    decisions, inserts = _channel_decisions(words, cfg, rng0)
-    out = [(math.exp(_decisions_logprob(decisions, inserts, cfg)),
-            _emit(words, decisions, inserts))]
-    for k in range(1, n):
-        rng = random.Random(derived_seed("asr-re", cfg.seed, utt.id, k))
-        dec_k, ins_k = _redecode(words, decisions, inserts, cfg, rng)
-        out.append((math.exp(_decisions_logprob(dec_k, ins_k, cfg)),
-                    _emit(words, dec_k, ins_k)))
-    return out
+    primary = _draw(words, cfg, utt.id, 0)
+    draws = [primary] + [_draw(words, cfg, utt.id, k, primary) for k in range(1, n)]
+    shared = {}  # equal weights are one float, equal hypotheses one tuple
+    weights = tuple(shared.setdefault(d[2], d[2]) for d in draws)
+    return NBest(weights, tuple(shared.setdefault(d[3], d[3]) for d in draws))
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +323,9 @@ def _pivot_column(pivot, hyp) -> tuple:
 def build_cn(nbest) -> ConfusionNetwork:
     """Align weighted hypotheses into the first (pivot) hypothesis.
 
-    `nbest` is any sequence of (weight, words) pairs: a `decode_nbest`
-    list or an `NBest` read back by `read_nbest`.
+    `nbest` is an `NBest`, as `decode_nbest` and `read_nbest` return it;
+    it is read as a sequence of (weight, words) pairs, so a list of such
+    pairs serves too.
 
     Every hypothesis contributes to each pivot bin exactly once: its
     aligned word on match/substitution, epsilon where it skips the bin.
@@ -404,8 +424,9 @@ def _nbest_row(uid, weight, words):
 
 
 def write_nbest(path, per_utt) -> None:
-    """per_utt: iterable of (utterance_id, nbest), where nbest is any
-    sequence of (weight, words) pairs: a `decode_nbest` list or an `NBest`.
+    """per_utt: iterable of (utterance_id, NBest), as `decode_nbest` and
+    `read_nbest` give them; a list of (weight, words) pairs is written
+    the same way.
 
     Raises SchemaError naming the utterance for a word that is empty or
     holds whitespace, since the words of a row are space-joined, and for
@@ -413,32 +434,6 @@ def write_nbest(path, per_utt) -> None:
     """
     write_blocks(path, ((uid, [_nbest_row(uid, weight, words) for weight, words in nbest])
                         for uid, nbest in per_utt))
-
-
-@dataclass(frozen=True, slots=True)
-class NBest:
-    """One utterance's n-best list as two equal-length columns:
-    `weights[k]` is the weight of `hyps[k]`, a tuple of words.
-
-    It reads as the sequence of (weight, words) pairs `decode_nbest`
-    returns: `len`, `nbest[k]` for an int k, and iteration in order.
-    """
-
-    weights: tuple
-    hyps: tuple
-
-    def __post_init__(self):
-        if len(self.weights) != len(self.hyps):
-            raise AlignmentError(f"{len(self.weights)} weights for {len(self.hyps)} hypotheses")
-
-    def __len__(self):
-        return len(self.hyps)
-
-    def __getitem__(self, k):
-        return self.weights[k], self.hyps[k]
-
-    def __iter__(self):
-        return zip(self.weights, self.hyps)
 
 
 def _nbest_block(path, rows, text: TextPool) -> NBest:
@@ -465,11 +460,12 @@ def _nbest_block(path, rows, text: TextPool) -> NBest:
 def read_nbest(path):
     """[(utterance_id, NBest), ...] from a file `write_nbest` wrote, in order.
 
-    Each `NBest` holds the block's weights and hypotheses as two tuples.
-    Within one block, equal hypothesis texts are one tuple object and
-    equal weight texts one float; across the whole file, equal words are
-    one string.  So a list that repeats a hypothesis costs one tuple for
-    it, and reading the file back costs less than the lists written.
+    Each `NBest` is the one written, with weights to their printed
+    precision.  Within one block, equal hypothesis texts are one tuple
+    object and equal weight texts one float; across the whole file,
+    equal words are one string.  So a read-back costs about what the
+    `decode_nbest` lists cost, and `write_nbest` of it writes the same
+    bytes.
     Weights are parsed as written: `build_cn` refuses one that is not
     finite and positive.  Raises ParseError naming the file and line for
     a row without a tab, a weight that is not a float, text that is not

@@ -130,6 +130,42 @@ def make_hash_embeddings(vocab, dim, name, seed) -> EmbeddingTable:
 
 
 # ---------------------------------------------------------------------------
+# Model file headers
+# ---------------------------------------------------------------------------
+
+# the type each model header key holds as JSON reads it back; [kind] is
+# a list of that kind
+_HEADER_KINDS = {
+    "source_names": [str], "source_dims": [int], "bottleneck": int,
+    "window": int, "widths": dict, "proj": int, "merge": int, "hidden": int,
+    "stream_dims": dict, "config": dict, "fused_words": [str], "pos_vocab": [str],
+    "deprel_vocab": [str], "unigrams": [str], "bigrams": [[str]],
+}
+
+
+def _holds(value, kind) -> bool:
+    if isinstance(kind, list):
+        return type(value) is list and all(_holds(v, kind[0]) for v in value)
+    return type(value) is kind  # so that true is not an int
+
+
+def _kind_name(kind) -> str:
+    return f"list[{_kind_name(kind[0])}]" if isinstance(kind, list) else kind.__name__
+
+
+def _header_values(path, header, *keys) -> list:
+    """header[key] for each key; ConfidenceError naming the file and the
+    key for one that is missing or not of its `_HEADER_KINDS` type."""
+    for key in keys:
+        if key not in header:
+            raise ConfidenceError(f"{path}: header lacks key {key!r}")
+        if not _holds(header[key], _HEADER_KINDS[key]):
+            raise ConfidenceError(f"{path}: header key {key!r} is not a "
+                                  f"{_kind_name(_HEADER_KINDS[key])}")
+    return [header[key] for key in keys]
+
+
+# ---------------------------------------------------------------------------
 # Autoencoder fusion
 # ---------------------------------------------------------------------------
 
@@ -166,16 +202,15 @@ class AutoencoderModel:
         """Read a model `save` wrote.
 
         Raises ConfidenceError naming the file and the key or array for
-        a header that lacks a key, source names and dims of different
-        lengths, and an array that is missing or whose shape does not
-        follow from the bottleneck and the sum of the source dims.
+        a header that lacks a key or holds a value of another type than
+        `save` writes, source names and dims of different lengths, and
+        an array that is missing or whose shape does not follow from the
+        bottleneck and the sum of the source dims.
         """
         header, arrays = modelio.load_blob(path, "autoencoder")
-        try:
-            names, dims = tuple(header["source_names"]), tuple(header["source_dims"])
-            d = header["bottleneck"]
-        except KeyError as exc:
-            raise ConfidenceError(f"{path}: header lacks key {exc.args[0]!r}") from exc
+        names, dims, d = _header_values(path, header, "source_names", "source_dims",
+                                        "bottleneck")
+        names, dims = tuple(names), tuple(dims)
         if len(names) != len(dims):
             raise ConfidenceError(f"{path}: {len(names)} source_names for "
                                   f"{len(dims)} source_dims")
@@ -449,22 +484,26 @@ class MsMlpModel:
         """Read a model `save` wrote.
 
         Raises ConfidenceError naming the file and the key or array for
-        a header that lacks a key, a window other than WINDOW, and an
-        array that is missing or whose shape does not follow from the
-        header's widths and vocabularies; also for header stream_dims
-        that disagree with those vocabularies.
+        a header that lacks a key or holds a value of another type than
+        `save` writes, a config field MsMlpConfig does not take, a
+        window other than WINDOW, and an array that is missing or whose
+        shape does not follow from the header's widths and vocabularies;
+        also for header stream_dims that disagree with those
+        vocabularies.
         """
         header, arrays = modelio.load_blob(path, "msmlp")
+        (window, widths, words, pos_vocab, deprel_vocab, unigrams, bigrams, config,
+         header_dims) = _header_values(path, header, "window", "widths", "fused_words",
+                                       "pos_vocab", "deprel_vocab", "unigrams", "bigrams",
+                                       "config", "stream_dims")
+        proj, merge, hidden = _header_values(path, widths, "proj", "merge", "hidden")
         try:
-            window, widths, words = header["window"], header["widths"], header["fused_words"]
-            vocabs = (header["pos_vocab"], header["deprel_vocab"],
-                      frozenset(header["unigrams"]),
-                      frozenset(tuple(b) for b in header["bigrams"]))
-            cfg = MsMlpConfig(proj=widths["proj"], merge=widths["merge"],
-                              hidden=widths["hidden"], **header["config"])
-            header_dims = header["stream_dims"]
-        except KeyError as exc:
-            raise ConfidenceError(f"{path}: header lacks key {exc.args[0]!r}") from exc
+            cfg = MsMlpConfig(proj=proj, merge=merge, hidden=hidden, **config)
+        except TypeError as exc:
+            raise ConfidenceError(f"{path}: header key 'config' holds a field "
+                                  f"MsMlpConfig does not take: {exc}") from exc
+        vocabs = (pos_vocab, deprel_vocab, frozenset(unigrams),
+                  frozenset(tuple(b) for b in bigrams))
         if window != WINDOW:
             raise ConfidenceError(f"{path}: window {window!r} is not {WINDOW}")
         matrix = arrays.pop("fused_matrix", None)

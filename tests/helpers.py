@@ -6,16 +6,18 @@ own dynamic programming and backpropagation code paths.
 """
 import itertools
 import math
+import random
 
 import numpy as np
 
 from slukit.alignment import (DEL, EPS, INS, MATCH, SUB, Alignment,
-                              ConfusionNetwork)
+                              ConfusionNetwork, align)
 from slukit.confidence import (BOS, STREAM_ORDER, WINDOW, ConfidenceError,
                                lm_category)
-from slukit.corpus import (ERROR_LABELS, NULL_LABEL, ConceptSegment, PhraseTable,
-                           SchemaError, Token, Utterance)
+from slukit.corpus import (ERROR_LABELS, FLAG_CORRECT, FLAG_ERROR, NULL_LABEL,
+                           ConceptSegment, PhraseTable, SchemaError, Token, Utterance)
 from slukit.evaluation import combine_weighted, score
+from slukit.numutil import derived_seed
 
 
 def utt(uid, words, labels=None, flags=None, **token_kw):
@@ -112,6 +114,95 @@ def reference_build_cn(nbest):
         s = sum(p for _, p in scored)
         bins.append(tuple((w, p / s) for w, p in scored))
     return ConfusionNetwork(tuple(bins), tuple(pivot))
+
+
+def _reference_decision(word, cfg, rng):
+    """("del",) | ("sub", replacement) | ("keep",) for one reference word."""
+    u = rng.random()
+    if u < cfg.del_rate:
+        return ("del",)
+    if u < cfg.del_rate + cfg.sub_rate:
+        cands = (cfg.confusions or {}).get(word)
+        if not cands:
+            cands = tuple(w for w in cfg.vocabulary if w != word)
+        if not cands:
+            return ("sub", word + "'")
+        return ("sub", cands[rng.randrange(len(cands))])
+    return ("keep",)
+
+
+def _reference_insert(cfg, rng):
+    """The word inserted after a reference position, or None."""
+    if rng.random() >= cfg.ins_rate:
+        return None
+    pool = cfg.insertion_words or cfg.vocabulary or ("euh",)
+    return pool[rng.randrange(len(pool))]
+
+
+def _reference_logprob(decisions, inserts, cfg):
+    rates = {"del": cfg.del_rate, "sub": cfg.sub_rate,
+             "keep": 1.0 - cfg.sub_rate - cfg.del_rate,
+             "ins": cfg.ins_rate, "no-ins": 1.0 - cfg.ins_rate}
+    log_rate = {event: math.log(p) for event, p in rates.items() if p > 0}
+    logp = 0.0
+    for dec in decisions:
+        logp += log_rate[dec[0]]
+    for ins in inserts:
+        logp += log_rate["no-ins" if ins is None else "ins"]
+    return logp
+
+
+def _reference_emit(words, decisions, inserts):
+    out = []
+    for w, dec, ins in zip(words, decisions, inserts):
+        if dec[0] == "keep":
+            out.append(w)
+        elif dec[0] == "sub":
+            out.append(dec[1])
+        if ins:
+            out.append(ins)
+    return out or ["euh"]
+
+
+def _reference_primary(words, cfg, uid):
+    rng = random.Random(derived_seed("asr", cfg.seed, uid, 0))
+    decisions, inserts = [], []
+    for w in words:
+        decisions.append(_reference_decision(w, cfg, rng))
+        inserts.append(_reference_insert(cfg, rng))
+    return decisions, inserts
+
+
+def reference_corrupt(u, cfg):
+    """The primary channel draw as separate decision, insertion and
+    emission passes, wrapped with flags from `align`."""
+    words = u.surfaces()
+    hyp = _reference_emit(words, *_reference_primary(words, cfg, u.id))
+    matched = {j for op, _, j in align(words, hyp).ops if op == MATCH}
+    tokens = tuple(Token(surface=w, error_flag=FLAG_CORRECT if j in matched else FLAG_ERROR)
+                   for j, w in enumerate(hyp))
+    return Utterance(u.id, tokens, reference_tokens=u.tokens)
+
+
+def reference_decode_nbest(u, cfg, n):
+    """[(weight, words), ...]: the primary draw, then n-1 re-decodes that
+    each keep a primary decision or insertion with probability
+    `nbest_correlation`, each draw's weight from its decisions, then its
+    insertions, and its words from a separate emission pass."""
+    words = u.surfaces()
+    decisions, inserts = _reference_primary(words, cfg, u.id)
+    out = [(math.exp(_reference_logprob(decisions, inserts, cfg)),
+            _reference_emit(words, decisions, inserts))]
+    kappa = cfg.nbest_correlation
+    for k in range(1, n):
+        rng = random.Random(derived_seed("asr-re", cfg.seed, u.id, k))
+        dec_k, ins_k = [], []
+        for w, dec, ins in zip(words, decisions, inserts):
+            dec_k.append(dec if rng.random() < kappa else _reference_decision(w, cfg, rng))
+            ins_k.append(ins if rng.random() < kappa else _reference_insert(cfg, rng))
+        out.append((math.exp(_reference_logprob(dec_k, ins_k, cfg)),
+                    _reference_emit(words, dec_k, ins_k)))
+    return out
 
 
 def fd_gradcheck(loss_fn, params, grads, h=1e-4, floor=1e-2):

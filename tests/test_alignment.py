@@ -1,6 +1,10 @@
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -14,7 +18,7 @@ from slukit.alignment import (DEL, EPS, INS, MATCH, SUB, AlignmentError,
 from slukit.corpus import NULL_LABEL, ParseError, SchemaError, Token, Utterance
 
 from helpers import (brute_force_edit_cost, reference_align, reference_build_cn,
-                     utt)
+                     reference_corrupt, reference_decode_nbest, utt)
 
 words_st = st.lists(st.sampled_from("abcde"), min_size=0, max_size=6)
 # few symbols, so that equal-cost alignments (ties) are common
@@ -112,7 +116,85 @@ def test_corrupt_deterministic_and_flags_follow_alignment(small_corpus, noise_co
 def test_decode_nbest_pivot_is_primary_draw(small_corpus, noise_config):
     for u in small_corpus.utterances[:10]:
         nbest = decode_nbest(u, noise_config, 6)
-        assert nbest[0][1] == list(corrupt(u, noise_config).surfaces())
+        assert list(nbest[0][1]) == list(corrupt(u, noise_config).surfaces())
+
+
+# channel configs: rates that may be 0, correlation 0, 1 or between, and
+# confusions that may be absent or empty, so that the vocabulary, or with
+# none a trailing "'", stands in
+_rate = st.sampled_from([0.0, 0.3]) | st.floats(0.0, 0.33)
+_channel_words = st.sampled_from(["a", "b", "c", "d"])
+channel_configs = st.builds(
+    NoiseConfig, sub_rate=_rate, del_rate=_rate, ins_rate=_rate,
+    confusions=st.none() | st.dictionaries(_channel_words,
+                                           st.lists(_channel_words, max_size=2).map(tuple)),
+    vocabulary=st.just(()) | st.lists(_channel_words, min_size=1, max_size=3).map(tuple),
+    insertion_words=st.just(()) | st.lists(_channel_words, min_size=1, max_size=2).map(tuple),
+    seed=st.integers(0, 2**32),
+    nbest_correlation=st.just(0.0) | st.just(1.0) | st.floats(0.0, 1.0))
+
+
+# every word substituted with neither confusions nor vocabulary; with
+# the vocabulary less the word; every word deleted, so "euh" is emitted
+@example(NoiseConfig(sub_rate=0.9, del_rate=0.0, ins_rate=0.0), "u", ["a", "b"], 3)
+@example(NoiseConfig(sub_rate=0.9, del_rate=0.0, ins_rate=0.0, vocabulary=("a", "b")),
+         "u", ["a", "b", "a"], 3)
+@example(NoiseConfig(sub_rate=0.0, del_rate=0.9, ins_rate=0.0), "u", ["a"], 3)
+@given(channel_configs, st.text(alphabet="uv0", min_size=1, max_size=3),
+       st.lists(_channel_words, min_size=1, max_size=8), st.integers(1, 6))
+def test_channel_matches_reference(cfg, uid, words, n):
+    u = utt(uid, words)
+    nbest = decode_nbest(u, cfg, n)
+    expected = reference_decode_nbest(u, cfg, n)
+    assert list(nbest.weights) == [weight for weight, _ in expected]
+    assert [list(hyp) for hyp in nbest.hyps] == [hyp for _, hyp in expected]
+    assert corrupt(u, cfg) == reference_corrupt(u, cfg)
+
+
+def _stages_2_3(utterances, cfg):
+    out = {}
+    for u in utterances:
+        nbest = decode_nbest(u, cfg, 5)
+        out[u.id] = (corrupt(u, cfg), nbest, build_cn(nbest))
+    return out
+
+
+def test_channel_and_cn_do_not_depend_on_corpus_order(small_corpus, noise_config):
+    # every draw is keyed by (seed, utterance id), so a corpus processed
+    # backwards or in two shards gives each utterance the same results
+    utts = small_corpus.utterances
+    forward = _stages_2_3(utts, noise_config)
+    assert _stages_2_3(utts[::-1], noise_config) == forward
+    half = len(utts) // 2
+    assert {**_stages_2_3(utts[half:], noise_config),
+            **_stages_2_3(utts[:half], noise_config)} == forward
+
+
+_WRITE_FILES = """
+import sys
+from slukit import alignment, grammar
+g = grammar.default_grammar()
+cfg = alignment.NoiseConfig(confusions=grammar.DEFAULT_CONFUSIONS,
+                            vocabulary=tuple(g.asr_vocabulary()),
+                            insertion_words=grammar.DEFAULT_INSERTIONS, seed=5)
+per_utt = [(u.id, alignment.decode_nbest(u, cfg, 8))
+           for u in grammar.generate_corpus(g, 200, 5)]
+alignment.write_nbest(sys.argv[1] + "/hyp.nbest", per_utt)
+alignment.write_cn(sys.argv[1] + "/hyp.cn", [(uid, alignment.build_cn(nb)) for uid, nb in per_utt])
+"""
+
+
+def test_nbest_and_cn_files_do_not_depend_on_hash_seed(tmp_path):
+    src = str(Path(alignment.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("0", "12345"):
+        out = tmp_path / hash_seed
+        out.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", _WRITE_FILES, str(out)], env=env, check=True)
+        outputs.append([(out / name).read_bytes() for name in ("hyp.nbest", "hyp.cn")])
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("zero", [("sub_rate",), ("del_rate",), ("ins_rate",),
@@ -123,18 +205,28 @@ def test_decode_nbest_zero_rate_weights(monkeypatch, small_corpus, noise_config,
     cfg = dataclasses.replace(noise_config, **{name: 0.0 for name in zero})
     rate = {"del": cfg.del_rate, "sub": cfg.sub_rate, "keep": 1.0 - cfg.sub_rate - cfg.del_rate}
     drawn = []
-    real = alignment._decisions_logprob
-    monkeypatch.setattr(alignment, "_decisions_logprob",
-                        lambda dec, ins, c: drawn.append((dec, ins)) or real(dec, ins, c))
+    real = alignment._draw
+    monkeypatch.setattr(alignment, "_draw",
+                        lambda *args: drawn.append(real(*args)) or drawn[-1])
     for u in small_corpus.utterances[:20]:
         drawn.clear()
         nbest = decode_nbest(u, cfg, 5)
         assert len(drawn) == len(nbest)
-        for (weight, _), (dec, ins) in zip(nbest, drawn):
+        for (weight, _), (dec, ins, _, _) in zip(nbest, drawn):
             expected = math.prod([rate[d[0]] for d in dec]
                                  + [1.0 - cfg.ins_rate if w is None else cfg.ins_rate for w in ins])
             assert math.isfinite(weight) and weight > 0
             assert weight == pytest.approx(expected, rel=1e-12)
+
+
+def test_nbest_slices_stay_nbest_lists(tmp_path, small_corpus, noise_config):
+    nbest = decode_nbest(small_corpus.utterances[0], noise_config, 10)
+    top = nbest[:3]
+    assert top == NBest(nbest.weights[:3], nbest.hyps[:3])
+    assert build_cn(top) == build_cn(list(nbest)[:3])
+    write_nbest(tmp_path / "n.txt", [("u", nbest)])
+    (_, again), = read_nbest(tmp_path / "n.txt")
+    assert again[1:] == NBest(again.weights[1:], again.hyps[1:])
 
 
 def test_build_cn_single_hypothesis():
@@ -239,7 +331,7 @@ def test_nbest_and_cn_files(tmp_path, small_corpus, noise_config):
     again = read_nbest(p)
     assert [uid for uid, _ in again] == [uid for uid, _ in per_utt]
     for (_, a), (_, b) in zip(again, per_utt):
-        assert [list(h) for _, h in a] == [h for _, h in b]
+        assert [list(h) for _, h in a] == [list(h) for _, h in b]
         assert [w for w, _ in a] == pytest.approx([w for w, _ in b])
     cns = [(uid, build_cn(nb)) for uid, nb in per_utt]
     write_cn(tmp_path / "cn.txt", cns)

@@ -234,8 +234,13 @@ def test_ae_load_names_a_missing_header_key(tmp_path, tiny_tables, key):
     (lambda h, a: (dict(h, source_dims=[5, 6]), a), "'w_enc'"),
     (lambda h, a: (dict(h, bottleneck=3), a), "'w_enc'"),
     (lambda h, a: (dict(h, source_names=["cbow"]), a), "source_names"),
+    # header values of another type than `save` writes
+    (lambda h, a: (dict(h, source_dims=["3", "4"]), a), "'source_dims'"),
+    (lambda h, a: (dict(h, source_dims=3), a), "'source_dims'"),
+    (lambda h, a: (dict(h, source_names=5), a), "'source_names'"),
 ], ids=["no-b_enc", "shorter-w_dec", "column-b_dec", "fewer-source-dims",
-        "wider-bottleneck", "one-source-name"])
+        "wider-bottleneck", "one-source-name", "text-source-dims", "int-source-dims",
+        "int-source-names"])
 def test_ae_load_names_a_misshapen_array(tmp_path, tiny_tables, edit, what):
     p, header, arrays = _saved_tiny_ae(tmp_path, tiny_tables)
     modelio.save_blob(p, "autoencoder", *edit(header, arrays))
@@ -418,8 +423,16 @@ def _grown(header, key, extra):
     (lambda h, a: (h, {k: v for k, v in a.items() if k != "b_out"}), "b_out"),
     (lambda h, a: (_grown(h, "fused_words", "cc"), a), "fused_matrix"),
     (lambda h, a: (h, dict(a, fused_matrix=a["fused_matrix"][:, :3])), "w_window"),
+    # header values of another type than `save` writes
+    (lambda h, a: (dict(h, widths=3), a), "widths"),
+    (lambda h, a: (dict(h, pos_vocab=5), a), "pos_vocab"),
+    (lambda h, a: (dict(h, unigrams=7), a), "unigrams"),
+    (lambda h, a: (dict(h, bigrams=[1]), a), "bigrams"),
+    (lambda h, a: (dict(h, config=[1]), a), "config"),
+    (lambda h, a: (dict(h, config=dict(h["config"], dropout=0.5)), a), "config"),
 ], ids=["wider-proj", "wider-hidden", "more-pos", "more-deprel", "transposed-merge",
-        "no-b_out", "more-fused-words", "narrower-fused"])
+        "no-b_out", "more-fused-words", "narrower-fused", "int-widths", "int-pos-vocab",
+        "int-unigrams", "int-bigram", "list-config", "unknown-config-field"])
 def test_msmlp_load_names_a_misshapen_array(tmp_path, edit, array):
     p, header, arrays = _saved_tiny_model(tmp_path)
     modelio.save_blob(p, "msmlp", *edit(header, arrays))
