@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .corpus import (FLAG_CORRECT, FLAG_ERROR, NULL_LABEL, ParseError,
@@ -126,7 +126,7 @@ class NoiseConfig:
     sub_rate: float = 0.156
     del_rate: float = 0.046
     ins_rate: float = 0.036
-    confusions: dict | None = None
+    confusions: dict | None = field(default=None, hash=False)  # a dict has no hash
     vocabulary: tuple = ()
     insertion_words: tuple = ()
     seed: int = 0

@@ -4,7 +4,9 @@ Two measures are produced per hypothesized word: the confusion-network
 posterior (computed in `alignment`) and the softmax-Correct score of a
 multi-stream MLP error detector trained on words flagged correct/error.
 The MLP's word representation is the bottleneck of an autoencoder that
-fuses several word embedding tables into one compact vector.
+fuses several word embedding tables into one compact vector.  Both
+networks train with the one plain mini-batch SGD step, `_sgd`, on a loss
+averaged per example (per word).
 """
 from __future__ import annotations
 
@@ -14,11 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import modelio
-from .corpus import Dataset, Utterance, text_lines
+from .corpus import FLAG_CORRECT, Dataset, Utterance, text_lines
 from .numutil import rng_for, softmax
 
 LM_FULL, LM_BACKOFF, LM_UNKNOWN = 0, 1, 2
 WINDOW = 2  # neighbors on each side in the MS-MLP window stream
+_AE_BATCH = 32  # words per autoencoder step
 
 
 class ConfidenceError(Exception):
@@ -130,7 +133,7 @@ def make_hash_embeddings(vocab, dim, name, seed) -> EmbeddingTable:
 
 
 # ---------------------------------------------------------------------------
-# Model file headers
+# Shared by both networks: model file checks, and training
 # ---------------------------------------------------------------------------
 
 # the type each model header key holds as JSON reads it back; [kind] is
@@ -165,6 +168,49 @@ def _header_values(path, header, *keys) -> list:
     return [header[key] for key in keys]
 
 
+def _check_arrays(path, arrays, shapes) -> None:
+    """ConfidenceError naming the file and the array for a name of
+    `shapes` that `arrays` lacks or holds in another shape."""
+    for name, shape in shapes.items():
+        got = arrays[name].shape if name in arrays else None
+        if got != shape:
+            raise ConfidenceError(f"{path}: array {name!r} has shape {got}, "
+                                  f"the header implies {shape}")
+
+
+def _init_params(shapes, rng) -> dict:
+    """Glorot-uniform weights `w_*` drawn from `rng` in table order, zero biases."""
+    def glorot(rows, cols):
+        lim = np.sqrt(6.0 / (rows + cols))
+        return rng.uniform(-lim, lim, size=(rows, cols))
+
+    return {name: glorot(*shape) if name.startswith("w_") else np.zeros(shape)
+            for name, shape in shapes.items()}
+
+
+def _dense(x, w, b):
+    """A dense layer's pre-activation for the example rows `x`."""
+    return x @ w.T + b
+
+
+def _dense_grads(name, dy, x) -> dict:
+    """The gradients of dense layer `name`'s `w_<name>` and `b_<name>`, from
+    its input rows `x` and the loss gradient `dy` at its `_dense` output."""
+    return {f"w_{name}": dy.T @ x, f"b_{name}": dy.sum(axis=0)}
+
+
+def _sgd(params, loss_and_grads, n, epochs, lr, batch, rng) -> None:
+    """Mini-batch gradient descent in place on `params`: each epoch steps every array
+    by -lr * its gradient in `loss_and_grads(idx)[1]` for each `batch` indices of
+    a permutation of range(n) drawn from `rng` (the last batch may be shorter)."""
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for s in range(0, n, batch):
+            _, grads = loss_and_grads(order[s:s + batch])
+            for name, g in grads.items():
+                params[name] -= lr * g
+
+
 # ---------------------------------------------------------------------------
 # Autoencoder fusion
 # ---------------------------------------------------------------------------
@@ -183,10 +229,10 @@ class AutoencoderModel:
         return self.w_enc.shape[0]
 
     def encode(self, x):
-        return np.tanh(x @ self.w_enc.T + self.b_enc)
+        return np.tanh(_dense(x, self.w_enc, self.b_enc))
 
     def decode(self, h):
-        return h @ self.w_dec.T + self.b_dec
+        return _dense(h, self.w_dec, self.b_dec)
 
     def save(self, path):
         header = {"source_names": list(self.source_names),
@@ -214,28 +260,14 @@ class AutoencoderModel:
         if len(names) != len(dims):
             raise ConfidenceError(f"{path}: {len(names)} source_names for "
                                   f"{len(dims)} source_dims")
-        din = sum(dims)
-        shapes = {"w_enc": (d, din), "b_enc": (d,), "w_dec": (din, d), "b_dec": (din,)}
-        for name, shape in shapes.items():
-            got = arrays[name].shape if name in arrays else None
-            if got != shape:
-                raise ConfidenceError(f"{path}: array {name!r} has shape {got}, "
-                                      f"the header implies {shape}")
+        _check_arrays(path, arrays, _ae_shapes(sum(dims), d))
         return cls(arrays["w_enc"], arrays["b_enc"], arrays["w_dec"],
                    arrays["b_dec"], names, dims)
 
 
-def _init_ae(din, d, seed) -> AutoencoderModel:
-    rng = rng_for("ae", seed)
-    lim_e = np.sqrt(6.0 / (din + d))
-    lim_d = np.sqrt(6.0 / (d + din))
-    return AutoencoderModel(
-        w_enc=rng.uniform(-lim_e, lim_e, size=(d, din)),
-        b_enc=np.zeros(d),
-        w_dec=rng.uniform(-lim_d, lim_d, size=(din, d)),
-        b_dec=np.zeros(din),
-        source_names=(), source_dims=(),
-    )
+def _ae_shapes(din, d):
+    """Shape of each autoencoder parameter, in the order they are initialized."""
+    return {"w_enc": (d, din), "b_enc": (d,), "w_dec": (din, d), "b_dec": (din,)}
 
 
 def ae_loss_and_grads(model: AutoencoderModel, x):
@@ -249,14 +281,8 @@ def ae_loss_and_grads(model: AutoencoderModel, x):
     diff = model.decode(h) - x
     loss = float(np.sum(diff ** 2)) / len(x)
     dy = 2.0 * diff / len(x)
-    grads = {
-        "w_dec": dy.T @ h,
-        "b_dec": dy.sum(axis=0),
-    }
-    dh = dy @ model.w_dec
-    dpre = dh * (1.0 - h ** 2)
-    grads["w_enc"] = dpre.T @ x
-    grads["b_enc"] = dpre.sum(axis=0)
+    grads = _dense_grads("dec", dy, h)
+    grads.update(_dense_grads("enc", (dy @ model.w_dec) * (1.0 - h ** 2), x))
     return loss, grads
 
 
@@ -271,14 +297,14 @@ def concat_vectors(tables, words):
     return np.stack([np.concatenate([t.lookup(w) for t in tables]) for w in words])
 
 
-def train_autoencoder(tables, d, epochs=300, lr=0.05, batch=32, seed=0):
+def train_autoencoder(tables, d, epochs=300, lr=0.05, seed=0):
     """Fit the fusion autoencoder on the tables' shared vocabulary.
 
-    Plain mini-batch gradient descent on the per-word reconstruction
-    error of `ae_loss_and_grads`, so `lr` is a step per word whatever the
-    input width.  The concatenation order of the source tables is part of
-    the model and round-trips through its file.  Returns (model, final
-    mse), the mse being the element mean over the whole vocabulary (the
+    `_sgd` in batches of 32 words on the per-word reconstruction error of
+    `ae_loss_and_grads`, so `lr` is a step per word whatever the input
+    width.  The concatenation order of the source tables is part of the
+    model and round-trips through its file.  Returns (model, final mse),
+    the mse being the element mean over the whole vocabulary (the
     per-word loss divided by Din).
     """
     if len(tables) < 2:
@@ -289,17 +315,12 @@ def train_autoencoder(tables, d, epochs=300, lr=0.05, batch=32, seed=0):
     if not vocab:
         raise ConfidenceError("embedding tables share no vocabulary")
     x = concat_vectors(tables, vocab)
-    model = _init_ae(x.shape[1], d, seed)
-    model.source_names = tuple(t.name for t in tables)
-    model.source_dims = tuple(t.dim for t in tables)
-    rng = rng_for("ae-shuffle", seed)
-    for _ in range(epochs):
-        order = rng.permutation(len(x))
-        for s in range(0, len(x), batch):
-            xb = x[order[s:s + batch]]
-            _, grads = ae_loss_and_grads(model, xb)
-            for name, g in grads.items():
-                setattr(model, name, getattr(model, name) - lr * g)
+    params = _init_params(_ae_shapes(x.shape[1], d), rng_for("ae", seed))
+    # the model holds the very arrays `_sgd` steps in place
+    model = AutoencoderModel(**params, source_names=tuple(t.name for t in tables),
+                             source_dims=tuple(t.dim for t in tables))
+    _sgd(params, lambda idx: ae_loss_and_grads(model, x[idx]), len(x), epochs, lr,
+         _AE_BATCH, rng_for("ae-shuffle", seed))
     loss = ae_loss_and_grads(model, x)[0] / x.shape[1]
     return model, loss
 
@@ -439,22 +460,20 @@ class MsMlpModel:
         self.params = params
         self.config = config
 
-    def forward(self, streams, want_cache=False):
+    def forward(self, streams):
+        """(Correct and Error scores, (projs, m_in, m, h)): the scores of the
+        rows of `streams`, and the layer outputs the gradient reads."""
         p = self.params
-        projs = {}
-        for name in STREAM_ORDER:
-            projs[name] = np.tanh(streams[name] @ p[f"w_{name}"].T + p[f"b_{name}"])
+        projs = {name: np.tanh(_dense(streams[name], p[f"w_{name}"], p[f"b_{name}"]))
+                 for name in STREAM_ORDER}
         m_in = np.concatenate([projs[name] for name in STREAM_ORDER], axis=1)
-        m = np.tanh(m_in @ p["w_merge"].T + p["b_merge"])
-        h = np.tanh(m @ p["w_hidden"].T + p["b_hidden"])
-        z = h @ p["w_out"].T + p["b_out"]
-        if want_cache:
-            return z, (projs, m_in, m, h)
-        return z
+        m = np.tanh(_dense(m_in, p["w_merge"], p["b_merge"]))
+        h = np.tanh(_dense(m, p["w_hidden"], p["b_hidden"]))
+        return _dense(h, p["w_out"], p["b_out"]), (projs, m_in, m, h)
 
     def confidences(self, utt: Utterance):
         """Softmax value of the Correct output per token, strictly in (0,1)."""
-        z = self.forward(self.vectorizer.streams(utt))
+        z = self.forward(self.vectorizer.streams(utt))[0]
         diff = z[:, 0] - z[:, 1]
         p = 1.0 / (1.0 + np.exp(-np.clip(diff, -700, 700)))
         return np.clip(p, 1e-15, 1.0 - 1e-15)
@@ -512,11 +531,7 @@ class MsMlpModel:
                 f"{path}: array 'fused_matrix' does not have one row per fused word")
         vec = MsMlpVectorizer(EmbeddingTable(words, matrix, name="fused"), *vocabs)
         dims = vec.stream_dims()
-        for name, shape in _param_shapes(dims, cfg).items():
-            got = arrays[name].shape if name in arrays else None
-            if got != shape:
-                raise ConfidenceError(f"{path}: array {name!r} has shape {got}, "
-                                      f"the header implies {shape}")
+        _check_arrays(path, arrays, _param_shapes(dims, cfg))
         if header_dims != dims:
             raise ConfidenceError(
                 f"{path}: header stream_dims {header_dims} are not those of its "
@@ -537,44 +552,30 @@ def _param_shapes(stream_dims, cfg: MsMlpConfig):
 
 
 def _init_mlp_params(vectorizer: MsMlpVectorizer, cfg: MsMlpConfig):
-    rng = rng_for("msmlp", cfg.seed)
-
-    def glorot(rows, cols):
-        lim = np.sqrt(6.0 / (rows + cols))
-        return rng.uniform(-lim, lim, size=(rows, cols))
-
-    return {name: glorot(*shape) if name.startswith("w_") else np.zeros(shape)
-            for name, shape in _param_shapes(vectorizer.stream_dims(), cfg).items()}
+    return _init_params(_param_shapes(vectorizer.stream_dims(), cfg),
+                        rng_for("msmlp", cfg.seed))
 
 
 def mlp_loss_and_grads(model: MsMlpModel, streams, y):
     """Mean 2-class cross entropy over a batch, with gradients."""
     p = model.params
-    z, (projs, m_in, m, h) = model.forward(streams, want_cache=True)
+    z, (projs, m_in, m, h) = model.forward(streams)
     probs = softmax(z, axis=1)
     n = len(y)
     loss = float(-np.mean(np.log(np.clip(probs[np.arange(n), y], 1e-300, None))))
     dz = probs.copy()
     dz[np.arange(n), y] -= 1.0
     dz /= n
-    grads = {"w_out": dz.T @ h, "b_out": dz.sum(axis=0)}
-    dh = dz @ p["w_out"]
-    dh_pre = dh * (1.0 - h ** 2)
-    grads["w_hidden"] = dh_pre.T @ m
-    grads["b_hidden"] = dh_pre.sum(axis=0)
-    dm = dh_pre @ p["w_hidden"]
-    dm_pre = dm * (1.0 - m ** 2)
-    grads["w_merge"] = dm_pre.T @ m_in
-    grads["b_merge"] = dm_pre.sum(axis=0)
+    grads = _dense_grads("out", dz, h)
+    dh_pre = (dz @ p["w_out"]) * (1.0 - h ** 2)
+    grads.update(_dense_grads("hidden", dh_pre, m))
+    dm_pre = (dh_pre @ p["w_hidden"]) * (1.0 - m ** 2)
+    grads.update(_dense_grads("merge", dm_pre, m_in))
     dm_in = dm_pre @ p["w_merge"]
-    offset = 0
-    proj = next(iter(projs.values())).shape[1]
-    for name in STREAM_ORDER:
-        dp = dm_in[:, offset:offset + proj]
-        offset += proj
-        dp_pre = dp * (1.0 - projs[name] ** 2)
-        grads[f"w_{name}"] = dp_pre.T @ streams[name]
-        grads[f"b_{name}"] = dp_pre.sum(axis=0)
+    proj = model.config.proj
+    for k, name in enumerate(STREAM_ORDER):
+        dp_pre = dm_in[:, k * proj:(k + 1) * proj] * (1.0 - projs[name] ** 2)
+        grads.update(_dense_grads(name, dp_pre, streams[name]))
     return loss, grads
 
 
@@ -595,27 +596,25 @@ def _training_matrix(dataset: Dataset, vectorizer: MsMlpVectorizer):
             if tok.error_flag is None:
                 raise ConfidenceError(
                     f"token {i} of {utt.id!r} lacks an error flag")
-            y[at + i] = 0 if tok.error_flag == "correct" else 1
+            y[at + i] = 0 if tok.error_flag == FLAG_CORRECT else 1
         at = end
     return x, y
 
 
 def train_msmlp(dataset: Dataset, vectorizer: MsMlpVectorizer,
                 cfg: MsMlpConfig = MsMlpConfig()) -> MsMlpModel:
-    """Mini-batch gradient descent on 2-class cross entropy."""
+    """`_sgd` on the per-token 2-class cross entropy of `mlp_loss_and_grads`,
+    with the epochs, step, batch size and seed of `cfg`."""
     if len(dataset) == 0:
         raise ConfidenceError("cannot train on an empty dataset")
     model = MsMlpModel(vectorizer, _init_mlp_params(vectorizer, cfg), cfg)
     x, y = _training_matrix(dataset, vectorizer)
-    rng = rng_for("msmlp-shuffle", cfg.seed)
-    for _ in range(cfg.epochs):
-        order = rng.permutation(len(y))
-        for s in range(0, len(y), cfg.batch):
-            idx = order[s:s + cfg.batch]
-            xb = {name: x[name][idx] for name in STREAM_ORDER}
-            _, grads = mlp_loss_and_grads(model, xb, y[idx])
-            for name, g in grads.items():
-                model.params[name] -= cfg.lr * g
+
+    def loss_and_grads(idx):
+        return mlp_loss_and_grads(model, {name: x[name][idx] for name in STREAM_ORDER}, y[idx])
+
+    _sgd(model.params, loss_and_grads, len(y), cfg.epochs, cfg.lr, cfg.batch,
+         rng_for("msmlp-shuffle", cfg.seed))
     return model
 
 

@@ -370,31 +370,22 @@ class TextPool(dict):
         return text
 
 
-def _undecodable_line(path):
-    """The number of the first line of `path` holding bytes that are not
-    UTF-8, counting lines as a text-mode read does; None if it has none."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, 1):
-            try:
-                line.encode("utf-8")  # fails on the escaped bytes only
-            except UnicodeEncodeError:
-                return lineno
-    return None
-
-
 def text_lines(path, refuse):
     """Yield (line number, line without its line break) for each line of
     a UTF-8 text file, lines split as a text-mode `open` splits them.
 
     Raises the exception `refuse(n)` returns for bytes that are not
-    UTF-8, n being the number of the first line that holds them.
+    UTF-8, n being the number of the first line that holds them, after
+    yielding the lines before it.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                yield lineno, raw.rstrip("\n")
-    except UnicodeDecodeError as exc:
-        raise refuse(_undecodable_line(path)) from exc
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            if not raw.isascii():
+                try:
+                    raw.encode("utf-8")  # fails on the escaped bytes only
+                except UnicodeEncodeError as exc:
+                    raise refuse(lineno) from exc
+            yield lineno, raw.rstrip("\n")
 
 
 def read_blocks(path):

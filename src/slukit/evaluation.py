@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from . import alignment
-from .corpus import (NULL_LABEL, Dataset, PhraseTable, TaggerOutput,
+from .corpus import (FLAG_CORRECT, NULL_LABEL, Dataset, PhraseTable, TaggerOutput,
                      Utterance, label_segments, repair_bio, segments_of)
 
 ABSTAIN = "<abstain>"
@@ -47,7 +47,7 @@ def records_from_dataset(dataset: Dataset, measure: str):
             conf = getattr(tok, attr)
             if tok.error_flag is None or conf is None:
                 continue
-            records.append(ConfidenceRecord(utt.id, i, tok.error_flag == "correct", conf))
+            records.append(ConfidenceRecord(utt.id, i, tok.error_flag == FLAG_CORRECT, conf))
     return records
 
 
@@ -231,11 +231,11 @@ def _check_aligned(outputs_by_system):
                     f"{a.id!r}: label sequences of different length cannot be combined")
 
 
-def combine_weighted(outputs_by_system, weights, priority=None):
+def combine_weighted(outputs_by_system, weights):
     """Per-position weighted vote over aligned label sequences.
 
     The label with the highest summed weight wins; ties go to the label
-    voted by the earliest system in `priority` (list order by default).
+    voted by the earliest system in the list.
     """
     _check_aligned(outputs_by_system)
     k = len(outputs_by_system)
@@ -243,8 +243,6 @@ def combine_weighted(outputs_by_system, weights, priority=None):
         raise EvaluationError(f"{k} systems but {len(weights)} weights")
     if any(w < 0 for w in weights) or not any(w > 0 for w in weights):
         raise EvaluationError("weights must be nonnegative with at least one positive")
-    if priority is None:
-        priority = list(range(k))
     combined = []
     for utt_idx, first in enumerate(outputs_by_system[0]):
         labels = []
@@ -259,8 +257,8 @@ def combine_weighted(outputs_by_system, weights, priority=None):
             if len(tied) == 1:
                 labels.append(next(iter(tied)))
             else:
-                labels.append(next(votes_by_system[s][pos] for s in priority
-                                   if votes_by_system[s][pos] in tied))
+                labels.append(next(votes[pos] for votes in votes_by_system
+                                   if votes[pos] in tied))
         combined.append(TaggerOutput(first.id, tuple(labels)))
     return combined
 
@@ -301,7 +299,7 @@ def _simplex_grid(k: int, step: float):
 
 
 def tune_weights(outputs_by_system, ref: Dataset, hyp: Dataset,
-                 step: float = 0.1, value_table=None, priority=None):
+                 step: float = 0.1, value_table=None):
     """Exhaustive grid search over the weight simplex minimizing dev CER.
 
     A position's vote depends only on which systems agree there.  For
@@ -329,7 +327,7 @@ def tune_weights(outputs_by_system, ref: Dataset, hyp: Dataset,
     best = None
     cer_cache = {}
     for weights in _simplex_grid(k, step):
-        winners = combine_weighted(table, weights, priority=priority)[0].labels
+        winners = combine_weighted(table, weights)[0].labels
         if winners not in cer_cache:
             labels = [col[winners[p]] for col, p in zip(tuples, pattern_of)]
             combined = [TaggerOutput(o.id, tuple(labels[c] for c in cols))

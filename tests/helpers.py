@@ -12,12 +12,13 @@ import numpy as np
 
 from slukit.alignment import (DEL, EPS, INS, MATCH, SUB, Alignment,
                               ConfusionNetwork, align)
-from slukit.confidence import (BOS, STREAM_ORDER, WINDOW, ConfidenceError,
-                               lm_category)
+from slukit.confidence import (BOS, STREAM_ORDER, WINDOW, AutoencoderModel,
+                               ConfidenceError, MsMlpModel, concat_vectors,
+                               lm_category, shared_vocabulary)
 from slukit.corpus import (ERROR_LABELS, FLAG_CORRECT, FLAG_ERROR, NULL_LABEL,
                            ConceptSegment, PhraseTable, SchemaError, Token, Utterance)
 from slukit.evaluation import combine_weighted, score
-from slukit.numutil import derived_seed
+from slukit.numutil import derived_seed, rng_for, softmax
 
 
 def utt(uid, words, labels=None, flags=None, **token_kw):
@@ -293,14 +294,13 @@ def simplex_grid(k, step):
             for parts in itertools.product(range(m + 1), repeat=k) if sum(parts) == m]
 
 
-def brute_force_tune_weights(outputs_by_system, ref, hyp, step, value_table=None,
-                             priority=None):
+def brute_force_tune_weights(outputs_by_system, ref, hyp, step, value_table=None):
     """Grid search that votes every position and scores every weighting,
     with the selection key `tune_weights` documents."""
     uniform = 1.0 / len(outputs_by_system)
     best = None
     for weights in simplex_grid(len(outputs_by_system), step):
-        combined = combine_weighted(outputs_by_system, weights, priority=priority)
+        combined = combine_weighted(outputs_by_system, weights)
         cer = score(ref, hyp, combined, value_table).cer
         dist = sum((w - uniform) ** 2 for w in weights)
         key = (round(cer, 10), round(dist, 12), weights)
@@ -358,3 +358,95 @@ def reference_streams(vectorizer, u):
         out["govpos"][i] = onehot(vectorizer.pos_vocab,
                                   "root" if gov is None else (u.tokens[gov].pos or "<none>"))
     return out
+
+
+def reference_train_autoencoder(tables, d, epochs=300, lr=0.05, batch=32, seed=0):
+    """The fusion autoencoder trained by its own code rather than the
+    trainers' shared one: a Glorot initializer with its own limits, a
+    loop that rebinds each array to a new one, and the reconstruction
+    gradient written out layer by layer.  Returns (model, final mse)."""
+    x = concat_vectors(tables, shared_vocabulary(tables))
+    din = x.shape[1]
+    rng = rng_for("ae", seed)
+    lim_e = np.sqrt(6.0 / (din + d))
+    lim_d = np.sqrt(6.0 / (d + din))
+    model = AutoencoderModel(
+        w_enc=rng.uniform(-lim_e, lim_e, size=(d, din)), b_enc=np.zeros(d),
+        w_dec=rng.uniform(-lim_d, lim_d, size=(din, d)), b_dec=np.zeros(din),
+        source_names=tuple(t.name for t in tables),
+        source_dims=tuple(t.dim for t in tables))
+
+    def loss_and_grads(xb):
+        h = np.tanh(xb @ model.w_enc.T + model.b_enc)
+        diff = h @ model.w_dec.T + model.b_dec - xb
+        dy = 2.0 * diff / len(xb)
+        dpre = (dy @ model.w_dec) * (1.0 - h ** 2)
+        return float(np.sum(diff ** 2)) / len(xb), {
+            "w_dec": dy.T @ h, "b_dec": dy.sum(axis=0),
+            "w_enc": dpre.T @ xb, "b_enc": dpre.sum(axis=0)}
+
+    rng = rng_for("ae-shuffle", seed)
+    for _ in range(epochs):
+        order = rng.permutation(len(x))
+        for s in range(0, len(x), batch):
+            _, grads = loss_and_grads(x[order[s:s + batch]])
+            for name, g in grads.items():
+                setattr(model, name, getattr(model, name) - lr * g)
+    return model, loss_and_grads(x)[0] / din
+
+
+def reference_train_msmlp(dataset, vectorizer, cfg):
+    """The MS-MLP trained by its own code rather than the trainers'
+    shared one: its own Glorot initializer over a shape table written
+    out, its own loop, and the cross-entropy gradient written out layer
+    by layer, on the `reference_training_matrix` rows."""
+    rng = rng_for("msmlp", cfg.seed)
+    dims = vectorizer.stream_dims()
+    shapes = {}
+    for name in STREAM_ORDER:
+        shapes[f"w_{name}"] = (cfg.proj, dims[name])
+        shapes[f"b_{name}"] = (cfg.proj,)
+    shapes.update(w_merge=(cfg.merge, cfg.proj * len(STREAM_ORDER)), b_merge=(cfg.merge,),
+                  w_hidden=(cfg.hidden, cfg.merge), b_hidden=(cfg.hidden,),
+                  w_out=(2, cfg.hidden), b_out=(2,))
+
+    def glorot(rows, cols):
+        lim = np.sqrt(6.0 / (rows + cols))
+        return rng.uniform(-lim, lim, size=(rows, cols))
+
+    p = {name: glorot(*shape) if name.startswith("w_") else np.zeros(shape)
+         for name, shape in shapes.items()}
+
+    def grads_of(streams, y):
+        projs = {name: np.tanh(streams[name] @ p[f"w_{name}"].T + p[f"b_{name}"])
+                 for name in STREAM_ORDER}
+        m_in = np.concatenate([projs[name] for name in STREAM_ORDER], axis=1)
+        m = np.tanh(m_in @ p["w_merge"].T + p["b_merge"])
+        h = np.tanh(m @ p["w_hidden"].T + p["b_hidden"])
+        dz = softmax(h @ p["w_out"].T + p["b_out"], axis=1)
+        dz[np.arange(len(y)), y] -= 1.0
+        dz /= len(y)
+        grads = {"w_out": dz.T @ h, "b_out": dz.sum(axis=0)}
+        dh_pre = (dz @ p["w_out"]) * (1.0 - h ** 2)
+        grads["w_hidden"] = dh_pre.T @ m
+        grads["b_hidden"] = dh_pre.sum(axis=0)
+        dm_pre = (dh_pre @ p["w_hidden"]) * (1.0 - m ** 2)
+        grads["w_merge"] = dm_pre.T @ m_in
+        grads["b_merge"] = dm_pre.sum(axis=0)
+        dm_in = dm_pre @ p["w_merge"]
+        for k, name in enumerate(STREAM_ORDER):
+            dp_pre = dm_in[:, k * cfg.proj:(k + 1) * cfg.proj] * (1.0 - projs[name] ** 2)
+            grads[f"w_{name}"] = dp_pre.T @ streams[name]
+            grads[f"b_{name}"] = dp_pre.sum(axis=0)
+        return grads
+
+    x, y = reference_training_matrix(dataset, vectorizer)
+    rng = rng_for("msmlp-shuffle", cfg.seed)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(y))
+        for s in range(0, len(y), cfg.batch):
+            idx = order[s:s + cfg.batch]
+            grads = grads_of({name: x[name][idx] for name in STREAM_ORDER}, y[idx])
+            for name, g in grads.items():
+                p[name] -= cfg.lr * g
+    return MsMlpModel(vectorizer, p, cfg)

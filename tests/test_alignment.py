@@ -95,6 +95,14 @@ def test_noise_config_invariants():
     assert NoiseConfig().target_wer == pytest.approx(23.8)
 
 
+def test_noise_config_hashes(noise_config):
+    # a pipeline config holds a confusion dict, which has no hash
+    twin = dataclasses.replace(noise_config, confusions=dict(noise_config.confusions))
+    assert twin == noise_config and hash(twin) == hash(noise_config)
+    assert {noise_config, twin} == {noise_config}
+    assert dataclasses.replace(noise_config, confusions={}) != noise_config
+
+
 def test_corrupt_zero_rates_is_identity(small_corpus, noise_config):
     cfg = dataclasses.replace(noise_config, sub_rate=0.0, del_rate=0.0, ins_rate=0.0)
     for u in small_corpus.utterances[:10]:

@@ -21,8 +21,8 @@ from slukit.corpus import Dataset, Token, Utterance
 from slukit.grammar import annotate_words, generate_corpus
 from slukit.numutil import rng_for
 
-from helpers import (fd_gradcheck, reference_streams, reference_training_matrix,
-                     utt)
+from helpers import (fd_gradcheck, reference_streams, reference_train_autoencoder,
+                     reference_train_msmlp, reference_training_matrix, utt)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +317,7 @@ def test_mlp_learns_separable_data():
     model = train_msmlp(ds, vec, MsMlpConfig(proj=6, merge=12, hidden=8,
                                              epochs=60, lr=0.5, seed=1))
     x, y = conf._training_matrix(ds, vec)
-    z = model.forward(x)
+    z = model.forward(x)[0]
     acc = float(np.mean(np.argmax(z, axis=1) == y))
     assert acc >= 0.98
 
@@ -569,3 +569,54 @@ def test_attach_confidence_fills_column():
     for u in out:
         for t in u.tokens:
             assert t.mlp_conf is not None and 0.0 <= t.mlp_conf <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# Both trainers against their own hand-written reference
+# ---------------------------------------------------------------------------
+
+_seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@given(n_words=st.integers(min_value=1, max_value=70),
+       dims=st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=3),
+       d=st.integers(min_value=1, max_value=4), epochs=st.integers(min_value=0, max_value=3),
+       lr=st.sampled_from([0.05, 0.4]), seed=_seeds)
+def test_train_autoencoder_equals_reference(n_words, dims, d, epochs, lr, seed):
+    # 32 words per batch: most vocabulary sizes leave a short last batch
+    vocab = [f"w{i}" for i in range(n_words)]
+    tables = [make_hash_embeddings(vocab, dim, f"t{k}", seed) for k, dim in enumerate(dims)]
+    model, mse = train_autoencoder(tables, d, epochs=epochs, lr=lr, seed=seed)
+    expected, expected_mse = reference_train_autoencoder(tables, d, epochs=epochs, lr=lr,
+                                                         seed=seed)
+    assert mse == expected_mse
+    for name in ("w_enc", "b_enc", "w_dec", "b_dec"):
+        assert np.array_equal(getattr(model, name), getattr(expected, name)), name
+
+
+@st.composite
+def _flagged_datasets(draw):
+    words = st.sampled_from(["aa", "bb", "cc", "dd", "zz"])
+    utts = []
+    for k in range(draw(st.integers(min_value=1, max_value=6))):
+        ws = draw(st.lists(words, min_size=1, max_size=5))
+        flags = draw(st.lists(st.sampled_from(["correct", "error"]),
+                              min_size=len(ws), max_size=len(ws)))
+        utts.append(Utterance(f"u{k}", _flagged(ws, flags).tokens))
+    return Dataset(tuple(utts))
+
+
+@given(ds=_flagged_datasets(), fused_dim=st.integers(min_value=1, max_value=3),
+       widths=st.tuples(*[st.integers(min_value=1, max_value=4)] * 3),
+       epochs=st.integers(min_value=0, max_value=3), batch=st.integers(min_value=1, max_value=8),
+       lr=st.sampled_from([0.3, 1.0]), seed=_seeds)
+def test_train_msmlp_equals_reference(ds, fused_dim, widths, epochs, batch, lr, seed):
+    vec = _tiny_vectorizer(("aa", "bb", "cc", "dd"), fused_dim=fused_dim)
+    proj, merge, hidden = widths
+    cfg = MsMlpConfig(proj=proj, merge=merge, hidden=hidden, epochs=epochs, lr=lr,
+                      batch=batch, seed=seed)
+    params = train_msmlp(ds, vec, cfg).params
+    expected = reference_train_msmlp(ds, vec, cfg).params
+    assert list(params) == list(expected)
+    for name in expected:
+        assert np.array_equal(params[name], expected[name]), name

@@ -73,6 +73,12 @@ def test_read_dataset_names_the_line_that_is_not_utf8(tmp_path):
                   + row.replace(b"a", b"\xff") + b"\r\n\r\n")
     with pytest.raises(ParseError, match="bad.tsv: line 5: text is not UTF-8"):
         read_dataset(p)
+    # past the first 8 KiB, where a text-mode read decodes its next chunk
+    good = b"".join(b"# id=u%d\r\n" % i + row + b"\r\n\r\n" for i in range(400))
+    assert len(good) > 8192
+    p.write_bytes(good + b"# id=bad\r\n" + row.replace(b"a", b"\xff") + b"\r\n\r\n")
+    with pytest.raises(ParseError, match="bad.tsv: line 1202: text is not UTF-8"):
+        read_dataset(p)
 
 
 def test_read_invalid_continuation(tmp_path):

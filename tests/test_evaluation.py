@@ -159,7 +159,6 @@ def test_combine_weighted_overrides_majority():
 def test_combine_tie_break_by_priority():
     outs = _outputs(["B-A"], ["B-B"])
     assert combine_weighted(outs, [0.5, 0.5])[0].labels == ("B-A",)
-    assert combine_weighted(outs, [0.5, 0.5], priority=[1, 0])[0].labels == ("B-B",)
 
 
 @given(st.integers(min_value=0, max_value=3))
@@ -269,44 +268,43 @@ def tuning_cases(draw):
             systems.append([TaggerOutput(uid, tuple(draw(st.lists(labels, min_size=n, max_size=n))))
                             for uid, n in shape])
     step = draw(st.sampled_from([0.5, 0.25]))
-    priority = draw(st.sampled_from([None, list(reversed(range(k)))])
-                    | st.permutations(range(k)))
-    return systems, ref, hyp, step, priority
+    # a copy may come before the system it copies, and ties go to list order
+    return draw(st.permutations(systems)), ref, hyp, step
 
 
 def _shared_pattern_case():
     """Positions 0 and 1 carry different label tuples with one agreement
-    pattern (systems 0 and 2 agree, system 1 differs); priority is
-    reversed, so equal-weight ties go to the last system."""
+    pattern (systems 0 and 2 agree, system 1 differs); the rows are in
+    reverse order, so equal-weight ties go to the row written last."""
     words = ["w0", "w1", "w2"]
     ref = Dataset((utt("u", words, ["B-B", NULL_LABEL, "B-A"]),))
     hyp = Dataset((utt("u", words),))
     rows = [("B-A", "B-B", NULL_LABEL), ("B-B", NULL_LABEL, "B-A"), ("B-A", "B-B", "B-B")]
-    systems = [[TaggerOutput("u", row)] for row in rows]
-    return systems, ref, hyp, 0.5, [2, 1, 0]
+    systems = [[TaggerOutput("u", row)] for row in reversed(rows)]
+    return systems, ref, hyp, 0.5
 
 
 @given(tuning_cases())
 @example(_shared_pattern_case())
 def test_tune_weights_equals_brute_force(case):
-    systems, ref, hyp, step, priority = case
+    systems, ref, hyp, step = case
     try:
-        expected = brute_force_tune_weights(systems, ref, hyp, step, priority=priority)
+        expected = brute_force_tune_weights(systems, ref, hyp, step)
     except EvaluationError:
         with pytest.raises(EvaluationError):
-            tune_weights(systems, ref, hyp, step=step, priority=priority)
+            tune_weights(systems, ref, hyp, step=step)
         return
-    assert tune_weights(systems, ref, hyp, step=step, priority=priority) == expected
+    assert tune_weights(systems, ref, hyp, step=step) == expected
 
 
 @given(tuning_cases())
 def test_tune_weights_call_contract(case):
     # bench/tracing.py counts combine_weighted calls under tune_weights as
     # grid points and divides score calls by them
-    systems, ref, hyp, step, priority = case
+    systems, ref, hyp, step = case
     assume(any(lab != NULL_LABEL for u in ref for lab in u.labels()))
     grid = simplex_grid(len(systems), step)
-    outputs = {tuple(o.labels for o in combine_weighted(systems, weights, priority=priority))
+    outputs = {tuple(o.labels for o in combine_weighted(systems, weights))
                for weights in grid}
     calls = {"combine_weighted": 0, "score": 0}
 
@@ -319,5 +317,5 @@ def test_tune_weights_call_contract(case):
     with pytest.MonkeyPatch.context() as mp:
         for name in calls:
             mp.setattr(evaluation, name, counted(name, getattr(evaluation, name)))
-        tune_weights(systems, ref, hyp, step=step, priority=priority)
+        tune_weights(systems, ref, hyp, step=step)
     assert calls == {"combine_weighted": len(grid), "score": len(outputs)}
