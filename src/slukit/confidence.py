@@ -22,6 +22,7 @@ from .numutil import rng_for, softmax
 LM_FULL, LM_BACKOFF, LM_UNKNOWN = 0, 1, 2
 WINDOW = 2  # neighbors on each side in the MS-MLP window stream
 _AE_BATCH = 32  # words per autoencoder step
+_CHUNK = 256  # tokens per attach_confidence forward pass
 
 
 class ConfidenceError(Exception):
@@ -375,12 +376,23 @@ class MsMlpConfig:
     seed: int = 0
 
 
+STREAM_ORDER = ("window", "length", "lm", "pos", "deprel", "govpos")
+
+
 class MsMlpVectorizer:
     """Turns tokens into the detector's input streams.
 
     Streams, in fixed order: fused embeddings of the word and its
     +-WINDOW neighbors (zeros for unknown words and past either end),
     word length, LM-backoff behaviour, POS, dependency relation, and governor POS.
+
+    They are made in two steps.  `encode` reads utterances once and writes
+    each token's ids into one int32 array per stream: the fused-table rows
+    of its window (the extra zero row for an unknown word and past either
+    end of its utterance), its length, and its LM category, POS, deprel
+    and governor-POS indices.  `gather` turns the ids of any selection of
+    tokens into the dense float64 rows of each stream, so that a caller
+    holds those rows for one batch or chunk of tokens at a time.
     """
 
     def __init__(self, fused: EmbeddingTable, pos_vocab, deprel_vocab,
@@ -388,6 +400,9 @@ class MsMlpVectorizer:
         self.fused = fused
         self.pos_vocab = list(pos_vocab)
         self.deprel_vocab = list(deprel_vocab)
+        for key, vocab in (("pos_vocab", self.pos_vocab), ("deprel_vocab", self.deprel_vocab)):
+            if "<unk>" not in vocab:
+                raise ConfidenceError(f"vocabulary {key!r} lacks '<unk>'")
         self.unigrams = frozenset(unigrams)
         self.bigrams = frozenset(bigrams)
         self._pos_idx = {p: i for i, p in enumerate(self.pos_vocab)}
@@ -423,32 +438,56 @@ class MsMlpVectorizer:
             "govpos": len(self.pos_vocab),
         }
 
-    def streams(self, utt: Utterance):
-        toks = utt.tokens
-        words = [t.surface for t in toks]
+    def encode(self, utts) -> dict:
+        """Each stream's int32 ids for the tokens of the utterance sequence `utts`,
+        in order: an (n, 2*WINDOW+1) array for "window", an (n,) array for the others."""
+        lengths = [len(u) for u in utts]
+        n = sum(lengths)
+        ids = {name: np.empty((n, 2 * WINDOW + 1) if name == "window" else n, np.int32)
+               for name in STREAM_ORDER}
         zero_row = len(self.fused)
-        rows = np.array([zero_row] * WINDOW
-                        + [self.fused._index.get(w.lower(), zero_row) for w in words]
-                        + [zero_row] * WINDOW)
-        spans = np.arange(len(words))[:, None] + np.arange(2 * WINDOW + 1)
-        lm = [lm_category(prev, w, self.unigrams, self.bigrams)
-              for prev, w in zip([BOS] + words, words)]
+        # each utterance's fused rows between WINDOW zero rows on either side
+        padded = np.full(n + 2 * WINDOW * len(lengths), zero_row, np.int32)
         pos_unk, rel_unk = self._pos_idx["<unk>"], self._rel_idx["<unk>"]
-        pos = [self._pos_idx.get(t.pos or "<none>", pos_unk) for t in toks]
-        rel = [self._rel_idx.get(t.deprel or "<none>", rel_unk) for t in toks]
         root = self._pos_idx.get("root", pos_unk)
-        govpos = [root if t.governor is None else pos[t.governor] for t in toks]
+        at = 0
+        for k, utt in enumerate(utts):
+            toks = utt.tokens
+            end = at + len(toks)
+            words = [t.surface for t in toks]
+            shift = (2 * k + 1) * WINDOW
+            padded[at + shift:end + shift] = [self.fused._index.get(w.lower(), zero_row)
+                                              for w in words]
+            ids["length"][at:end] = [len(w) for w in words]
+            ids["lm"][at:end] = [lm_category(prev, w, self.unigrams, self.bigrams)
+                                 for prev, w in zip([BOS] + words, words)]
+            pos = [self._pos_idx.get(t.pos or "<none>", pos_unk) for t in toks]
+            ids["pos"][at:end] = pos
+            ids["deprel"][at:end] = [self._rel_idx.get(t.deprel or "<none>", rel_unk)
+                                     for t in toks]
+            ids["govpos"][at:end] = [root if t.governor is None else pos[t.governor]
+                                     for t in toks]
+            at = end
+        first = np.arange(n) + np.repeat(2 * WINDOW * np.arange(len(lengths)), lengths)
+        ids["window"][:] = padded[first[:, None] + np.arange(2 * WINDOW + 1)]
+        return ids
+
+    def gather(self, ids, sel=slice(None)) -> dict:
+        """Each stream's float64 rows for the tokens that `sel`, an index array
+        or a slice, selects from the `encode` ids `ids`."""
+        window = self._rows[ids["window"][sel]]
         return {
-            "window": self._rows[rows[spans]].reshape(len(words), -1),
-            "length": np.array([len(w) for w in words], dtype=np.float64)[:, None] / 10.0,
-            "lm": self._lm_eye[lm],
-            "pos": self._pos_eye[pos],
-            "deprel": self._rel_eye[rel],
-            "govpos": self._pos_eye[govpos],
+            "window": window.reshape(len(window), (2 * WINDOW + 1) * self.fused.dim),
+            "length": ids["length"][sel, None] / 10.0,
+            "lm": self._lm_eye[ids["lm"][sel]],
+            "pos": self._pos_eye[ids["pos"][sel]],
+            "deprel": self._rel_eye[ids["deprel"][sel]],
+            "govpos": self._pos_eye[ids["govpos"][sel]],
         }
 
-
-STREAM_ORDER = ("window", "length", "lm", "pos", "deprel", "govpos")
+    def streams(self, utt: Utterance):
+        """The stream rows of one utterance: `gather` of its `encode` ids."""
+        return self.gather(self.encode((utt,)))
 
 
 class MsMlpModel:
@@ -473,7 +512,11 @@ class MsMlpModel:
 
     def confidences(self, utt: Utterance):
         """Softmax value of the Correct output per token, strictly in (0,1)."""
-        z = self.forward(self.vectorizer.streams(utt))[0]
+        return self._confidences(self.vectorizer.streams(utt))
+
+    def _confidences(self, streams):
+        """`confidences` of the token rows of `streams`."""
+        z = self.forward(streams)[0]
         diff = z[:, 0] - z[:, 1]
         p = 1.0 / (1.0 + np.exp(-np.clip(diff, -700, 700)))
         return np.clip(p, 1e-15, 1.0 - 1e-15)
@@ -505,10 +548,10 @@ class MsMlpModel:
         Raises ConfidenceError naming the file and the key or array for
         a header that lacks a key or holds a value of another type than
         `save` writes, a config field MsMlpConfig does not take, a
-        window other than WINDOW, and an array that is missing or whose
-        shape does not follow from the header's widths and vocabularies;
-        also for header stream_dims that disagree with those
-        vocabularies.
+        window other than WINDOW, a POS or deprel vocabulary without
+        "<unk>", and an array that is missing or whose shape does not
+        follow from the header's widths and vocabularies; also for
+        header stream_dims that disagree with those vocabularies.
         """
         header, arrays = modelio.load_blob(path, "msmlp")
         (window, widths, words, pos_vocab, deprel_vocab, unigrams, bigrams, config,
@@ -529,7 +572,10 @@ class MsMlpModel:
         if matrix is None or matrix.ndim != 2 or matrix.shape[0] != len(words):
             raise ConfidenceError(
                 f"{path}: array 'fused_matrix' does not have one row per fused word")
-        vec = MsMlpVectorizer(EmbeddingTable(words, matrix, name="fused"), *vocabs)
+        try:
+            vec = MsMlpVectorizer(EmbeddingTable(words, matrix, name="fused"), *vocabs)
+        except ConfidenceError as exc:
+            raise ConfidenceError(f"{path}: {exc}") from exc
         dims = vec.stream_dims()
         _check_arrays(path, arrays, _param_shapes(dims, cfg))
         if header_dims != dims:
@@ -580,38 +626,32 @@ def mlp_loss_and_grads(model: MsMlpModel, streams, y):
 
 
 def _training_matrix(dataset: Dataset, vectorizer: MsMlpVectorizer):
-    """Each stream's rows for every token of `dataset`, and the labels
-    (0 correct, 1 error), filled utterance by utterance into matrices
-    allocated once at the dataset's token count."""
-    n = dataset.n_tokens()
-    x = {name: np.empty((n, dim)) for name, dim in vectorizer.stream_dims().items()}
-    y = np.empty(n, dtype=np.int64)
+    """The `MsMlpVectorizer.encode` ids of every token of `dataset`, and
+    the labels (0 correct, 1 error)."""
+    y = np.empty(dataset.n_tokens(), dtype=np.int64)
     at = 0
     for utt in dataset:
-        streams = vectorizer.streams(utt)
-        end = at + len(utt)
-        for name in STREAM_ORDER:
-            x[name][at:end] = streams[name]
         for i, tok in enumerate(utt.tokens):
             if tok.error_flag is None:
                 raise ConfidenceError(
                     f"token {i} of {utt.id!r} lacks an error flag")
             y[at + i] = 0 if tok.error_flag == FLAG_CORRECT else 1
-        at = end
-    return x, y
+        at += len(utt)
+    return vectorizer.encode(dataset), y
 
 
 def train_msmlp(dataset: Dataset, vectorizer: MsMlpVectorizer,
                 cfg: MsMlpConfig = MsMlpConfig()) -> MsMlpModel:
     """`_sgd` on the per-token 2-class cross entropy of `mlp_loss_and_grads`,
-    with the epochs, step, batch size and seed of `cfg`."""
+    with the epochs, step, batch size and seed of `cfg`.  Each batch's stream
+    rows are gathered from the dataset's ids when the batch is drawn."""
     if len(dataset) == 0:
         raise ConfidenceError("cannot train on an empty dataset")
     model = MsMlpModel(vectorizer, _init_mlp_params(vectorizer, cfg), cfg)
-    x, y = _training_matrix(dataset, vectorizer)
+    ids, y = _training_matrix(dataset, vectorizer)
 
     def loss_and_grads(idx):
-        return mlp_loss_and_grads(model, {name: x[name][idx] for name in STREAM_ORDER}, y[idx])
+        return mlp_loss_and_grads(model, vectorizer.gather(ids, idx), y[idx])
 
     _sgd(model.params, loss_and_grads, len(y), cfg.epochs, cfg.lr, cfg.batch,
          rng_for("msmlp-shuffle", cfg.seed))
@@ -619,10 +659,21 @@ def train_msmlp(dataset: Dataset, vectorizer: MsMlpVectorizer,
 
 
 def attach_confidence(dataset: Dataset, model: MsMlpModel) -> Dataset:
-    """Fill every token's mlp_conf column (rounded for stable files), one
-    forward pass per utterance: a stacked pass raised peak RSS by 60%."""
-    utts = []
+    """Fill every token's mlp_conf column with its `MsMlpModel.confidences`
+    value, rounded to 6 decimals for stable files.
+
+    The dataset is encoded once, and the forward pass runs over
+    consecutive chunks of _CHUNK tokens, which may cut across utterances:
+    only one chunk's stream rows are held at a time.
+    """
+    vec = model.vectorizer
+    ids = vec.encode(dataset)
+    conf = np.empty(len(ids["lm"]))
+    for s in range(0, len(conf), _CHUNK):
+        conf[s:s + _CHUNK] = model._confidences(vec.gather(ids, slice(s, s + _CHUNK)))
+    utts, at = [], 0
     for utt in dataset:
-        conf = model.confidences(utt)
-        utts.append(utt.with_column("mlp_conf", [round(float(c), 6) for c in conf]))
+        end = at + len(utt)
+        utts.append(utt.with_column("mlp_conf", [round(float(c), 6) for c in conf[at:end]]))
+        at = end
     return Dataset(tuple(utts))

@@ -1,9 +1,10 @@
 import dataclasses
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from slukit import confidence as conf
@@ -284,7 +285,8 @@ def test_mlp_gradient_matches_finite_differences():
                  ["correct", "correct", "error", "correct", "error"]),
     ))
     model = MsMlpModel(vec, conf._init_mlp_params(vec, cfg), cfg)
-    x, y = conf._training_matrix(ds, vec)
+    ids, y = conf._training_matrix(ds, vec)
+    x = vec.gather(ids)
     _, grads = mlp_loss_and_grads(model, x, y)
     worst = fd_gradcheck(lambda: mlp_loss_and_grads(model, x, y)[0],
                          model.params, grads)
@@ -316,7 +318,8 @@ def test_mlp_learns_separable_data():
     ds = Dataset(tuple(utts))
     model = train_msmlp(ds, vec, MsMlpConfig(proj=6, merge=12, hidden=8,
                                              epochs=60, lr=0.5, seed=1))
-    x, y = conf._training_matrix(ds, vec)
+    ids, y = conf._training_matrix(ds, vec)
+    x = vec.gather(ids)
     z = model.forward(x)[0]
     acc = float(np.mean(np.argmax(z, axis=1) == y))
     assert acc >= 0.98
@@ -440,6 +443,17 @@ def test_msmlp_load_names_a_misshapen_array(tmp_path, edit, array):
         MsMlpModel.load(p)
 
 
+@pytest.mark.parametrize("key", ["pos_vocab", "deprel_vocab"])
+def test_msmlp_load_refuses_a_vocabulary_without_unk(tmp_path, key):
+    # "<UNK>" for "<unk>" keeps every array's shape, so only the lookup
+    # of an unknown tag could fail, and it would fail at the first token
+    p, header, arrays = _saved_tiny_model(tmp_path)
+    vocab = ["<UNK>" if tag == "<unk>" else tag for tag in header[key]]
+    modelio.save_blob(p, "msmlp", dict(header, **{key: vocab}), arrays)
+    with pytest.raises(ConfidenceError, match=re.escape(str(p)) + ".*" + repr(key)):
+        MsMlpModel.load(p)
+
+
 def test_msmlp_load_refuses_stream_dims_its_vocabularies_contradict(tmp_path):
     p, header, arrays = _saved_tiny_model(tmp_path)
     dims = dict(header["stream_dims"], lm=4)
@@ -453,7 +467,8 @@ def test_mlp_loss_monotone_small_lr():
     cfg = MsMlpConfig(proj=3, merge=4, hidden=3, seed=1)
     ds = Dataset((_flagged(["aa", "bb", "cc"], ["correct", "error", "correct"]),))
     model = MsMlpModel(vec, conf._init_mlp_params(vec, cfg), cfg)
-    x, y = conf._training_matrix(ds, vec)
+    ids, y = conf._training_matrix(ds, vec)
+    x = vec.gather(ids)
     losses = []
     for _ in range(20):
         loss, grads = mlp_loss_and_grads(model, x, y)
@@ -476,7 +491,8 @@ def test_training_matrix_matches_concatenated_reference(small_corpus):
     words = sorted({w.lower() for u in small_corpus for w in u.surfaces()})
     vec = MsMlpVectorizer.from_training(
         small_corpus, hyp, make_hash_embeddings(words, 4, "fused", 0))
-    x, y = conf._training_matrix(hyp, vec)
+    ids, y = conf._training_matrix(hyp, vec)
+    x = vec.gather(ids)
     x_ref, y_ref = reference_training_matrix(hyp, vec)
     assert list(x) == list(x_ref) == list(STREAM_ORDER)
     for name in STREAM_ORDER:
@@ -595,10 +611,10 @@ def test_train_autoencoder_equals_reference(n_words, dims, d, epochs, lr, seed):
 
 
 @st.composite
-def _flagged_datasets(draw):
+def _flagged_datasets(draw, min_utts=1):
     words = st.sampled_from(["aa", "bb", "cc", "dd", "zz"])
     utts = []
-    for k in range(draw(st.integers(min_value=1, max_value=6))):
+    for k in range(draw(st.integers(min_value=min_utts, max_value=6))):
         ws = draw(st.lists(words, min_size=1, max_size=5))
         flags = draw(st.lists(st.sampled_from(["correct", "error"]),
                               min_size=len(ws), max_size=len(ws)))
@@ -620,3 +636,25 @@ def test_train_msmlp_equals_reference(ds, fused_dim, widths, epochs, batch, lr, 
     assert list(params) == list(expected)
     for name in expected:
         assert np.array_equal(params[name], expected[name]), name
+
+
+@given(ds=_flagged_datasets(min_utts=0), chunk=st.integers(min_value=1, max_value=4),
+       widths=st.tuples(*[st.integers(min_value=1, max_value=4)] * 3),
+       scale=st.sampled_from([1.0, 30.0]), seed=_seeds)
+@example(ds=Dataset(()), chunk=1, widths=(1, 1, 1), scale=1.0, seed=0)
+@example(ds=Dataset(tuple(Utterance(f"u{k}", _flagged([w], ["correct"]).tokens)
+                          for k, w in enumerate(["aa", "zz", "bb"]))),
+         chunk=2, widths=(2, 2, 2), scale=1.0, seed=0)
+def test_attach_confidence_equals_per_utterance_reference(ds, chunk, widths, scale, seed):
+    # chunks of 1-4 tokens: most utterances straddle a chunk boundary
+    vec = _tiny_vectorizer(("aa", "bb", "cc", "dd"))
+    proj, merge, hidden = widths
+    cfg = MsMlpConfig(proj=proj, merge=merge, hidden=hidden, seed=seed)
+    model = MsMlpModel(vec, conf._init_mlp_params(vec, cfg), cfg)
+    model.params["w_out"] *= scale  # confidences near 0 and 1 too
+    expected = [[round(float(c), 6) for c in model.confidences(u)] for u in ds]
+    with mock.patch.object(conf, "_CHUNK", chunk):
+        out = attach_confidence(ds, model)
+    assert ([[t.mlp_conf.hex() for t in u.tokens] for u in out]
+            == [[c.hex() for c in cs] for cs in expected])
+    assert out.utterances == tuple(u.with_column("mlp_conf", cs) for u, cs in zip(ds, expected))
