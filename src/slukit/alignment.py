@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -293,17 +294,75 @@ def decode_nbest(utt: Utterance, cfg: NoiseConfig, n: int) -> NBest:
 # Confusion networks and word posteriors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConfusionNetwork:
-    bins: tuple  # of tuple((word, posterior), ...) sorted by -posterior
-    pivot: tuple  # the word sequence the bins are aligned to
+    """A pivot-aligned confusion network as four flat columns.
+
+    `pivot` is the word sequence the bins are aligned to, one bin per
+    pivot word.  `words` holds every bin's words, bin after bin, each
+    bin ordered by (-posterior, word); `posteriors` is an array("d") of
+    the same length, the posterior of each word.  Bin k is the slice
+    [ends[k-1], ends[k]) of both, from 0 for k = 0.  No per-entry or
+    per-bin object is kept.  `bins` is the nested view, a tuple per bin
+    of (word, posterior) pairs, built on each access; `from_bins` builds
+    a network from that view.
+
+    Raises AlignmentError for a bin count other than the pivot length,
+    columns whose lengths or `ends` do not partition `words` into
+    non-empty bins, a posterior outside [0, 1], a word twice in one bin,
+    and a bin whose posteriors do not sum to 1 within 1e-9.  Networks
+    compare equal column by column.  A network is not hashable, since
+    its posteriors are an array, and nothing hashes one.
+    """
+
+    pivot: tuple
+    words: tuple
+    posteriors: array
+    ends: tuple
+
+    __hash__ = None
 
     def __post_init__(self):
-        for k, entries in enumerate(self.bins):
-            total = sum(p for _, p in entries)
-            # written so that a NaN sum is refused too
+        n = len(self.words)
+        if len(self.posteriors) != n:
+            raise AlignmentError(f"{len(self.posteriors)} posteriors for {n} words")
+        if len(self.ends) != len(self.pivot):
+            raise AlignmentError(f"{len(self.ends)} bins for {len(self.pivot)} pivot words")
+        if ((self.ends[-1] if self.ends else 0) != n
+                or not all(start < end for start, end in _spans(self.ends))):
+            raise AlignmentError(f"the ends column does not split {n} words into non-empty bins")
+        # written so that a NaN is refused too
+        if not all(0.0 <= p <= 1.0 for p in self.posteriors):
+            raise AlignmentError("a posterior lies outside [0, 1]")
+        for k, (start, end) in enumerate(_spans(self.ends)):
+            if len(set(self.words[start:end])) != end - start:
+                raise AlignmentError(f"bin {k} holds a word twice")
+            total = sum(self.posteriors[start:end])
             if not abs(total - 1.0) <= 1e-9:
                 raise AlignmentError(f"bin {k} posteriors sum to {total}")
+
+    @classmethod
+    def from_bins(cls, bins, pivot) -> ConfusionNetwork:
+        """The network whose `bins` view is `bins`: per pivot word, a
+        sequence of (word, posterior) pairs in bin order."""
+        words, posteriors, ends = [], [], []
+        for entries in bins:
+            for word, p in entries:
+                words.append(word)
+                posteriors.append(p)
+            ends.append(len(words))
+        return cls(tuple(pivot), tuple(words), array("d", posteriors), tuple(ends))
+
+    @property
+    def bins(self) -> tuple:
+        """Per pivot word, a tuple of its bin's (word, posterior) pairs."""
+        return tuple(tuple(zip(self.words[start:end], self.posteriors[start:end]))
+                     for start, end in _spans(self.ends))
+
+
+def _spans(ends):
+    """(start, end) of each bin of a network's `ends` column."""
+    return zip((0, *ends), ends)
 
 
 def _pivot_column(pivot, hyp) -> tuple:
@@ -333,12 +392,16 @@ def build_cn(nbest) -> ConfusionNetwork:
     positions are all the taggers consume.  Each distinct hypothesis is
     aligned once; weights are still added in n-best order, so repeats
     give the same posteriors, bit for bit, as aligning every entry.
+    A bin's posterior is its word's mass over the total weight, and the
+    bin is sorted by (-posterior, word) and divided by its own sum.
+    These are written straight into the network's columns, with no
+    nested `bins`; the pivot is the first hypothesis's own tuple.
     Raises AlignmentError for a weight that is not finite and positive,
     and for weights whose sum overflows.
     """
     if not nbest:
         raise AlignmentError("need at least one hypothesis")
-    pivot = list(nbest[0][1])
+    pivot = tuple(nbest[0][1])
     mass = [dict() for _ in pivot]
     columns = {}  # tuple(hyp) -> its word in each pivot bin
     total = 0.0
@@ -354,24 +417,29 @@ def build_cn(nbest) -> ConfusionNetwork:
             entries[word] = entries.get(word, 0.0) + weight
     if not math.isfinite(total):
         raise AlignmentError(f"hypothesis weights sum to {total}")
-    bins = []
+    words, posteriors, ends = [], [], []
     for entries in mass:
-        scored = [(w, p / total) for w, p in entries.items()]
-        scored.sort(key=lambda e: (-e[1], e[0]))
+        post = {w: p / total for w, p in entries.items()}
+        order = sorted(post, key=lambda w: (-post[w], w))
         # renormalize away float dust so the bin invariant holds exactly
-        s = sum(p for _, p in scored)
-        bins.append(tuple((w, p / s) for w, p in scored))
-    return ConfusionNetwork(tuple(bins), tuple(pivot))
+        s = sum([post[w] for w in order])
+        words += order
+        posteriors += [post[w] / s for w in order]
+        ends.append(len(words))
+    return ConfusionNetwork(pivot, tuple(words), array("d", posteriors), tuple(ends))
 
 
 def pap_of(cn: ConfusionNetwork, hyp_words):
-    """Posterior of each pivot word in its own bin."""
+    """Posterior of each pivot word in its own bin, read from the
+    network's columns; 0.0 for a pivot word its bin does not hold."""
     if tuple(hyp_words) != cn.pivot:
         raise AlignmentError("hypothesis is not the pivot of this confusion network")
     out = []
-    for word, entries in zip(cn.pivot, cn.bins):
-        post = dict(entries).get(word, 0.0)
-        out.append(post)
+    for word, (start, end) in zip(cn.pivot, _spans(cn.ends)):
+        try:
+            out.append(cn.posteriors[cn.words.index(word, start, end)])
+        except ValueError:
+            out.append(0.0)
     return out
 
 
@@ -475,16 +543,18 @@ def read_nbest(path):
     return [(uid, _nbest_block(path, rows, text)) for uid, rows in read_blocks(path)]
 
 
-def _cn_row(uid, entries):
-    _check_words(uid, [w for w, _ in entries])
-    return " ".join(f"{w}:{p:.6f}" for w, p in entries)
+def _cn_rows(uid, cn: ConfusionNetwork):
+    _check_words(uid, cn.words)
+    entries = [f"{w}:{p:.6f}" for w, p in zip(cn.words, cn.posteriors)]
+    return [" ".join(entries[start:end]) for start, end in _spans(cn.ends)]
 
 
 def write_cn(path, per_utt) -> None:
     """per_utt: iterable of (utterance_id, ConfusionNetwork).
 
-    Raises SchemaError naming the utterance for a word that is empty or
-    holds whitespace, since the entries of a row are space-joined.
+    Each bin is one row of `word:posterior` entries, read from the
+    network's columns.  Raises SchemaError naming the utterance for a
+    word that is empty or holds whitespace, since the entries of a row
+    are space-joined.
     """
-    write_blocks(path, ((uid, [_cn_row(uid, entries) for entries in cn.bins])
-                        for uid, cn in per_utt))
+    write_blocks(path, ((uid, _cn_rows(uid, cn)) for uid, cn in per_utt))

@@ -17,7 +17,10 @@ n-best list is one `alignment.NBest`, as `decode_nbest` draws it and as
 `read_nbest` reads it back: tuple columns, with equal hypotheses and
 weights shared within a list.  1000 lists of 40 (correlation 0.3) hold
 4.5 MB drawn and 4.4 MB read back, where lists of (weight, word list)
-pairs held 8.9 MB (tracemalloc).
+pairs held 8.9 MB (tracemalloc).  Their confusion networks,
+`alignment.ConfusionNetwork`, are flat word and posterior columns:
+the 1000 networks of those lists hold about 1.0 MB, where a tuple of
+(word, posterior) tuples per bin held 4.26 MB.
 """
 from __future__ import annotations
 

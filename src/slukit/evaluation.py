@@ -168,6 +168,23 @@ def output_segments(utt: Utterance, labels, value_table: PhraseTable | None = No
     return label_segments(utt.surfaces(), repair_bio(cleaned), value_table)
 
 
+class _Reference:
+    """The reference side of `score`, built once per reference dataset:
+    the value table, and each reference utterance's id with the labels
+    and (label, value) pairs of its concept segments."""
+
+    __slots__ = ("values", "rows", "segments")
+
+    def __init__(self, ref: Dataset, value_table):
+        self.values = PhraseTable((value_table or {}).items())
+        self.rows = []
+        for utt in ref:
+            segs = segments_of(utt, self.values)
+            self.rows.append((utt.id, [g.label for g in segs],
+                              [(g.label, g.value) for g in segs]))
+        self.segments = sum(len(labels) for _, labels, _ in self.rows)
+
+
 def score(ref: Dataset, hyp: Dataset, outputs, value_table=None) -> ScoreReport:
     """CER/CVER of tagger outputs against the reference annotation.
 
@@ -177,26 +194,27 @@ def score(ref: Dataset, hyp: Dataset, outputs, value_table=None) -> ScoreReport:
     with no token copied, and the hypothesized values are recovered from
     those words.  Error labels must already be stripped.  `value_table`
     maps phrases to normalized values.
+
+    The reference side (the value table and the reference segments) is
+    built first; `tune_weights` builds it once and passes it as `ref`,
+    in which case `value_table` is not read.
     """
-    values = PhraseTable((value_table or {}).items())
+    reference = ref if isinstance(ref, _Reference) else _Reference(ref, value_table)
     by_id = {o.id: o for o in outputs}
     hyp_by_id = hyp.by_id()
     m_c = s_c = i_c = d_c = 0
     m_v = s_v = i_v = d_v = 0
-    ref_total = hyp_total = 0
-    for ref_utt in ref:
-        if ref_utt.id not in by_id or ref_utt.id not in hyp_by_id:
-            raise EvaluationError(f"no output for utterance {ref_utt.id!r}")
-        hyp_utt = hyp_by_id[ref_utt.id]
-        ref_segs = segments_of(ref_utt, values)
-        hyp_segs = output_segments(hyp_utt, by_id[ref_utt.id].labels, values)
-        ref_total += len(ref_segs)
+    hyp_total = 0
+    for uid, ref_labels, ref_values in reference.rows:
+        if uid not in by_id or uid not in hyp_by_id:
+            raise EvaluationError(f"no output for utterance {uid!r}")
+        hyp_segs = output_segments(hyp_by_id[uid], by_id[uid].labels, reference.values)
         hyp_total += len(hyp_segs)
-        m, s, i, d = _edit_counts([g.label for g in ref_segs], [g.label for g in hyp_segs])
+        m, s, i, d = _edit_counts(ref_labels, [g.label for g in hyp_segs])
         m_c, s_c, i_c, d_c = m_c + m, s_c + s, i_c + i, d_c + d
-        m, s, i, d = _edit_counts([(g.label, g.value) for g in ref_segs],
-                                  [(g.label, g.value) for g in hyp_segs])
+        m, s, i, d = _edit_counts(ref_values, [(g.label, g.value) for g in hyp_segs])
         m_v, s_v, i_v, d_v = m_v + m, s_v + s, i_v + i, d_v + d
+    ref_total = reference.segments
     if ref_total == 0:
         raise EvaluationError("reference contains no concept segments")
     return ScoreReport(
@@ -311,8 +329,9 @@ def tune_weights(outputs_by_system, ref: Dataset, hyp: Dataset,
     the index of a system whose label wins in every label tuple of that
     pattern.  A tuple of winners is mapped back to labels and scored
     only the first time it occurs, so `score` runs once per distinct
-    combined output.  Ties prefer the candidate closest to uniform
-    weights, then the lexicographically smallest one.
+    combined output, against a reference side built once.  Ties prefer
+    the candidate closest to uniform weights, then the lexicographically
+    smallest one.
     """
     _check_aligned(outputs_by_system)
     k = len(outputs_by_system)
@@ -324,6 +343,7 @@ def tune_weights(outputs_by_system, ref: Dataset, hyp: Dataset,
                   for col in tuples]
     table = [[TaggerOutput("", tuple(pattern[s] for pattern in patterns))] for s in range(k)]
     uniform = 1.0 / k
+    reference = _Reference(ref, value_table)
     best = None
     cer_cache = {}
     for weights in _simplex_grid(k, step):
@@ -332,7 +352,7 @@ def tune_weights(outputs_by_system, ref: Dataset, hyp: Dataset,
             labels = [col[winners[p]] for col, p in zip(tuples, pattern_of)]
             combined = [TaggerOutput(o.id, tuple(labels[c] for c in cols))
                         for o, cols in zip(outputs_by_system[0], columns)]
-            cer_cache[winners] = score(ref, hyp, combined, value_table).cer
+            cer_cache[winners] = score(reference, hyp, combined).cer
         cer = cer_cache[winners]
         dist = sum((w - uniform) ** 2 for w in weights)
         key = (round(cer, 10), round(dist, 12), weights)

@@ -114,7 +114,7 @@ def reference_build_cn(nbest):
                         key=lambda e: (-e[1], e[0]))
         s = sum(p for _, p in scored)
         bins.append(tuple((w, p / s) for w, p in scored))
-    return ConfusionNetwork(tuple(bins), tuple(pivot))
+    return ConfusionNetwork.from_bins(tuple(bins), tuple(pivot))
 
 
 def _reference_decision(word, cfg, rng):

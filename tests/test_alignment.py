@@ -1,9 +1,12 @@
 import dataclasses
+import gc
 import hashlib
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -287,6 +290,12 @@ def test_build_cn_matches_reference(nbest):
     assert build_cn(nbest) == reference_build_cn(nbest)
 
 
+@given(nbest_lists())
+def test_cn_columns_roundtrip(nbest):
+    cn = build_cn(nbest)
+    assert ConfusionNetwork.from_bins(cn.bins, cn.pivot) == cn
+
+
 @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf"), 0.0, -0.5])
 def test_build_cn_refuses_weight_not_finite_and_positive(weight):
     with pytest.raises(AlignmentError):
@@ -387,9 +396,55 @@ def test_nbest_and_cn_bytes_are_pinned(tmp_path, small_corpus, noise_config):
 
 def test_cn_validates_bin_sums():
     with pytest.raises(AlignmentError):
-        ConfusionNetwork(bins=((("a", 0.5),),), pivot=("a",))
+        ConfusionNetwork.from_bins(bins=((("a", 0.5),),), pivot=("a",))
     with pytest.raises(AlignmentError):
-        ConfusionNetwork(bins=((("a", float("nan")),),), pivot=("a",))
+        ConfusionNetwork.from_bins(bins=((("a", float("nan")),),), pivot=("a",))
+
+
+def test_cn_refuses_bin_count_other_than_pivot_length():
+    with pytest.raises(AlignmentError, match="1 bins for 2 pivot words"):
+        ConfusionNetwork.from_bins(((("a", 1.0),),), ("a", "b"))
+
+
+def test_cn_refuses_posterior_outside_unit_interval():
+    # the bin sums to 1
+    with pytest.raises(AlignmentError, match="outside"):
+        ConfusionNetwork.from_bins(((("a", 1.5), ("b", -0.5)),), ("a",))
+
+
+def test_cn_refuses_word_twice_in_one_bin():
+    with pytest.raises(AlignmentError, match="word twice"):
+        ConfusionNetwork.from_bins(((("a", 0.5), ("a", 0.5)),), ("a",))
+
+
+@pytest.mark.parametrize("words, posteriors, ends", [
+    (("a", "b"), [1.0], (1, 2)),
+    (("a", "b", "c"), [1.0, 1.0, 1.0], (1, 2)),
+    (("a", "b"), [1.0, 1.0], (2, 2)),
+    (("a", "b"), [0.5, 0.5], (0, 2)),
+], ids=["fewer-posteriors", "ends-short-of-words", "empty-last-bin", "empty-first-bin"])
+def test_cn_refuses_columns_that_do_not_partition_the_words(words, posteriors, ends):
+    with pytest.raises(AlignmentError, match="posteriors for 2 words|does not split"):
+        ConfusionNetwork(("a", "b"), words, array("d", posteriors), ends)
+
+
+def test_cn_columns_hold_under_half_the_bytes_of_their_bins(small_corpus, noise_config):
+    cfg = dataclasses.replace(noise_config, nbest_correlation=0.3)
+    nbests = [decode_nbest(u, cfg, 40) for u in small_corpus.utterances]
+    # a full collection empties the float and tuple free lists, whose
+    # reuse tracemalloc does not see
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cns = [build_cn(nb) for nb in nbests]
+        gc.collect()
+        columns = tracemalloc.get_traced_memory()[0]
+        views = [cn.bins for cn in cns]
+        nested = tracemalloc.get_traced_memory()[0] - columns
+    finally:
+        tracemalloc.stop()
+    del views
+    assert columns <= 0.5 * nested, (columns, nested)
 
 
 @pytest.mark.parametrize("data, line", [
@@ -451,7 +506,8 @@ def test_write_nbest_refuses_weight_build_cn_refuses(tmp_path, weight):
 
 @pytest.mark.parametrize("words", [["a b"], ["c\tx"], [""], ["a", "b\nc"], ["\xa0"]])
 def test_write_cn_refuses_word_with_whitespace(tmp_path, words):
-    cn = ConfusionNetwork(bins=(tuple((w, 1.0 / len(words)) for w in words),), pivot=("a",))
+    cn = ConfusionNetwork.from_bins(bins=(tuple((w, 1.0 / len(words)) for w in words),),
+                                   pivot=("a",))
     with pytest.raises(SchemaError, match="utterance 'u7'"):
         write_cn(tmp_path / "cn.txt", [("u7", cn)])
 
