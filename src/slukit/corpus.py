@@ -176,9 +176,6 @@ class TaggerOutput:
     id: str
     labels: tuple
 
-    def __len__(self):
-        return len(self.labels)
-
 
 def validate_label_sequence(labels, line_base=None):
     """Reject I-x labels that do not continue a B-x/I-x run."""
@@ -463,7 +460,9 @@ def _utterance_rows(utt: Utterance):
 
 
 def write_dataset(dataset: Dataset, path) -> None:
-    """Write the corpus TSV; SchemaError for a field it cannot represent."""
+    """Write the corpus TSV; SchemaError for a field it cannot represent.
+
+    `Utterance.reference_tokens` is not written, so a read-back has none."""
     write_blocks(path, ((utt.id, _utterance_rows(utt)) for utt in dataset))
 
 
@@ -512,7 +511,8 @@ def _parse_token(i, line, lineno, path, text: TextPool, semcats: dict) -> Token:
 def read_dataset(path) -> Dataset:
     """Parse a corpus TSV, validating every invariant on the way in.
 
-    Missing fields stay absent (they are never defaulted to zero).
+    Missing fields stay absent (they are never defaulted to zero), and
+    `reference_tokens` is None, since `write_dataset` does not write it.
     Raises ParseError naming the file and line for malformed rows and
     SchemaError for invariant violations such as an I-x label that does
     not continue a segment.

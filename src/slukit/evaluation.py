@@ -4,11 +4,13 @@ NCE and calibration tables assess confidence measures; CER/CVER with
 precision/recall assess concept extraction (edit alignment of segment
 sequences, label-only for CER, label+value for CVER).  Weighted voting
 and consensus merge the per-word outputs of several systems that tagged
-the same recognizer word sequence.
+the same recognizer word sequence, one column of aligned labels at a time.
 """
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from . import alignment
@@ -82,14 +84,6 @@ class CalibrationReport:
     fraction_correct: tuple
     nce: float | None
 
-    def csv_rows(self):
-        rows = ["bin_low,bin_high,count,mean_confidence,fraction_correct"]
-        for i in range(self.bins):
-            rows.append("%.4f,%.4f,%d,%.6f,%.6f" % (
-                i / self.bins, (i + 1) / self.bins, self.counts[i],
-                self.mean_confidence[i], self.fraction_correct[i]))
-        return rows
-
 
 def calibration_bins(records, k: int) -> CalibrationReport:
     """Equal-width reliability table; the top bin is right-closed."""
@@ -103,8 +97,7 @@ def calibration_bins(records, k: int) -> CalibrationReport:
         counts[idx] += 1
         conf_sum[idx] += r.confidence
         correct[idx] += 1 if r.correct else 0
-    n_correct = sum(1 for r in records if r.correct)
-    overall = nce(records) if records and 0 < n_correct < len(records) else None
+    overall = nce(records) if 0 < sum(r.correct for r in records) < len(records) else None
     return CalibrationReport(
         bins=k,
         counts=tuple(counts),
@@ -130,28 +123,6 @@ class ScoreReport:
     value_errors: tuple
     ref_segments: int
     hyp_segments: int
-
-    def kv_rows(self, prefix=""):
-        s, i, d = self.concept_errors
-        vs, vi, vd = self.value_errors
-        return [
-            f"{prefix}cer={self.cer:.4f}",
-            f"{prefix}cver={self.cver:.4f}",
-            f"{prefix}concept_precision={self.concept_precision:.4f}",
-            f"{prefix}concept_recall={self.concept_recall:.4f}",
-            f"{prefix}value_precision={self.value_precision:.4f}",
-            f"{prefix}value_recall={self.value_recall:.4f}",
-            f"{prefix}concept_sid={s},{i},{d}",
-            f"{prefix}value_sid={vs},{vi},{vd}",
-            f"{prefix}ref_segments={self.ref_segments}",
-            f"{prefix}hyp_segments={self.hyp_segments}",
-        ]
-
-
-def _edit_counts(ref_items, hyp_items):
-    ali = alignment.align(ref_items, hyp_items)
-    c = ali.counts()
-    return (c[alignment.MATCH], c[alignment.SUB], c[alignment.INS], c[alignment.DEL])
 
 
 def output_segments(utt: Utterance, labels, value_table: PhraseTable | None = None):
@@ -195,6 +166,9 @@ def score(ref: Dataset, hyp: Dataset, outputs, value_table=None) -> ScoreReport:
     those words.  Error labels must already be stripped.  `value_table`
     maps phrases to normalized values.
 
+    Two tallies sum the edit counts of the concept-label and the (label,
+    value) alignments: S+I+D over the reference segments gives CER and CVER.
+
     The reference side (the value table and the reference segments) is
     built first; `tune_weights` builds it once and passes it as `ref`,
     in which case `value_table` is not read.
@@ -202,30 +176,29 @@ def score(ref: Dataset, hyp: Dataset, outputs, value_table=None) -> ScoreReport:
     reference = ref if isinstance(ref, _Reference) else _Reference(ref, value_table)
     by_id = {o.id: o for o in outputs}
     hyp_by_id = hyp.by_id()
-    m_c = s_c = i_c = d_c = 0
-    m_v = s_v = i_v = d_v = 0
+    concepts, values = Counter(), Counter()
     hyp_total = 0
     for uid, ref_labels, ref_values in reference.rows:
         if uid not in by_id or uid not in hyp_by_id:
             raise EvaluationError(f"no output for utterance {uid!r}")
         hyp_segs = output_segments(hyp_by_id[uid], by_id[uid].labels, reference.values)
         hyp_total += len(hyp_segs)
-        m, s, i, d = _edit_counts(ref_labels, [g.label for g in hyp_segs])
-        m_c, s_c, i_c, d_c = m_c + m, s_c + s, i_c + i, d_c + d
-        m, s, i, d = _edit_counts(ref_values, [(g.label, g.value) for g in hyp_segs])
-        m_v, s_v, i_v, d_v = m_v + m, s_v + s, i_v + i, d_v + d
+        concepts.update(alignment.align(ref_labels, [g.label for g in hyp_segs]).counts())
+        values.update(alignment.align(ref_values, [(g.label, g.value) for g in hyp_segs]).counts())
     ref_total = reference.segments
     if ref_total == 0:
         raise EvaluationError("reference contains no concept segments")
+    sid = (alignment.SUB, alignment.INS, alignment.DEL)
+    concept_errors, value_errors = (tuple(t[op] for op in sid) for t in (concepts, values))
     return ScoreReport(
-        cer=100.0 * (s_c + i_c + d_c) / ref_total,
-        cver=100.0 * (s_v + i_v + d_v) / ref_total,
-        concept_precision=m_c / hyp_total if hyp_total else 0.0,
-        concept_recall=m_c / ref_total,
-        value_precision=m_v / hyp_total if hyp_total else 0.0,
-        value_recall=m_v / ref_total,
-        concept_errors=(s_c, i_c, d_c),
-        value_errors=(s_v, i_v, d_v),
+        cer=100.0 * sum(concept_errors) / ref_total,
+        cver=100.0 * sum(value_errors) / ref_total,
+        concept_precision=concepts[alignment.MATCH] / hyp_total if hyp_total else 0.0,
+        concept_recall=concepts[alignment.MATCH] / ref_total,
+        value_precision=values[alignment.MATCH] / hyp_total if hyp_total else 0.0,
+        value_recall=values[alignment.MATCH] / ref_total,
+        concept_errors=concept_errors,
+        value_errors=value_errors,
         ref_segments=ref_total,
         hyp_segments=hyp_total,
     )
@@ -252,68 +225,54 @@ def _check_aligned(outputs_by_system):
 def combine_weighted(outputs_by_system, weights):
     """Per-position weighted vote over aligned label sequences.
 
-    The label with the highest summed weight wins; ties go to the label
-    voted by the earliest system in the list.
+    Each system adds its weight to its label's score, in system order.
+    The first label voted whose score is within 1e-12 of the highest
+    wins, so ties go to the earliest system voting a tied label.  Weights
+    must be finite and nonnegative with one positive, else EvaluationError.
     """
     _check_aligned(outputs_by_system)
     k = len(outputs_by_system)
     if len(weights) != k:
         raise EvaluationError(f"{k} systems but {len(weights)} weights")
-    if any(w < 0 for w in weights) or not any(w > 0 for w in weights):
-        raise EvaluationError("weights must be nonnegative with at least one positive")
+    if not all(math.isfinite(w) and w >= 0 for w in weights) or not any(w > 0 for w in weights):
+        raise EvaluationError("weights must be finite, nonnegative and not all zero")
     combined = []
-    for utt_idx, first in enumerate(outputs_by_system[0]):
+    for outs in zip(*outputs_by_system):
         labels = []
-        votes_by_system = [outputs_by_system[s][utt_idx].labels for s in range(k)]
-        for pos in range(len(first.labels)):
+        for col in zip(*(o.labels for o in outs)):
             scores = {}
-            for s in range(k):
-                lab = votes_by_system[s][pos]
-                scores[lab] = scores.get(lab, 0.0) + weights[s]
-            best = max(scores.values())
-            tied = {lab for lab, sc in scores.items() if sc >= best - 1e-12}
-            if len(tied) == 1:
-                labels.append(next(iter(tied)))
-            else:
-                labels.append(next(votes[pos] for votes in votes_by_system
-                                   if votes[pos] in tied))
-        combined.append(TaggerOutput(first.id, tuple(labels)))
+            for lab, w in zip(col, weights):
+                scores[lab] = scores.get(lab, 0.0) + w
+            best = max(scores.values()) - 1e-12
+            for lab, sc in scores.items():
+                if sc >= best:
+                    break
+            labels.append(lab)
+        combined.append(TaggerOutput(outs[0].id, tuple(labels)))
     return combined
 
 
 def consensus(outputs_by_system):
-    """Keep a position's label only when every system agrees; abstain
+    """Keep a position's label when every system gives it; abstain
     otherwise.  Abstentions are scored as null, so they can lower recall
     but never precision."""
     _check_aligned(outputs_by_system)
-    combined = []
-    for utt_idx, first in enumerate(outputs_by_system[0]):
-        labels = []
-        for pos, lab in enumerate(first.labels):
-            if all(outs[utt_idx].labels[pos] == lab for outs in outputs_by_system[1:]):
-                labels.append(lab)
-            else:
-                labels.append(ABSTAIN)
-        combined.append(TaggerOutput(first.id, tuple(labels)))
-    return combined
+    return [TaggerOutput(outs[0].id, tuple(col[0] if len(set(col)) == 1 else ABSTAIN
+                                           for col in zip(*(o.labels for o in outs))))
+            for outs in zip(*outputs_by_system)]
 
 
 def _simplex_grid(k: int, step: float):
+    """The k-weight vectors on a `step` grid summing to 1, lexicographically:
+    k - 1 bars among m + k - 1 slots split m = 1/step stars into k parts."""
     if not 0.0 < step <= 1.0:
         raise EvaluationError(f"grid step {step} outside (0, 1]")
     m = round(1.0 / step)
     if abs(m * step - 1.0) > 1e-9:
         raise EvaluationError(f"grid step {step} does not divide 1")
-
-    def rec(remaining, parts):
-        if len(parts) == k - 1:
-            yield parts + [remaining]
-            return
-        for v in range(remaining + 1):
-            yield from rec(remaining - v, parts + [v])
-
-    for parts in rec(m, []):
-        yield tuple(v / m for v in parts)
+    for bars in itertools.combinations(range(m + k - 1), k - 1):
+        edges = (-1, *bars, m + k - 1)
+        yield tuple((b - a - 1) / m for a, b in zip(edges, edges[1:]))
 
 
 def tune_weights(outputs_by_system, ref: Dataset, hyp: Dataset,

@@ -16,8 +16,9 @@ from slukit.confidence import (BOS, STREAM_ORDER, WINDOW, AutoencoderModel,
                                ConfidenceError, MsMlpModel, concat_vectors,
                                lm_category, shared_vocabulary)
 from slukit.corpus import (ERROR_LABELS, FLAG_CORRECT, FLAG_ERROR, NULL_LABEL,
-                           ConceptSegment, PhraseTable, SchemaError, Token, Utterance)
-from slukit.evaluation import combine_weighted, score
+                           ConceptSegment, PhraseTable, SchemaError, TaggerOutput, Token,
+                           Utterance)
+from slukit.evaluation import ABSTAIN, EvaluationError, _check_aligned, score
 from slukit.numutil import derived_seed, rng_for, softmax
 
 
@@ -288,19 +289,66 @@ def brute_force_phrase_spans(words, phrases):
 
 def simplex_grid(k, step):
     """Weight vectors of the grid `tune_weights` searches, by enumeration
-    of `itertools.product` rather than the library's recursion."""
+    of `itertools.product` rather than the library's stars and bars."""
     m = round(1.0 / step)
     return [tuple(v / m for v in parts)
             for parts in itertools.product(range(m + 1), repeat=k) if sum(parts) == m]
 
 
+def reference_combine_weighted(outputs_by_system, weights):
+    """Weighted vote indexing systems and positions: the set of labels
+    within 1e-12 of the best score, its only member when there is one,
+    else the vote of the first system whose label is in the set."""
+    _check_aligned(outputs_by_system)
+    k = len(outputs_by_system)
+    if len(weights) != k:
+        raise EvaluationError(f"{k} systems but {len(weights)} weights")
+    if any(w < 0 for w in weights) or not any(w > 0 for w in weights):
+        raise EvaluationError("weights must be nonnegative with at least one positive")
+    combined = []
+    for utt_idx, first in enumerate(outputs_by_system[0]):
+        labels = []
+        votes_by_system = [outputs_by_system[s][utt_idx].labels for s in range(k)]
+        for pos in range(len(first.labels)):
+            scores = {}
+            for s in range(k):
+                lab = votes_by_system[s][pos]
+                scores[lab] = scores.get(lab, 0.0) + weights[s]
+            best = max(scores.values())
+            tied = {lab for lab, sc in scores.items() if sc >= best - 1e-12}
+            if len(tied) == 1:
+                labels.append(next(iter(tied)))
+            else:
+                labels.append(next(votes[pos] for votes in votes_by_system
+                                   if votes[pos] in tied))
+        combined.append(TaggerOutput(first.id, tuple(labels)))
+    return combined
+
+
+def reference_consensus(outputs_by_system):
+    """Consensus comparing each system's label with the first system's,
+    position by position."""
+    _check_aligned(outputs_by_system)
+    combined = []
+    for utt_idx, first in enumerate(outputs_by_system[0]):
+        labels = []
+        for pos, lab in enumerate(first.labels):
+            if all(outs[utt_idx].labels[pos] == lab for outs in outputs_by_system[1:]):
+                labels.append(lab)
+            else:
+                labels.append(ABSTAIN)
+        combined.append(TaggerOutput(first.id, tuple(labels)))
+    return combined
+
+
 def brute_force_tune_weights(outputs_by_system, ref, hyp, step, value_table=None):
-    """Grid search that votes every position and scores every weighting,
-    with the selection key `tune_weights` documents."""
+    """Grid search that votes every position with `reference_combine_weighted`
+    and scores every weighting, with the selection key `tune_weights`
+    documents."""
     uniform = 1.0 / len(outputs_by_system)
     best = None
     for weights in simplex_grid(len(outputs_by_system), step):
-        combined = combine_weighted(outputs_by_system, weights)
+        combined = reference_combine_weighted(outputs_by_system, weights)
         cer = score(ref, hyp, combined, value_table).cer
         dist = sum((w - uniform) ** 2 for w in weights)
         key = (round(cer, 10), round(dist, 12), weights)

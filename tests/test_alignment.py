@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from slukit import alignment
 from slukit.alignment import (DEL, EPS, INS, MATCH, SUB, AlignmentError,
-                              ConfusionNetwork, NBest, NoiseConfig, align, build_cn,
-                              corrupt, decode_nbest, pap_of, project_labels,
+                              ConfusionNetwork, NBest, NoiseConfig, align, attach_pap,
+                              build_cn, corrupt, decode_nbest, pap_of, project_labels,
                               read_nbest, wer, write_cn, write_nbest)
 from slukit.corpus import NULL_LABEL, ParseError, SchemaError, Token, Utterance
 
@@ -317,6 +317,22 @@ def test_pap_of():
     assert pap_of(cn, ["a", "b"]) == [1.0, 0.5]
     with pytest.raises(AlignmentError):
         pap_of(cn, ["a", "c"])
+
+
+def test_attach_pap_sets_rounded_pap_and_nothing_else(small_corpus, noise_config):
+    for u in small_corpus.utterances[:20]:
+        hyp = project_labels(corrupt(u, noise_config))
+        cn = build_cn(decode_nbest(u, noise_config, 6))
+        out = attach_pap(hyp, cn)
+        assert [t.pap for t in out.tokens] == [round(p, 6) for p in pap_of(cn, hyp.surfaces())]
+        assert [dataclasses.replace(t, pap=None) for t in out.tokens] == list(hyp.tokens)
+        assert (out.id, out.reference_tokens) == (hyp.id, hyp.reference_tokens)
+
+
+def test_attach_pap_refuses_a_hypothesis_that_is_not_the_pivot():
+    cn = build_cn([(0.5, ["a", "b"]), (0.5, ["a", "c"])])
+    with pytest.raises(AlignmentError):
+        attach_pap(utt("u", ["a", "b", "c"]), cn)
 
 
 def test_project_zero_noise(small_corpus, noise_config):

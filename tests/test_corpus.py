@@ -1,12 +1,16 @@
 import dataclasses
 import math
 import re
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from slukit import corpus
+from slukit.alignment import corrupt
+from slukit.confidence import ConfidenceError, load_embeddings
 from slukit.corpus import (ERROR_C, ERROR_N, NULL_LABEL, ConceptSegment,
                            Dataset, ParseError, PhraseTable, SchemaError,
                            TOKEN_FIELDS, TaggerOutput, Token, Utterance,
@@ -17,6 +21,7 @@ from slukit.corpus import (ERROR_C, ERROR_N, NULL_LABEL, ConceptSegment,
                            validate_label_sequence, write_dataset,
                            write_outputs)
 from slukit.evaluation import ConfidenceRecord
+from slukit.modelio import VERSION, ModelIOError, load_blob, save_blob
 
 from helpers import brute_force_phrase_spans, reference_segments_of, utt
 
@@ -57,12 +62,56 @@ def test_read_bad_governor(tmp_path):
         read_dataset(p)
 
 
-def test_read_malformed_row_reports_line(tmp_path):
-    p = tmp_path / "bad.tsv"
-    p.write_text("# id=u1\n0\ta\tonly-three-cells\n\n")
-    with pytest.raises(ParseError) as exc:
-        read_dataset(p)
-    assert "line 2" in str(exc.value)
+def _row(**cells):
+    """A corpus TSV row of token 0, "a", with the given cells replaced."""
+    row = dict(index="0", surface="a", lemma="_", pos="_", governor="_", deprel="_",
+               semcats="_", pap="_", mlp_conf="_", error_flag="_", label="null")
+    row.update(cells)
+    return "\t".join(row.values()) + "\n"
+
+
+def _blob(edit):
+    """Write a valid model file, then rewrite its bytes with `edit`."""
+    def write(p):
+        save_blob(p, "toy", {}, {"w": np.zeros(2)})
+        p.write_bytes(edit(p.read_bytes()))
+    return write
+
+
+@pytest.mark.parametrize("name, content, read, error, match", [
+    ("bad.tsv", "# id=u1\n0\ta\tonly-three-cells\n\n", read_dataset, ParseError,
+     "bad.tsv: line 2: expected 11 columns"),
+    ("bad.tsv", "# id=u1\n" + _row(index="1") + "\n", read_dataset, ParseError,
+     "bad.tsv: line 2: index 1 out of order"),
+    ("bad.tsv", "# id=u1\n" + _row(governor="x") + "\n", read_dataset, ParseError,
+     "bad.tsv: line 2: bad governor 'x'"),
+    ("bad.tsv", "# id=u1\n" + _row(pap="high") + "\n", read_dataset, ParseError,
+     "bad.tsv: line 2: bad pap 'high'"),
+    ("bad.tsv", "# id=u1\n" + _row(pap="1.5") + "\n", read_dataset, SchemaError,
+     "bad.tsv: line 2: pap=1.5 outside"),
+    ("bad.tsv", "# id=u1\n\n", read_dataset, ParseError,
+     "bad.tsv: utterance 'u1' has no tokens"),
+    ("bad.vec", "a 0.5\nb\n", load_embeddings, ConfidenceError,
+     "bad.vec line 2: no vector components"),
+    ("bad.vec", "a 0.5\nb x\n", load_embeddings, ConfidenceError, "bad.vec line 2: bad float"),
+    ("bad.slk", _blob(lambda data: b"XXXX" + data[4:]), load_blob, ModelIOError,
+     "bad.slk: bad magic"),
+    ("bad.slk", _blob(lambda data: data[:4] + struct.pack(">I", VERSION + 1) + data[8:]),
+     load_blob, ModelIOError, "bad.slk: unsupported version"),
+    ("bad.slk", _blob(lambda data: data), lambda p: load_blob(p, expect_kind="other"),
+     ModelIOError, "bad.slk: expected a 'other' model, found 'toy'"),
+], ids=["too-few-cells", "index-out-of-order", "governor-not-int", "pap-not-float",
+        "pap-out-of-range", "header-without-rows", "embedding-without-components",
+        "embedding-bad-float", "model-bad-magic", "model-unsupported-version",
+        "model-kind-mismatch"])
+def test_read_malformed_row_reports_line(tmp_path, name, content, read, error, match):
+    p = tmp_path / name
+    if callable(content):
+        content(p)
+    else:
+        p.write_text(content)
+    with pytest.raises(error, match=match):
+        read(p)
 
 
 def test_read_dataset_names_the_line_that_is_not_utf8(tmp_path):
@@ -93,11 +142,18 @@ def test_read_invalid_continuation(tmp_path):
         read_dataset(p)
 
 
-def test_roundtrip_byte_identical(tmp_path, small_corpus):
+def test_roundtrip_byte_identical(tmp_path, small_corpus, noise_config):
     p1, p2 = tmp_path / "a.tsv", tmp_path / "b.tsv"
     write_dataset(small_corpus, p1)
     write_dataset(read_dataset(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+    # the reference tokens a recognizer output carries are not written
+    hyp = Dataset(tuple(corrupt(u, noise_config) for u in small_corpus.utterances[:10]))
+    write_dataset(hyp, p1)
+    back = read_dataset(p1)
+    assert [u.tokens for u in back] == [u.tokens for u in hyp]
+    assert all(u.reference_tokens is not None for u in hyp)
+    assert all(u.reference_tokens is None for u in back)
 
 
 def test_confidence_absent_is_not_zero(tmp_path):

@@ -6,14 +6,14 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from slukit import evaluation
-from slukit.corpus import NULL_LABEL, Dataset, TaggerOutput
-from slukit.evaluation import (ABSTAIN, CalibrationReport, ConfidenceRecord,
-                               EvaluationError, calibration_bins,
-                               combine_weighted, consensus, nce,
+from slukit.corpus import (FLAG_CORRECT, FLAG_ERROR, NULL_LABEL, Dataset, TaggerOutput,
+                           Token, Utterance)
+from slukit.evaluation import (ABSTAIN, ConfidenceRecord, EvaluationError, _simplex_grid,
+                               calibration_bins, combine_weighted, consensus, nce,
                                records_from_dataset, score, tune_weights)
 
-from helpers import (brute_force_edit_cost, brute_force_tune_weights, simplex_grid,
-                     utt)
+from helpers import (brute_force_edit_cost, brute_force_tune_weights,
+                     reference_combine_weighted, reference_consensus, simplex_grid, utt)
 
 
 def rec(correct, conf, i=0):
@@ -35,6 +35,29 @@ def test_nce_hand_evaluated_case():
     # p=3/4, H_base=0.8112781244591328, H_cond=0.2369655941662061
     records = [rec(True, 0.9, 0), rec(True, 0.8, 1), rec(True, 0.9, 2), rec(False, 0.2, 3)]
     assert nce(records) == pytest.approx(0.7079107805055294, abs=1e-9)
+
+
+def test_records_from_dataset_hand_built():
+    # c has no flag, so neither measure reads it; b has no MLP confidence
+    # and d no PAP, so each measure skips one more token
+    ds = Dataset((
+        Utterance("u1", (Token("a", pap=0.9, mlp_conf=0.8, error_flag=FLAG_CORRECT),
+                         Token("b", pap=0.4, error_flag=FLAG_ERROR),
+                         Token("c", pap=0.7, mlp_conf=0.6))),
+        Utterance("u2", (Token("d", mlp_conf=0.3, error_flag=FLAG_ERROR),
+                         Token("e", pap=0.2, mlp_conf=0.1, error_flag=FLAG_CORRECT))),
+    ))
+    assert records_from_dataset(ds, "pap") == [
+        ConfidenceRecord("u1", 0, True, 0.9), ConfidenceRecord("u1", 1, False, 0.4),
+        ConfidenceRecord("u2", 1, True, 0.2)]
+    mlp = records_from_dataset(ds, "mlp")
+    assert mlp == [
+        ConfidenceRecord("u1", 0, True, 0.8), ConfidenceRecord("u2", 0, False, 0.3),
+        ConfidenceRecord("u2", 1, True, 0.1)]
+    # two correct of three: H_base = h(2/3); H_cond from the three confidences
+    h_base = -(2 / 3 * math.log2(2 / 3) + 1 / 3 * math.log2(1 / 3))
+    h_cond = -(math.log2(0.8) + math.log2(1 - 0.3) + math.log2(0.1)) / 3
+    assert nce(mlp) == pytest.approx((h_base - h_cond) / h_base, abs=1e-12)
 
 
 def test_nce_degenerate_single_class():
@@ -184,6 +207,53 @@ def test_combine_validates():
         combine_weighted(_outputs(["B-A"], ["B-A", "B-B"]), [0.5, 0.5])
     with pytest.raises(EvaluationError):
         combine_weighted(_outputs(["B-A"]), [0.0])
+
+
+@pytest.mark.parametrize("weights", [
+    (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
+], ids=["nan-first", "nan-second", "inf-first", "inf-second"])
+def test_combine_refuses_non_finite_weights(weights):
+    with pytest.raises(EvaluationError, match="finite"):
+        combine_weighted(_outputs(["B-A"], ["B-B"]), weights)
+
+
+@st.composite
+def voting_cases(draw):
+    """1-5 aligned systems over 0-6 utterances, labels from a small set
+    with None, and weights that tie exactly (0.5, 1/3) or within 1e-12
+    (0.1 + 0.2 against 0.3)."""
+    k = draw(st.integers(min_value=1, max_value=5))
+    lengths = draw(st.lists(st.integers(min_value=0, max_value=6), max_size=6))
+    labels = st.sampled_from(["B-A", "I-A", "B-B", NULL_LABEL, None])
+    systems = [[TaggerOutput(f"u{i}", tuple(draw(st.lists(labels, min_size=n, max_size=n))))
+                for i, n in enumerate(lengths)] for _ in range(k)]
+    weight = st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.1 + 0.2, 1 / 3, 0.5, 1.0]),
+                       st.floats(min_value=0.0, max_value=10.0))
+    return systems, tuple(draw(st.lists(weight, min_size=k, max_size=k)))
+
+
+@given(voting_cases())
+@example((_outputs(["B-A", "B-A"], ["B-B", None]), (0.5, 0.5)))
+@example((_outputs(["B-A"], ["B-B"], [None]), (1 / 3, 1 / 3, 1 / 3)))
+@example((_outputs(["B-A"], ["B-A"], ["B-B"]), (0.1, 0.2, 0.3)))
+@example((_outputs(["B-B"], ["B-A"], ["B-A"]), (0.3, 0.1, 0.2)))
+@example((_outputs(["B-A"], ["B-B"]), (0.0, 0.0)))
+def test_combine_weighted_and_consensus_equal_reference(case):
+    systems, weights = case
+    assert consensus(systems) == reference_consensus(systems)
+    try:
+        expected = reference_combine_weighted(systems, weights)
+    except EvaluationError:
+        with pytest.raises(EvaluationError):
+            combine_weighted(systems, weights)
+        return
+    assert combine_weighted(systems, weights) == expected
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("step", [1.0, 0.5, 0.25, 0.2, 0.1, 0.05])
+def test_simplex_grid_equals_brute_force(k, step):
+    assert list(_simplex_grid(k, step)) == simplex_grid(k, step)
 
 
 def test_consensus_behaviour():
