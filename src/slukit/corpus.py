@@ -10,20 +10,14 @@ Two extra labels, ERROR-C and ERROR-N, replace the regular label of
 erroneous recognizer words during training and are mapped back to null
 before scoring.
 
-The records held by the thousand are slotted dataclasses, and the block
-readers share equal text within one read (`TextPool`), so that reading a
-file back costs about what the data cost before it was written.  An
-n-best list is one `alignment.NBest`, as `decode_nbest` draws it and as
-`read_nbest` reads it back: tuple columns, with equal hypotheses and
-weights shared within a list.  1000 lists of 40 (correlation 0.3) hold
-4.5 MB drawn and 4.4 MB read back, where lists of (weight, word list)
-pairs held 8.9 MB (tracemalloc).  Their confusion networks,
-`alignment.ConfusionNetwork`, are flat word and posterior columns:
-the 1000 networks of those lists hold about 1.0 MB, where a tuple of
-(word, posterior) tuples per bin held 4.26 MB.
+The records are slotted dataclasses, and each block reader parses equal
+text once per read through a `Memo`, so equal words, labels and
+category sets read back as one object and a read-back costs about what
+the data cost before it was written.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
@@ -36,11 +30,6 @@ FLAG_CORRECT = "correct"
 FLAG_ERROR = "error"
 
 ABSENT = "_"
-
-COLUMNS = (
-    "INDEX", "SURFACE", "LEMMA", "POS", "GOV", "DEPREL",
-    "SEMCATS", "PAP", "CONF", "ERRFLAG", "LABEL",
-)
 
 
 class CorpusError(Exception):
@@ -143,9 +132,8 @@ class Dataset:
     utterances: tuple = ()
 
     def __post_init__(self):
-        ids = [u.id for u in self.utterances]
-        if len(set(ids)) != len(ids):
-            dup = sorted({i for i in ids if ids.count(i) > 1})
+        dup = sorted(i for i, n in Counter(u.id for u in self.utterances).items() if n > 1)
+        if dup:
             raise SchemaError(f"duplicate utterance ids: {dup[:3]}")
 
     def __iter__(self):
@@ -178,14 +166,14 @@ class TaggerOutput:
 
 
 def validate_label_sequence(labels, line_base=None):
-    """Reject I-x labels that do not continue a B-x/I-x run."""
-    prev = None
-    for i, lab in enumerate(labels):
-        if lab is not None and lab.startswith("I-"):
-            if prev is None or prev[2:] != lab[2:] or not prev.startswith(("B-", "I-")):
+    """Reject I-x labels that do not continue a B-x/I-x run: the first
+    label `repair_bio` would change."""
+    repaired = repair_bio(labels)
+    if repaired != labels:  # one compare for a list; a tuple always takes the loop
+        for i, (lab, fixed) in enumerate(zip(labels, repaired)):
+            if lab != fixed:
                 where = f" (row {i})" if line_base is None else f" (line {line_base + i})"
                 raise SchemaError(f"label {lab!r} does not continue a segment{where}")
-        prev = lab
 
 
 def repair_bio(labels):
@@ -327,6 +315,7 @@ def strip_error_labels(output: TaggerOutput) -> TaggerOutput:
 # Block files: a "# id=<text>" header, one row per line, and a blank line
 # closing each block, UTF-8.  The corpus TSV, tagger outputs, n-best lists
 # and confusion networks share this layout and differ only in their rows.
+# Their readers parse each distinct cell text once per read, in a `Memo`.
 # ---------------------------------------------------------------------------
 
 HEADER = "# id="
@@ -355,19 +344,22 @@ def write_blocks(path, blocks) -> None:
                 raise SchemaError(f"block {block_id!r} holds text UTF-8 cannot encode") from exc
 
 
-class TextPool(dict):
-    """Text read from one file: `pool[text]` is the first equal string
-    the pool was given, so equal words and labels are one object.
+class Memo(dict):
+    """`memo[key]` is `parse(key)`, computed on first use and then shared,
+    so equal text reads back as one object; `Memo(str)` shares equal strings.
 
-    Make one per read.  A pool is dropped with its read, unlike
+    Make one per read.  A memo is dropped with its read, unlike
     `sys.intern`, whose strings are immortal on CPython 3.12.
     """
 
-    __slots__ = ()
+    __slots__ = ("parse",)
 
-    def __missing__(self, text):
-        self[text] = text
-        return text
+    def __init__(self, parse):  # dict.__new__ has made the empty dict
+        self.parse = parse
+
+    def __missing__(self, key):
+        value = self[key] = self.parse(key)
+        return value
 
 
 def text_lines(path, refuse):
@@ -413,43 +405,43 @@ def read_blocks(path):
 
 
 # ---------------------------------------------------------------------------
-# Corpus TSV rows: one token per row, "_" for absent fields, SEMCATS
-# "|"-joined.
+# Corpus TSV rows: one token per row, the index and then one cell per Token
+# field in TOKEN_FIELDS order, "_" for absent fields, SEMCATS "|"-joined.
 # ---------------------------------------------------------------------------
 
-def _fmt_opt(value):
-    if value == ABSENT:
-        raise SchemaError(f"field {ABSENT!r} would read back as absent")
-    return ABSENT if value is None else value
+_ROW = ("index", *TOKEN_FIELDS)
+_TEXT = frozenset(("surface", "lemma", "pos", "deprel", "error_flag", "label"))
+_NUMBERS = {"index": int, "governor": int, "pap": float, "mlp_conf": float}
 
 
-def _fmt_conf(name, v):
-    if v is None:
+def _cell(name, value) -> str:
+    """The cell of a Token field; SchemaError for a value that would not
+    read back as itself.  The branches go from the most taken down."""
+    if value is None:
         return ABSENT
-    text = f"{v:.6f}"
-    if float(text) != v:
-        raise SchemaError(f"{name}={v!r} would read back as {text}")
+    if name in _TEXT:
+        # a surface is never absent, so "_" there reads back as itself
+        if value == ABSENT and name != "surface":
+            raise SchemaError(f"field {ABSENT!r} would read back as absent")
+        return value
+    if name == "sem_categories":
+        if not value:
+            return ABSENT
+        for cat in value:
+            if cat in ("", ABSENT) or "|" in cat:
+                raise SchemaError(f"semantic category {cat!r} would not read back")
+        return "|".join(sorted(value))
+    if name == "governor":
+        return str(value)
+    text = f"{value:.6f}"
+    if float(text) != value:
+        raise SchemaError(f"{name}={value!r} would read back as {text}")
     return text
 
 
 def _token_row(i, tok: Token) -> str:
-    for cat in tok.sem_categories:
-        if cat in ("", ABSENT) or "|" in cat:
-            raise SchemaError(f"semantic category {cat!r} would not read back")
-    row = "\t".join((
-        str(i),
-        tok.surface,
-        _fmt_opt(tok.lemma),
-        _fmt_opt(tok.pos),
-        ABSENT if tok.governor is None else str(tok.governor),
-        _fmt_opt(tok.deprel),
-        "|".join(sorted(tok.sem_categories)) or ABSENT,
-        _fmt_conf("pap", tok.pap),
-        _fmt_conf("mlp_conf", tok.mlp_conf),
-        _fmt_opt(tok.error_flag),
-        _fmt_opt(tok.label),
-    ))
-    if row.count("\t") != len(COLUMNS) - 1:
+    row = "\t".join((str(i), *map(_cell, TOKEN_FIELDS, _token_row_values(tok))))
+    if row.count("\t") != len(_ROW) - 1:
         raise SchemaError(f"token {i} ({tok.surface!r}) has a field holding a tab")
     return row
 
@@ -466,44 +458,27 @@ def write_dataset(dataset: Dataset, path) -> None:
     write_blocks(path, ((utt.id, _utterance_rows(utt)) for utt in dataset))
 
 
-def _parse_opt(cell, caster, what, line, path):
-    if cell == ABSENT:
-        return None
-    try:
-        return caster(cell)
-    except ValueError as exc:
-        raise ParseError(f"bad {what} {cell!r}", line, path) from exc
-
-
-# the text cells a Token keeps besides SURFACE; the numeric cells are not
-# pooled, since their distinct values would outlive each row in the pool
-_POOLED = frozenset(COLUMNS.index(c) for c in ("LEMMA", "POS", "DEPREL", "ERRFLAG", "LABEL"))
-
-
-def _parse_token(i, line, lineno, path, text: TextPool, semcats: dict) -> Token:
+def _parse_token(i, line, lineno, path, text: Memo, semcats: Memo) -> Token:
     cells = line.split("\t")
-    if len(cells) != len(COLUMNS):
-        raise ParseError(f"expected {len(COLUMNS)} columns, found {len(cells)}", lineno, path)
-    if _parse_opt(cells[0], int, "index", lineno, path) != i:
-        raise ParseError(f"index {cells[0]} out of order", lineno, path)
-    opt = [None if cell == ABSENT else text[cell] if k in _POOLED else cell
-           for k, cell in enumerate(cells)]
-    cats = semcats.get(cells[6])
-    if cats is None:
-        cats = semcats[cells[6]] = frozenset() if opt[6] is None else frozenset(opt[6].split("|"))
+    if len(cells) != len(_ROW):
+        raise ParseError(f"expected {len(_ROW)} columns, found {len(cells)}", lineno, path)
+    values = []
+    for name, cell in zip(_ROW, cells):
+        if name in _TEXT:
+            value = None if cell == ABSENT and name != "surface" else text[cell]
+        elif name in _NUMBERS:
+            # not memoized: most numbers are distinct, so a memo would only hold them
+            try:
+                value = None if cell == ABSENT else _NUMBERS[name](cell)
+            except ValueError as exc:
+                raise ParseError(f"bad {name} {cell!r}", lineno, path) from exc
+            if name == "index" and value != i:
+                raise ParseError(f"index {cell} out of order", lineno, path)
+        else:
+            value = semcats[cell]
+        values.append(value)
     try:
-        return Token(
-            surface=text[cells[1]],
-            lemma=opt[2],
-            pos=opt[3],
-            governor=_parse_opt(cells[4], int, "governor", lineno, path),
-            deprel=opt[5],
-            sem_categories=cats,
-            pap=_parse_opt(cells[7], float, "pap", lineno, path),
-            mlp_conf=_parse_opt(cells[8], float, "confidence", lineno, path),
-            error_flag=opt[9],
-            label=opt[10],
-        )
+        return Token(*values[1:])
     except SchemaError as exc:
         raise SchemaError(f"{path}: line {lineno}: {exc}") from exc
 
@@ -513,12 +488,15 @@ def read_dataset(path) -> Dataset:
 
     Missing fields stay absent (they are never defaulted to zero), and
     `reference_tokens` is None, since `write_dataset` does not write it.
+    Equal text cells read back as one string and equal SEMCATS cells as
+    one frozenset, each through a `Memo` of this read.
     Raises ParseError naming the file and line for malformed rows and
     SchemaError for invariant violations such as an I-x label that does
     not continue a segment.
     """
     utterances = []
-    text, semcats = TextPool(), {}  # one frozenset per distinct SEMCATS cell
+    text = Memo(str)
+    semcats = Memo(lambda cell: frozenset() if cell == ABSENT else frozenset(cell.split("|")))
     for uid, rows in read_blocks(path):
         if not rows:
             raise ParseError(f"utterance {uid!r} has no tokens", path=path)
@@ -541,6 +519,6 @@ def write_outputs(outputs, path) -> None:
 
 
 def read_outputs(path):
-    text = TextPool()
+    text = Memo(str)
     return [TaggerOutput(uid, tuple(text[row] for _, row in rows))
             for uid, rows in read_blocks(path)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 from .corpus import Dataset, PhraseTable, Token, Utterance
@@ -83,45 +83,31 @@ class DomainGrammar:
         return sorted(set(self.vocabulary()) | set(self.extra_vocab))
 
     def to_json(self) -> str:
-        doc = {
-            "patterns": [[w, list(items)] for w, items in self.patterns],
-            "slots": {
-                name: {
-                    "concept": slot.concept,
-                    "realizations": [[w, list(ph)] for w, ph in slot.realizations],
-                }
-                for name, slot in sorted(self.slots.items())
-            },
-            "categories": dict(sorted(self.categories.items())),
-            "values": dict(sorted(self.values.items())),
-            "word_pos": dict(sorted(self.word_pos.items())),
-            "lemmas": dict(sorted(self.lemmas.items())),
-            "insertion_words": list(self.insertion_words),
-            "extra_vocab": list(self.extra_vocab),
-        }
-        return json.dumps(doc, indent=1, sort_keys=True, ensure_ascii=False)
+        return json.dumps(asdict(self), indent=1, sort_keys=True, ensure_ascii=False)
 
     @classmethod
     def from_json(cls, text: str) -> "DomainGrammar":
-        doc = json.loads(text)
-        slots = {
-            name: SlotSpec(
-                concept=spec["concept"],
-                realizations=tuple((w, tuple(ph)) for w, ph in spec["realizations"]),
+        """The grammar `to_json` wrote.  Raises GrammarError for text that
+        is not JSON, a missing key (named) and a value of the wrong type."""
+        try:
+            doc = json.loads(text)
+            g = cls(
+                slots={name: SlotSpec(spec["concept"],
+                                      tuple((w, tuple(ph)) for w, ph in spec["realizations"]))
+                       for name, spec in doc["slots"].items()},
+                patterns=tuple((w, tuple(items)) for w, items in doc["patterns"]),
+                categories=dict(doc["categories"]),
+                values=dict(doc["values"]),
+                word_pos=dict(doc["word_pos"]),
+                lemmas=dict(doc.get("lemmas", {})),
+                insertion_words=tuple(doc.get("insertion_words", ())),
+                extra_vocab=tuple(doc.get("extra_vocab", ())),
             )
-            for name, spec in doc["slots"].items()
-        }
-        g = cls(
-            patterns=tuple((w, tuple(items)) for w, items in doc["patterns"]),
-            slots=slots,
-            categories=dict(doc["categories"]),
-            values=dict(doc["values"]),
-            word_pos=dict(doc["word_pos"]),
-            lemmas=dict(doc.get("lemmas", {})),
-            insertion_words=tuple(doc.get("insertion_words", ())),
-            extra_vocab=tuple(doc.get("extra_vocab", ())),
-        )
-        g.validate()
+            g.validate()
+        except KeyError as exc:
+            raise GrammarError(f"grammar JSON lacks key {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:  # ValueError: not JSON
+            raise GrammarError(f"grammar JSON is malformed: {exc}") from exc
         return g
 
 

@@ -5,6 +5,7 @@ element-wise finite differences that are independent of the library's
 own dynamic programming and backpropagation code paths.
 """
 import itertools
+import json
 import math
 import random
 
@@ -15,9 +16,9 @@ from slukit.alignment import (DEL, EPS, INS, MATCH, SUB, Alignment,
 from slukit.confidence import (BOS, STREAM_ORDER, WINDOW, AutoencoderModel,
                                ConfidenceError, MsMlpModel, concat_vectors,
                                lm_category, shared_vocabulary)
-from slukit.corpus import (ERROR_LABELS, FLAG_CORRECT, FLAG_ERROR, NULL_LABEL,
-                           ConceptSegment, PhraseTable, SchemaError, TaggerOutput, Token,
-                           Utterance)
+from slukit.corpus import (ABSENT, ERROR_LABELS, FLAG_CORRECT, FLAG_ERROR, NULL_LABEL,
+                           ConceptSegment, ParseError, PhraseTable, SchemaError,
+                           TaggerOutput, Token, Utterance)
 from slukit.evaluation import ABSTAIN, EvaluationError, _check_aligned, score
 from slukit.numutil import derived_seed, rng_for, softmax
 
@@ -268,6 +269,127 @@ def reference_segments_of(utterance, value_table=None):
             raise SchemaError(f"unknown label {lab!r}")
     close(len(utterance.tokens))
     return segments
+
+
+# The corpus TSV codec as it was before it walked `TOKEN_FIELDS`: every
+# cell named by hand, with its own column list and helpers.
+
+_REFERENCE_COLUMNS = (
+    "INDEX", "SURFACE", "LEMMA", "POS", "GOV", "DEPREL",
+    "SEMCATS", "PAP", "CONF", "ERRFLAG", "LABEL",
+)
+
+
+def _reference_fmt_opt(value):
+    if value == ABSENT:
+        raise SchemaError(f"field {ABSENT!r} would read back as absent")
+    return ABSENT if value is None else value
+
+
+def _reference_fmt_conf(name, v):
+    if v is None:
+        return ABSENT
+    text = f"{v:.6f}"
+    if float(text) != v:
+        raise SchemaError(f"{name}={v!r} would read back as {text}")
+    return text
+
+
+def reference_token_row(i, tok):
+    for cat in tok.sem_categories:
+        if cat in ("", ABSENT) or "|" in cat:
+            raise SchemaError(f"semantic category {cat!r} would not read back")
+    row = "\t".join((
+        str(i),
+        tok.surface,
+        _reference_fmt_opt(tok.lemma),
+        _reference_fmt_opt(tok.pos),
+        ABSENT if tok.governor is None else str(tok.governor),
+        _reference_fmt_opt(tok.deprel),
+        "|".join(sorted(tok.sem_categories)) or ABSENT,
+        _reference_fmt_conf("pap", tok.pap),
+        _reference_fmt_conf("mlp_conf", tok.mlp_conf),
+        _reference_fmt_opt(tok.error_flag),
+        _reference_fmt_opt(tok.label),
+    ))
+    if row.count("\t") != len(_REFERENCE_COLUMNS) - 1:
+        raise SchemaError(f"token {i} ({tok.surface!r}) has a field holding a tab")
+    return row
+
+
+def _reference_parse_opt(cell, caster, what, line, path):
+    if cell == ABSENT:
+        return None
+    try:
+        return caster(cell)
+    except ValueError as exc:
+        raise ParseError(f"bad {what} {cell!r}", line, path) from exc
+
+
+_REFERENCE_POOLED = frozenset(_REFERENCE_COLUMNS.index(c)
+                              for c in ("LEMMA", "POS", "DEPREL", "ERRFLAG", "LABEL"))
+
+
+def reference_parse_token(i, line, lineno, path, text, semcats):
+    """`text` maps a cell to its shared string; `semcats` is a dict."""
+    cells = line.split("\t")
+    if len(cells) != len(_REFERENCE_COLUMNS):
+        raise ParseError(f"expected {len(_REFERENCE_COLUMNS)} columns, found {len(cells)}",
+                         lineno, path)
+    if _reference_parse_opt(cells[0], int, "index", lineno, path) != i:
+        raise ParseError(f"index {cells[0]} out of order", lineno, path)
+    opt = [None if cell == ABSENT else text[cell] if k in _REFERENCE_POOLED else cell
+           for k, cell in enumerate(cells)]
+    cats = semcats.get(cells[6])
+    if cats is None:
+        cats = semcats[cells[6]] = frozenset() if opt[6] is None else frozenset(opt[6].split("|"))
+    try:
+        return Token(
+            surface=text[cells[1]],
+            lemma=opt[2],
+            pos=opt[3],
+            governor=_reference_parse_opt(cells[4], int, "governor", lineno, path),
+            deprel=opt[5],
+            sem_categories=cats,
+            pap=_reference_parse_opt(cells[7], float, "pap", lineno, path),
+            mlp_conf=_reference_parse_opt(cells[8], float, "confidence", lineno, path),
+            error_flag=opt[9],
+            label=opt[10],
+        )
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: line {lineno}: {exc}") from exc
+
+
+def reference_validate_label_sequence(labels, line_base=None):
+    """The continuation rule stated apart from `repair_bio`."""
+    prev = None
+    for i, lab in enumerate(labels):
+        if lab is not None and lab.startswith("I-"):
+            if prev is None or prev[2:] != lab[2:] or not prev.startswith(("B-", "I-")):
+                where = f" (row {i})" if line_base is None else f" (line {line_base + i})"
+                raise SchemaError(f"label {lab!r} does not continue a segment{where}")
+        prev = lab
+
+
+def reference_grammar_json(grammar):
+    """`DomainGrammar.to_json` with the document built field by field."""
+    doc = {
+        "patterns": [[w, list(items)] for w, items in grammar.patterns],
+        "slots": {
+            name: {
+                "concept": slot.concept,
+                "realizations": [[w, list(ph)] for w, ph in slot.realizations],
+            }
+            for name, slot in sorted(grammar.slots.items())
+        },
+        "categories": dict(sorted(grammar.categories.items())),
+        "values": dict(sorted(grammar.values.items())),
+        "word_pos": dict(sorted(grammar.word_pos.items())),
+        "lemmas": dict(sorted(grammar.lemmas.items())),
+        "insertion_words": list(grammar.insertion_words),
+        "extra_vocab": list(grammar.extra_vocab),
+    }
+    return json.dumps(doc, indent=1, sort_keys=True, ensure_ascii=False)
 
 
 def brute_force_phrase_spans(words, phrases):

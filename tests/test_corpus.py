@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from slukit import corpus
 from slukit.alignment import corrupt
 from slukit.confidence import ConfidenceError, load_embeddings
 from slukit.corpus import (ERROR_C, ERROR_N, NULL_LABEL, ConceptSegment,
-                           Dataset, ParseError, PhraseTable, SchemaError,
+                           Dataset, Memo, ParseError, PhraseTable, SchemaError,
                            TOKEN_FIELDS, TaggerOutput, Token, Utterance,
                            augment_error_labels, label_segments,
                            labels_for_segments, read_dataset, read_outputs,
@@ -23,7 +24,9 @@ from slukit.corpus import (ERROR_C, ERROR_N, NULL_LABEL, ConceptSegment,
 from slukit.evaluation import ConfidenceRecord
 from slukit.modelio import VERSION, ModelIOError, load_blob, save_blob
 
-from helpers import brute_force_phrase_spans, reference_segments_of, utt
+from helpers import (brute_force_phrase_spans, reference_parse_token,
+                     reference_segments_of, reference_token_row,
+                     reference_validate_label_sequence, utt)
 
 
 def test_read_empty_file(tmp_path):
@@ -89,6 +92,12 @@ def _blob(edit):
      "bad.tsv: line 2: bad pap 'high'"),
     ("bad.tsv", "# id=u1\n" + _row(pap="1.5") + "\n", read_dataset, SchemaError,
      "bad.tsv: line 2: pap=1.5 outside"),
+    ("bad.tsv", "# id=u1\n" + _row(index="x") + "\n", read_dataset, ParseError,
+     "bad.tsv: line 2: bad index 'x'"),
+    ("bad.tsv", "# id=u1\n" + _row(mlp_conf="x") + "\n", read_dataset, ParseError,
+     "bad.tsv: line 2: bad mlp_conf 'x'"),
+    ("bad.tsv", "# id=u1\n" + _row(mlp_conf="1.5") + "\n", read_dataset, SchemaError,
+     "bad.tsv: line 2: mlp_conf=1.5 outside"),
     ("bad.tsv", "# id=u1\n\n", read_dataset, ParseError,
      "bad.tsv: utterance 'u1' has no tokens"),
     ("bad.vec", "a 0.5\nb\n", load_embeddings, ConfidenceError,
@@ -101,7 +110,8 @@ def _blob(edit):
     ("bad.slk", _blob(lambda data: data), lambda p: load_blob(p, expect_kind="other"),
      ModelIOError, "bad.slk: expected a 'other' model, found 'toy'"),
 ], ids=["too-few-cells", "index-out-of-order", "governor-not-int", "pap-not-float",
-        "pap-out-of-range", "header-without-rows", "embedding-without-components",
+        "pap-out-of-range", "index-not-int", "mlp-conf-not-float", "mlp-conf-out-of-range",
+        "header-without-rows", "embedding-without-components",
         "embedding-bad-float", "model-bad-magic", "model-unsupported-version",
         "model-kind-mismatch"])
 def test_read_malformed_row_reports_line(tmp_path, name, content, read, error, match):
@@ -168,6 +178,17 @@ def test_duplicate_ids_rejected():
     u2 = utt("same", ["b"])
     with pytest.raises(SchemaError):
         Dataset((u1, u2))
+
+
+def test_duplicate_ids_refused_in_linear_time():
+    # counting each id with list.count is quadratic: about a minute for these
+    toks = (Token("a"),)
+    utts = [Utterance(f"u{i}", toks) for i in range(50_000)]
+    utts += [Utterance("u7", toks), Utterance("u3", toks)]
+    start = time.process_time()
+    with pytest.raises(SchemaError, match=re.escape("duplicate utterance ids: ['u3', 'u7']")):
+        Dataset(tuple(utts))
+    assert time.process_time() - start < 2.0
 
 
 def test_segments_all_null():
@@ -302,6 +323,20 @@ def test_validate_label_sequence_rejects_switch():
         validate_label_sequence(["B-TOWN", "I-DATE"])
 
 
+@given(st.lists(st.none() | st.sampled_from(["B-TOWN", "I-TOWN", "B-DATE", "I-DATE",
+                                              NULL_LABEL, ERROR_C, "I-", "B-", "I-TOWNX"]),
+                max_size=8),
+       st.none() | st.integers(min_value=1, max_value=9))
+def test_validate_label_sequence_equals_reference(labels, line_base):
+    try:
+        reference_validate_label_sequence(labels, line_base)
+    except SchemaError as exc:
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(exc))}$"):
+            validate_label_sequence(labels, line_base)
+        return
+    validate_label_sequence(labels, line_base)
+
+
 def test_repair_bio_promotes_orphans():
     assert repair_bio([NULL_LABEL, "I-TOWN", "I-TOWN"]) == [NULL_LABEL, "B-TOWN", "I-TOWN"]
     assert repair_bio(["B-A", "I-B"]) == ["B-A", "B-B"]
@@ -407,20 +442,72 @@ _conf = st.none() | st.floats(min_value=0.0, max_value=1.0) | st.integers(
 
 
 @st.composite
+def tokens(draw):
+    return Token(surface=draw(_plain | _text.filter(bool)),
+                 lemma=draw(st.none() | _plain),
+                 pos=draw(st.none() | _plain),
+                 deprel=draw(st.none() | _plain),
+                 sem_categories=frozenset(draw(st.lists(_plain | _text, max_size=2))),
+                 pap=draw(_conf),
+                 mlp_conf=draw(_conf),
+                 error_flag=draw(st.sampled_from([None, "correct", "error"])),
+                 label=draw(st.none() | _plain | _text | st.sampled_from(["B-x", "I-x"])))
+
+
+@st.composite
 def datasets(draw):
     ids = draw(st.lists(_plain | _text, max_size=3, unique=True))
     utts = []
     for uid in ids:
         n = draw(st.integers(min_value=1, max_value=3))
-        toks = tuple(Token(surface=draw(_plain | _text.filter(bool)),
-                           sem_categories=frozenset(draw(st.lists(_plain | _text, max_size=2))),
-                           pap=draw(_conf),
-                           mlp_conf=draw(_conf),
-                           label=draw(st.none() | _plain | _text
-                                      | st.sampled_from(["B-x", "I-x"])))
-                     for _ in range(n))
-        utts.append(Utterance(uid, toks))
+        utts.append(Utterance(uid, tuple(draw(tokens()) for _ in range(n))))
     return Dataset(tuple(utts))
+
+
+def _same_outcome(expected, actual):
+    """Call both; they must return equal values or raise the same error.
+
+    The one message meant to differ: a cell that is not a number is named
+    by its Token field, so the reference's "bad confidence" is "bad mlp_conf".
+    """
+    try:
+        want = expected()
+    except (ParseError, SchemaError) as exc:
+        message = str(exc).replace("bad confidence", "bad mlp_conf")
+        with pytest.raises(type(exc), match=f"^{re.escape(message)}$"):
+            actual()
+        return None
+    got = actual()
+    assert got == want
+    return got
+
+
+def _semcats():
+    """The SEMCATS memo `read_dataset` makes for one read."""
+    return Memo(lambda cell: frozenset() if cell == "_" else frozenset(cell.split("|")))
+
+
+@given(st.integers(min_value=0, max_value=3), tokens(),
+       st.none() | st.integers(min_value=0, max_value=3))
+def test_token_row_equals_reference(i, tok, governor):
+    tok = dataclasses.replace(tok, governor=governor)
+    row = _same_outcome(lambda: reference_token_row(i, tok), lambda: corpus._token_row(i, tok))
+    if row is not None:
+        _same_outcome(lambda: reference_parse_token(i, row, 2, "d.tsv", Memo(str), {}),
+                      lambda: corpus._parse_token(i, row, 2, "d.tsv", Memo(str), _semcats()))
+
+
+# cells of every kind a row holds, well-formed or not
+_cells = st.sampled_from(["_", "0", "1", "x", "-1", "0.5", "1.5", "nan", "a", "B-x", "I-x",
+                          "a|b", "correct", "wrong", ""])
+
+
+@given(st.just("0") | st.sampled_from(["1", "x", "_"]),
+       st.lists(_cells, min_size=10, max_size=10) | st.lists(_cells, max_size=12))
+def test_parse_token_equals_reference(index, cells):
+    line = "\t".join([index, *cells])
+    _same_outcome(lambda: reference_parse_token(0, line, 5, "d.tsv", Memo(str), {}),
+                  lambda: corpus._parse_token(0, line, 5, "d.tsv", Memo(str), _semcats()))
 
 
 @given(datasets())
@@ -544,6 +631,15 @@ def test_read_dataset_shares_equal_text(tmp_path):
     assert a == b == town("u1").tokens[0]
     for name in ("surface", "lemma", "pos", "deprel", "sem_categories", "error_flag", "label"):
         assert getattr(a, name) is getattr(b, name), name
+
+
+def test_memo_parses_each_text_once():
+    calls = []
+    memo = Memo(lambda text: calls.append(text) or float(text))
+    assert memo["0.5"] is memo["0.5"] and calls == ["0.5"]
+    with pytest.raises(ValueError):
+        memo["x"]
+    assert "x" not in memo
 
 
 def test_read_outputs_shares_equal_labels(tmp_path):

@@ -1,8 +1,12 @@
+import json
+
 import pytest
 
 from slukit.corpus import PhraseTable, segments_of, validate_label_sequence
-from slukit.grammar import (DomainGrammar, GrammarError, annotate_words,
+from slukit.grammar import (DomainGrammar, GrammarError, SlotSpec, annotate_words,
                             default_grammar, generate_corpus)
+
+from helpers import reference_grammar_json
 
 
 def test_generation_deterministic(default_grammar):
@@ -90,3 +94,40 @@ def test_grammar_json_roundtrip(default_grammar):
     again = DomainGrammar.from_json(doc)
     assert again.to_json() == doc
     assert generate_corpus(again, 20, 9) == generate_corpus(default_grammar, 20, 9)
+
+
+def _small_grammar():
+    return DomainGrammar(
+        patterns=((2.0, ("a", "room", "in", "$TOWN")), (1.0, ("$TOWN", "é", "$DATE"))),
+        # keys out of order, so that the document's sorting shows
+        slots={"TOWN": SlotSpec("town", ((1.0, ("paris",)), (0.5, ("saint", "malo")))),
+               "DATE": SlotSpec("date", ((1.0, ("today",)),))},
+        categories={"saint malo": "TOWN", "paris": "TOWN"},
+        values={"saint malo": "st-malo"},
+        word_pos={"room": "NOUN", "a": "DET"},
+        lemmas={"rooms": "room"},
+        insertion_words=("euh",),
+        extra_vocab=("parish",),
+    )
+
+
+@pytest.mark.parametrize("grammar", [default_grammar, _small_grammar],
+                         ids=["default", "small"])
+def test_grammar_json_equals_reference(grammar):
+    g = grammar()
+    assert g.to_json() == reference_grammar_json(g)
+    assert DomainGrammar.from_json(g.to_json()).to_json() == g.to_json()
+
+
+_SLOT_WITHOUT_REALIZATIONS = json.dumps({"slots": {"TOWN": {"concept": "town"}}})
+
+
+@pytest.mark.parametrize("text, match", [
+    ("not json", "grammar JSON is malformed: Expecting value"),
+    ("{}", "grammar JSON lacks key 'slots'"),
+    (_SLOT_WITHOUT_REALIZATIONS, "grammar JSON lacks key 'realizations'"),
+    ("[]", "grammar JSON is malformed: list indices"),
+], ids=["not-json", "empty-object", "slot-without-realizations", "list"])
+def test_grammar_from_json_refuses_malformed_documents(text, match):
+    with pytest.raises(GrammarError, match=match):
+        DomainGrammar.from_json(text)
