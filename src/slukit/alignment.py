@@ -239,7 +239,7 @@ class NBest:
     `decode_nbest` and `read_nbest` both return one, and within one
     list equal hypotheses are one tuple.  It reads as a sequence of
     (weight, words) pairs: `len`, `nbest[k]` for an int k, and iteration
-    in order; a slice `nbest[a:b]` is the `NBest` of those entries.
+    in order.
     """
 
     weights: tuple
@@ -253,8 +253,6 @@ class NBest:
         return len(self.hyps)
 
     def __getitem__(self, k):
-        if isinstance(k, slice):
-            return NBest(self.weights[k], self.hyps[k])
         return self.weights[k], self.hyps[k]
 
     def __iter__(self):

@@ -10,6 +10,7 @@ averaged per example (per word).
 """
 from __future__ import annotations
 
+import json
 import warnings
 from dataclasses import dataclass
 
@@ -21,7 +22,9 @@ from .numutil import rng_for, softmax
 
 LM_FULL, LM_BACKOFF, LM_UNKNOWN = 0, 1, 2
 WINDOW = 2  # neighbors on each side in the MS-MLP window stream
-_AE_BATCH = 32  # words per autoencoder step
+PROJ, MERGE, HIDDEN = 16, 64, 32  # MS-MLP widths: per-stream projection, merge, hidden
+_MLP_LR, _MLP_BATCH = 0.3, 64  # MS-MLP step per token, and tokens per step
+_AE_LR, _AE_BATCH = 0.05, 32  # autoencoder step per word, and words per step
 _CHUNK = 256  # tokens per attach_confidence forward pass
 
 
@@ -141,8 +144,7 @@ def make_hash_embeddings(vocab, dim, name, seed) -> EmbeddingTable:
 # a list of that kind
 _HEADER_KINDS = {
     "source_names": [str], "source_dims": [int], "bottleneck": int,
-    "window": int, "widths": dict, "proj": int, "merge": int, "hidden": int,
-    "stream_dims": dict, "config": dict, "fused_words": [str], "pos_vocab": [str],
+    "config": dict, "epochs": int, "seed": int, "fused_words": [str], "pos_vocab": [str],
     "deprel_vocab": [str], "unigrams": [str], "bigrams": [[str]],
 }
 
@@ -167,6 +169,20 @@ def _header_values(path, header, *keys) -> list:
             raise ConfidenceError(f"{path}: header key {key!r} is not a "
                                   f"{_kind_name(_HEADER_KINDS[key])}")
     return [header[key] for key in keys]
+
+
+def _check_header(path, header, model) -> None:
+    """The one header rule: ConfidenceError naming the file and the first key,
+    in sorted order, that only one of `header` and `model._header()` holds or
+    whose `json.dumps(value, sort_keys=True)` text differs between the two.
+    modelio's own keys, "kind" and "arrays", are skipped."""
+    want = model._header()
+    for key in sorted((header.keys() | want.keys()) - {"kind", "arrays"}):
+        if key not in header:
+            raise ConfidenceError(f"{path}: header lacks key {key!r}")
+        if key not in want or (json.dumps(header[key], sort_keys=True)
+                               != json.dumps(want[key], sort_keys=True)):
+            raise ConfidenceError(f"{path}: header key {key!r} is not as save writes it")
 
 
 def _check_arrays(path, arrays, shapes) -> None:
@@ -235,11 +251,13 @@ class AutoencoderModel:
     def decode(self, h):
         return _dense(h, self.w_dec, self.b_dec)
 
+    def _header(self):
+        return {"source_names": list(self.source_names),
+                "source_dims": list(self.source_dims),
+                "bottleneck": int(self.bottleneck)}
+
     def save(self, path):
-        header = {"source_names": list(self.source_names),
-                  "source_dims": list(self.source_dims),
-                  "bottleneck": int(self.bottleneck)}
-        modelio.save_blob(path, "autoencoder", header, {
+        modelio.save_blob(path, "autoencoder", self._header(), {
             "w_enc": self.w_enc, "b_enc": self.b_enc,
             "w_dec": self.w_dec, "b_dec": self.b_dec,
         })
@@ -249,21 +267,25 @@ class AutoencoderModel:
         """Read a model `save` wrote.
 
         Raises ConfidenceError naming the file and the key or array for
-        a header that lacks a key or holds a value of another type than
-        `save` writes, source names and dims of different lengths, and
-        an array that is missing or whose shape does not follow from the
-        bottleneck and the sum of the source dims.
+        a header key that is missing or of another type than `save`
+        writes, source names and dims of different lengths, an array that
+        is missing or whose shape does not follow from the bottleneck and
+        the source dims, and last, by the one header rule of
+        `_check_header`, any header key not as `save` writes it for the
+        model read.
         """
         header, arrays = modelio.load_blob(path, "autoencoder")
         names, dims, d = _header_values(path, header, "source_names", "source_dims",
                                         "bottleneck")
         names, dims = tuple(names), tuple(dims)
         if len(names) != len(dims):
-            raise ConfidenceError(f"{path}: {len(names)} source_names for "
-                                  f"{len(dims)} source_dims")
+            raise ConfidenceError(f"{path}: header keys 'source_names' and 'source_dims' "
+                                  f"differ in length, {len(names)} and {len(dims)}")
         _check_arrays(path, arrays, _ae_shapes(sum(dims), d))
-        return cls(arrays["w_enc"], arrays["b_enc"], arrays["w_dec"],
-                   arrays["b_dec"], names, dims)
+        model = cls(arrays["w_enc"], arrays["b_enc"], arrays["w_dec"],
+                    arrays["b_dec"], names, dims)
+        _check_header(path, header, model)
+        return model
 
 
 def _ae_shapes(din, d):
@@ -298,13 +320,13 @@ def concat_vectors(tables, words):
     return np.stack([np.concatenate([t.lookup(w) for t in tables]) for w in words])
 
 
-def train_autoencoder(tables, d, epochs=300, lr=0.05, seed=0):
+def train_autoencoder(tables, d, epochs=300, seed=0):
     """Fit the fusion autoencoder on the tables' shared vocabulary.
 
-    `_sgd` in batches of 32 words on the per-word reconstruction error of
-    `ae_loss_and_grads`, so `lr` is a step per word whatever the input
-    width.  The concatenation order of the source tables is part of the
-    model and round-trips through its file.  Returns (model, final mse),
+    `_sgd` in batches of _AE_BATCH words on the per-word reconstruction
+    error of `ae_loss_and_grads`, so _AE_LR is a step per word whatever
+    the input width.  The concatenation order of the source tables is part
+    of the model and round-trips through its file.  Returns (model, final mse),
     the mse being the element mean over the whole vocabulary (the
     per-word loss divided by Din).
     """
@@ -320,7 +342,7 @@ def train_autoencoder(tables, d, epochs=300, lr=0.05, seed=0):
     # the model holds the very arrays `_sgd` steps in place
     model = AutoencoderModel(**params, source_names=tuple(t.name for t in tables),
                              source_dims=tuple(t.dim for t in tables))
-    _sgd(params, lambda idx: ae_loss_and_grads(model, x[idx]), len(x), epochs, lr,
+    _sgd(params, lambda idx: ae_loss_and_grads(model, x[idx]), len(x), epochs, _AE_LR,
          _AE_BATCH, rng_for("ae-shuffle", seed))
     loss = ae_loss_and_grads(model, x)[0] / x.shape[1]
     return model, loss
@@ -367,12 +389,11 @@ def lm_category(prev_word, word, unigrams, bigrams) -> int:
 
 @dataclass(frozen=True)
 class MsMlpConfig:
-    proj: int = 16
-    merge: int = 64
-    hidden: int = 32
+    """The MS-MLP's training settings that a run may vary: the benchmark's
+    workloads set `epochs` and `seed` and nothing else.  The widths (PROJ,
+    MERGE, HIDDEN), the step _MLP_LR and the batch size _MLP_BATCH are
+    module constants, and a model file's header must carry their values."""
     epochs: int = 10
-    lr: float = 0.3
-    batch: int = 64
     seed: int = 0
 
 
@@ -521,53 +542,46 @@ class MsMlpModel:
         p = 1.0 / (1.0 + np.exp(-np.clip(diff, -700, 700)))
         return np.clip(p, 1e-15, 1.0 - 1e-15)
 
-    def save(self, path):
+    def _header(self):
         v = self.vectorizer
-        header = {
+        return {
             "stream_order": list(STREAM_ORDER),
             "stream_dims": {k: int(d) for k, d in v.stream_dims().items()},
-            "widths": {"proj": self.config.proj, "merge": self.config.merge,
-                       "hidden": self.config.hidden, "out": 2},
+            "widths": {"proj": PROJ, "merge": MERGE, "hidden": HIDDEN, "out": 2},
             "window": WINDOW,
             "pos_vocab": v.pos_vocab,
             "deprel_vocab": v.deprel_vocab,
             "unigrams": sorted(v.unigrams),
             "bigrams": [list(b) for b in sorted(v.bigrams)],
             "fused_words": v.fused.words,
-            "config": {"epochs": self.config.epochs, "lr": self.config.lr,
-                       "batch": self.config.batch, "seed": self.config.seed},
+            "config": {"epochs": self.config.epochs, "lr": _MLP_LR,
+                       "batch": _MLP_BATCH, "seed": self.config.seed},
         }
+
+    def save(self, path):
         arrays = dict(self.params)
-        arrays["fused_matrix"] = v.fused.matrix
-        modelio.save_blob(path, "msmlp", header, arrays)
+        arrays["fused_matrix"] = self.vectorizer.fused.matrix
+        modelio.save_blob(path, "msmlp", self._header(), arrays)
 
     @classmethod
     def load(cls, path):
         """Read a model `save` wrote.
 
         Raises ConfidenceError naming the file and the key or array for
-        a header that lacks a key or holds a value of another type than
-        `save` writes, a config field MsMlpConfig does not take, a
-        window other than WINDOW, a POS or deprel vocabulary without
-        "<unk>", and an array that is missing or whose shape does not
-        follow from the header's widths and vocabularies; also for
-        header stream_dims that disagree with those vocabularies.
+        a header key that is missing or of another type than `save`
+        writes, a POS or deprel vocabulary without "<unk>", an array that
+        is missing or whose shape does not follow from the widths and the
+        vocabularies, and last, by the one header rule of `_check_header`,
+        any header key not as `save` writes it for the model read: another
+        window, width, step, batch size or stream order, or `16.0` for `16`.
         """
         header, arrays = modelio.load_blob(path, "msmlp")
-        (window, widths, words, pos_vocab, deprel_vocab, unigrams, bigrams, config,
-         header_dims) = _header_values(path, header, "window", "widths", "fused_words",
-                                       "pos_vocab", "deprel_vocab", "unigrams", "bigrams",
-                                       "config", "stream_dims")
-        proj, merge, hidden = _header_values(path, widths, "proj", "merge", "hidden")
-        try:
-            cfg = MsMlpConfig(proj=proj, merge=merge, hidden=hidden, **config)
-        except TypeError as exc:
-            raise ConfidenceError(f"{path}: header key 'config' holds a field "
-                                  f"MsMlpConfig does not take: {exc}") from exc
+        words, pos_vocab, deprel_vocab, unigrams, bigrams, config = _header_values(
+            path, header, "fused_words", "pos_vocab", "deprel_vocab", "unigrams", "bigrams",
+            "config")
+        cfg = MsMlpConfig(*_header_values(path, config, "epochs", "seed"))
         vocabs = (pos_vocab, deprel_vocab, frozenset(unigrams),
                   frozenset(tuple(b) for b in bigrams))
-        if window != WINDOW:
-            raise ConfidenceError(f"{path}: window {window!r} is not {WINDOW}")
         matrix = arrays.pop("fused_matrix", None)
         if matrix is None or matrix.ndim != 2 or matrix.shape[0] != len(words):
             raise ConfidenceError(
@@ -576,30 +590,26 @@ class MsMlpModel:
             vec = MsMlpVectorizer(EmbeddingTable(words, matrix, name="fused"), *vocabs)
         except ConfidenceError as exc:
             raise ConfidenceError(f"{path}: {exc}") from exc
-        dims = vec.stream_dims()
-        _check_arrays(path, arrays, _param_shapes(dims, cfg))
-        if header_dims != dims:
-            raise ConfidenceError(
-                f"{path}: header stream_dims {header_dims} are not those of its "
-                f"vocabularies, {dims}")
-        return cls(vec, arrays, cfg)
+        _check_arrays(path, arrays, _param_shapes(vec.stream_dims()))
+        model = cls(vec, arrays, cfg)
+        _check_header(path, header, model)
+        return model
 
 
-def _param_shapes(stream_dims, cfg: MsMlpConfig):
+def _param_shapes(stream_dims):
     """Shape of each MS-MLP parameter, in the order they are initialized."""
     shapes = {}
     for name in STREAM_ORDER:
-        shapes[f"w_{name}"] = (cfg.proj, stream_dims[name])
-        shapes[f"b_{name}"] = (cfg.proj,)
-    shapes.update(w_merge=(cfg.merge, cfg.proj * len(STREAM_ORDER)), b_merge=(cfg.merge,),
-                  w_hidden=(cfg.hidden, cfg.merge), b_hidden=(cfg.hidden,),
-                  w_out=(2, cfg.hidden), b_out=(2,))
+        shapes[f"w_{name}"] = (PROJ, stream_dims[name])
+        shapes[f"b_{name}"] = (PROJ,)
+    shapes.update(w_merge=(MERGE, PROJ * len(STREAM_ORDER)), b_merge=(MERGE,),
+                  w_hidden=(HIDDEN, MERGE), b_hidden=(HIDDEN,),
+                  w_out=(2, HIDDEN), b_out=(2,))
     return shapes
 
 
 def _init_mlp_params(vectorizer: MsMlpVectorizer, cfg: MsMlpConfig):
-    return _init_params(_param_shapes(vectorizer.stream_dims(), cfg),
-                        rng_for("msmlp", cfg.seed))
+    return _init_params(_param_shapes(vectorizer.stream_dims()), rng_for("msmlp", cfg.seed))
 
 
 def mlp_loss_and_grads(model: MsMlpModel, streams, y):
@@ -618,9 +628,8 @@ def mlp_loss_and_grads(model: MsMlpModel, streams, y):
     dm_pre = (dh_pre @ p["w_hidden"]) * (1.0 - m ** 2)
     grads.update(_dense_grads("merge", dm_pre, m_in))
     dm_in = dm_pre @ p["w_merge"]
-    proj = model.config.proj
     for k, name in enumerate(STREAM_ORDER):
-        dp_pre = dm_in[:, k * proj:(k + 1) * proj] * (1.0 - projs[name] ** 2)
+        dp_pre = dm_in[:, k * PROJ:(k + 1) * PROJ] * (1.0 - projs[name] ** 2)
         grads.update(_dense_grads(name, dp_pre, streams[name]))
     return loss, grads
 
@@ -643,8 +652,9 @@ def _training_matrix(dataset: Dataset, vectorizer: MsMlpVectorizer):
 def train_msmlp(dataset: Dataset, vectorizer: MsMlpVectorizer,
                 cfg: MsMlpConfig = MsMlpConfig()) -> MsMlpModel:
     """`_sgd` on the per-token 2-class cross entropy of `mlp_loss_and_grads`,
-    with the epochs, step, batch size and seed of `cfg`.  Each batch's stream
-    rows are gathered from the dataset's ids when the batch is drawn."""
+    with the epochs and seed of `cfg`, the step _MLP_LR and batches of
+    _MLP_BATCH tokens.  Each batch's stream rows are gathered from the
+    dataset's ids when the batch is drawn."""
     if len(dataset) == 0:
         raise ConfidenceError("cannot train on an empty dataset")
     model = MsMlpModel(vectorizer, _init_mlp_params(vectorizer, cfg), cfg)
@@ -653,7 +663,7 @@ def train_msmlp(dataset: Dataset, vectorizer: MsMlpVectorizer,
     def loss_and_grads(idx):
         return mlp_loss_and_grads(model, vectorizer.gather(ids, idx), y[idx])
 
-    _sgd(model.params, loss_and_grads, len(y), cfg.epochs, cfg.lr, cfg.batch,
+    _sgd(model.params, loss_and_grads, len(y), cfg.epochs, _MLP_LR, _MLP_BATCH,
          rng_for("msmlp-shuffle", cfg.seed))
     return model
 

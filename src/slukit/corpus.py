@@ -271,18 +271,6 @@ def label_segments(words, labels, value_table: PhraseTable | None = None):
     return segments
 
 
-def labels_for_segments(segments, n_tokens):
-    """Inverse of `segments_of` up to values: B/I labels over n positions."""
-    labels = [NULL_LABEL] * n_tokens
-    for seg in segments:
-        if not (0 <= seg.start < seg.end <= n_tokens):
-            raise SchemaError(f"segment span [{seg.start},{seg.end}) out of range")
-        labels[seg.start] = "B-" + seg.label
-        for i in range(seg.start + 1, seg.end):
-            labels[i] = "I-" + seg.label
-    return labels
-
-
 def augment_error_labels(utterance: Utterance) -> Utterance:
     """Replace the label of every erroneous word with an error tag.
 
@@ -420,6 +408,8 @@ def _cell(name, value) -> str:
     if value is None:
         return ABSENT
     if name in _TEXT:
+        if not isinstance(value, str):
+            raise SchemaError(f"{name}={value!r} is not text")
         # a surface is never absent, so "_" there reads back as itself
         if value == ABSENT and name != "surface":
             raise SchemaError(f"field {ABSENT!r} would read back as absent")
@@ -432,6 +422,8 @@ def _cell(name, value) -> str:
                 raise SchemaError(f"semantic category {cat!r} would not read back")
         return "|".join(sorted(value))
     if name == "governor":
+        if type(value) is not int:  # so that True and 1.0 are refused
+            raise SchemaError(f"governor={value!r} is not an int")
         return str(value)
     text = f"{value:.6f}"
     if float(text) != value:
@@ -447,8 +439,9 @@ def _token_row(i, tok: Token) -> str:
 
 
 def _utterance_rows(utt: Utterance):
-    validate_label_sequence(utt.labels())
-    return [_token_row(i, tok) for i, tok in enumerate(utt.tokens)]
+    rows = [_token_row(i, tok) for i, tok in enumerate(utt.tokens)]
+    validate_label_sequence(utt.labels())  # after the rows, which refuse a label not text
+    return rows
 
 
 def write_dataset(dataset: Dataset, path) -> None:

@@ -65,9 +65,6 @@ class DomainGrammar:
         changes to `categories` are not seen)."""
         return PhraseTable(self.categories.items())
 
-    def concept_inventory(self):
-        return sorted({slot.concept for slot in self.slots.values()})
-
     def vocabulary(self):
         """Words the clean generator can emit."""
         words = set(self.insertion_words)

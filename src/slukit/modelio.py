@@ -40,8 +40,8 @@ def save_blob(path, kind: str, header: dict, arrays: dict) -> None:
             npformat.write_array(fh, np.ascontiguousarray(arrays[name]))
 
 
-def load_blob(path, expect_kind: str | None = None):
-    """(header, arrays) of a model file; ModelIOError if it is not one."""
+def load_blob(path, expect_kind: str):
+    """(header, arrays) of an `expect_kind` model file; ModelIOError if it is not one."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
@@ -59,7 +59,7 @@ def load_blob(path, expect_kind: str | None = None):
             arrays = {name: npformat.read_array(fh) for name in names}
         except (struct.error, ValueError) as exc:
             raise ModelIOError(f"{path}: truncated or corrupt model file: {exc}") from exc
-    if expect_kind is not None and header.get("kind") != expect_kind:
+    if header.get("kind") != expect_kind:
         raise ModelIOError(
             f"{path}: expected a {expect_kind!r} model, found {header.get('kind')!r}"
         )

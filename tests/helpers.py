@@ -565,20 +565,21 @@ def reference_train_autoencoder(tables, d, epochs=300, lr=0.05, batch=32, seed=0
     return model, loss_and_grads(x)[0] / din
 
 
-def reference_train_msmlp(dataset, vectorizer, cfg):
+def reference_train_msmlp(dataset, vectorizer, cfg, proj, merge, hidden, lr, batch):
     """The MS-MLP trained by its own code rather than the trainers'
     shared one: its own Glorot initializer over a shape table written
     out, its own loop, and the cross-entropy gradient written out layer
-    by layer, on the `reference_training_matrix` rows."""
+    by layer, on the `reference_training_matrix` rows.  The widths, step
+    and batch size are arguments here, module constants in `confidence`."""
     rng = rng_for("msmlp", cfg.seed)
     dims = vectorizer.stream_dims()
     shapes = {}
     for name in STREAM_ORDER:
-        shapes[f"w_{name}"] = (cfg.proj, dims[name])
-        shapes[f"b_{name}"] = (cfg.proj,)
-    shapes.update(w_merge=(cfg.merge, cfg.proj * len(STREAM_ORDER)), b_merge=(cfg.merge,),
-                  w_hidden=(cfg.hidden, cfg.merge), b_hidden=(cfg.hidden,),
-                  w_out=(2, cfg.hidden), b_out=(2,))
+        shapes[f"w_{name}"] = (proj, dims[name])
+        shapes[f"b_{name}"] = (proj,)
+    shapes.update(w_merge=(merge, proj * len(STREAM_ORDER)), b_merge=(merge,),
+                  w_hidden=(hidden, merge), b_hidden=(hidden,),
+                  w_out=(2, hidden), b_out=(2,))
 
     def glorot(rows, cols):
         lim = np.sqrt(6.0 / (rows + cols))
@@ -605,7 +606,7 @@ def reference_train_msmlp(dataset, vectorizer, cfg):
         grads["b_merge"] = dm_pre.sum(axis=0)
         dm_in = dm_pre @ p["w_merge"]
         for k, name in enumerate(STREAM_ORDER):
-            dp_pre = dm_in[:, k * cfg.proj:(k + 1) * cfg.proj] * (1.0 - projs[name] ** 2)
+            dp_pre = dm_in[:, k * proj:(k + 1) * proj] * (1.0 - projs[name] ** 2)
             grads[f"w_{name}"] = dp_pre.T @ streams[name]
             grads[f"b_{name}"] = dp_pre.sum(axis=0)
         return grads
@@ -614,9 +615,9 @@ def reference_train_msmlp(dataset, vectorizer, cfg):
     rng = rng_for("msmlp-shuffle", cfg.seed)
     for _ in range(cfg.epochs):
         order = rng.permutation(len(y))
-        for s in range(0, len(y), cfg.batch):
-            idx = order[s:s + cfg.batch]
+        for s in range(0, len(y), batch):
+            idx = order[s:s + batch]
             grads = grads_of({name: x[name][idx] for name in STREAM_ORDER}, y[idx])
             for name, g in grads.items():
-                p[name] -= cfg.lr * g
+                p[name] -= lr * g
     return MsMlpModel(vectorizer, p, cfg)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import re
 from unittest import mock
 
@@ -147,7 +148,8 @@ def test_ae_gradient_matches_finite_differences(tiny_tables):
 
 def test_ae_identity_capacity(tiny_tables):
     # bottleneck as wide as the input can drive reconstruction error tiny
-    model, mse = train_autoencoder(tiny_tables, d=12, epochs=800, lr=0.2, seed=1)
+    with mock.patch.object(conf, "_AE_LR", 0.2):
+        model, mse = train_autoencoder(tiny_tables, d=12, epochs=800, seed=1)
     assert mse < 1e-3
 
 
@@ -267,6 +269,12 @@ def _flagged(words, flags, pos="NOUN"):
     return Utterance("u" + "-".join(words[:2]) + str(len(words)), toks)
 
 
+def _mlp_constants(proj, merge, hidden, lr=conf._MLP_LR, batch=conf._MLP_BATCH):
+    """Patch the MS-MLP's widths, step and batch size, to keep a test's model small."""
+    return mock.patch.multiple(conf, PROJ=proj, MERGE=merge, HIDDEN=hidden,
+                               _MLP_LR=lr, _MLP_BATCH=batch)
+
+
 def _tiny_vectorizer(train_words, fused_dim=4):
     fused = make_hash_embeddings(train_words, fused_dim, "fused", 0)
     clean = Dataset((utt("c0", list(train_words)),))
@@ -276,20 +284,22 @@ def _tiny_vectorizer(train_words, fused_dim=4):
 
 
 def test_mlp_gradient_matches_finite_differences():
+    # at the full widths this check takes about 30 times as long
     vec = _tiny_vectorizer(("aa", "bb", "cc", "dd"))
-    cfg = MsMlpConfig(proj=3, merge=5, hidden=4, seed=2)
+    cfg = MsMlpConfig(seed=2)
     ds = Dataset((
         _flagged(["aa", "bb", "cc"], ["correct", "error", "correct"]),
         _flagged(["dd", "aa"], ["error", "correct"]),
         _flagged(["cc", "cc", "dd", "bb", "aa"],
                  ["correct", "correct", "error", "correct", "error"]),
     ))
-    model = MsMlpModel(vec, conf._init_mlp_params(vec, cfg), cfg)
-    ids, y = conf._training_matrix(ds, vec)
-    x = vec.gather(ids)
-    _, grads = mlp_loss_and_grads(model, x, y)
-    worst = fd_gradcheck(lambda: mlp_loss_and_grads(model, x, y)[0],
-                         model.params, grads)
+    with _mlp_constants(3, 5, 4):
+        model = MsMlpModel(vec, conf._init_mlp_params(vec, cfg), cfg)
+        ids, y = conf._training_matrix(ds, vec)
+        x = vec.gather(ids)
+        _, grads = mlp_loss_and_grads(model, x, y)
+        worst = fd_gradcheck(lambda: mlp_loss_and_grads(model, x, y)[0],
+                             model.params, grads)
     assert worst < 1e-4
 
 
@@ -316,8 +326,8 @@ def test_mlp_learns_separable_data():
                      for i, (w, f) in enumerate(zip(ws, fs)))
         utts.append(Utterance(f"s{k}", toks))
     ds = Dataset(tuple(utts))
-    model = train_msmlp(ds, vec, MsMlpConfig(proj=6, merge=12, hidden=8,
-                                             epochs=60, lr=0.5, seed=1))
+    with _mlp_constants(6, 12, 8, lr=0.5):
+        model = train_msmlp(ds, vec, MsMlpConfig(epochs=60, seed=1))
     ids, y = conf._training_matrix(ds, vec)
     x = vec.gather(ids)
     z = model.forward(x)[0]
@@ -328,8 +338,8 @@ def test_mlp_learns_separable_data():
 def test_mlp_single_class_saturates():
     vec = _tiny_vectorizer(("aa", "bb"))
     ds = Dataset((_flagged(["aa", "bb", "aa"], ["correct"] * 3),))
-    model = train_msmlp(ds, vec, MsMlpConfig(proj=4, merge=6, hidden=4,
-                                             epochs=80, lr=0.5, seed=0))
+    with _mlp_constants(4, 6, 4, lr=0.5):
+        model = train_msmlp(ds, vec, MsMlpConfig(epochs=80, seed=0))
     c = model.confidences(ds.utterances[0])
     assert np.all(c > 0.9)
 
@@ -337,8 +347,9 @@ def test_mlp_single_class_saturates():
 def test_confidence_closed_form_softmax():
     # softmax Correct of scores (2, 0) = logistic(2); equal scores = 0.5
     vec = _tiny_vectorizer(("aa",))
-    cfg = MsMlpConfig(proj=2, merge=2, hidden=2)
-    model = MsMlpModel(vec, conf._init_mlp_params(vec, cfg), cfg)
+    cfg = MsMlpConfig()
+    with _mlp_constants(2, 2, 2):
+        model = MsMlpModel(vec, conf._init_mlp_params(vec, cfg), cfg)
     model.params["w_out"][:] = 0.0
     model.params["b_out"][:] = [2.0, 0.0]
     c = model.confidences(utt("u", ["aa"]))
@@ -352,8 +363,9 @@ def test_confidence_closed_form_softmax():
 
 def test_confidences_strictly_inside_unit_interval():
     vec = _tiny_vectorizer(("aa", "bb", "cc"))
-    cfg = MsMlpConfig(proj=3, merge=4, hidden=3, seed=7)
-    model = MsMlpModel(vec, conf._init_mlp_params(vec, cfg), cfg)
+    cfg = MsMlpConfig(seed=7)
+    with _mlp_constants(3, 4, 3):
+        model = MsMlpModel(vec, conf._init_mlp_params(vec, cfg), cfg)
     for scale in (1.0, 1e4):
         model.params["b_out"][:] = [scale, -scale]
         c = model.confidences(utt("u", ["aa", "bb", "cc", "zz"]))
@@ -363,45 +375,49 @@ def test_confidences_strictly_inside_unit_interval():
 def test_mlp_deterministic_and_roundtrip(tmp_path):
     vec = _tiny_vectorizer(("aa", "bb", "cc"))
     ds = Dataset((_flagged(["aa", "bb"], ["correct", "error"]),))
-    cfg = MsMlpConfig(proj=3, merge=4, hidden=3, epochs=5, seed=3)
-    m1 = train_msmlp(ds, vec, cfg)
-    m2 = train_msmlp(ds, vec, cfg)
-    for name in m1.params:
-        assert np.array_equal(m1.params[name], m2.params[name])
-    p = tmp_path / "mlp.slk"
-    m1.save(p)
-    again = MsMlpModel.load(p)
-    u = _flagged(["cc", "aa"], ["correct", "correct"])
-    assert np.array_equal(again.confidences(u), m1.confidences(u))
-    assert p.read_bytes() == (lambda q: (m1.save(q), q.read_bytes())[1])(tmp_path / "mlp2.slk")
+    cfg = MsMlpConfig(epochs=5, seed=3)
+    with _mlp_constants(3, 4, 3):
+        m1 = train_msmlp(ds, vec, cfg)
+        m2 = train_msmlp(ds, vec, cfg)
+        for name in m1.params:
+            assert np.array_equal(m1.params[name], m2.params[name])
+        p = tmp_path / "mlp.slk"
+        m1.save(p)
+        again = MsMlpModel.load(p)
+        u = _flagged(["cc", "aa"], ["correct", "correct"])
+        assert np.array_equal(again.confidences(u), m1.confidences(u))
+        assert p.read_bytes() == (lambda q: (m1.save(q), q.read_bytes())[1])(tmp_path / "mlp2.slk")
 
 
-def test_msmlp_load_refuses_foreign_window(tmp_path):
-    vec = _tiny_vectorizer(("aa", "bb"))
-    cfg = MsMlpConfig(proj=2, merge=2, hidden=2)
-    p = tmp_path / "mlp.slk"
-    MsMlpModel(vec, conf._init_mlp_params(vec, cfg), cfg).save(p)
-    header, arrays = modelio.load_blob(p, "msmlp")
-    assert header["window"] == conf.WINDOW
-    modelio.save_blob(p, "msmlp", dict(header, window=1), arrays)
-    with pytest.raises(ConfidenceError, match=re.escape(str(p))):
-        MsMlpModel.load(p)
+@pytest.fixture
+def tiny_widths():
+    """The MS-MLP widths of `_saved_tiny_model`, for the whole test."""
+    with _mlp_constants(2, 3, 2):
+        yield
 
 
 def _saved_tiny_model(tmp_path):
     vec = _tiny_vectorizer(("aa", "bb"))
-    cfg = MsMlpConfig(proj=2, merge=3, hidden=2)
+    cfg = MsMlpConfig()
     p = tmp_path / "mlp.slk"
     MsMlpModel(vec, conf._init_mlp_params(vec, cfg), cfg).save(p)
     header, arrays = modelio.load_blob(p, "msmlp")
     return p, header, arrays
 
 
+def test_msmlp_load_refuses_foreign_window(tmp_path, tiny_widths):
+    p, header, arrays = _saved_tiny_model(tmp_path)
+    assert header["window"] == conf.WINDOW
+    modelio.save_blob(p, "msmlp", dict(header, window=1), arrays)
+    with pytest.raises(ConfidenceError, match=re.escape(str(p)) + ".*'window'"):
+        MsMlpModel.load(p)
+
+
 @pytest.mark.parametrize("path", [
     ("window",), ("widths",), ("widths", "proj"), ("stream_dims",), ("pos_vocab",),
     ("deprel_vocab",), ("unigrams",), ("bigrams",), ("fused_words",), ("config",),
 ], ids="-".join)
-def test_msmlp_load_names_a_missing_header_key(tmp_path, path):
+def test_msmlp_load_names_a_missing_header_key(tmp_path, tiny_widths, path):
     p, header, arrays = _saved_tiny_model(tmp_path)
     *outer, key = path
     holder = header
@@ -409,7 +425,8 @@ def test_msmlp_load_names_a_missing_header_key(tmp_path, path):
         holder[name] = holder = dict(holder[name])
     del holder[key]
     modelio.save_blob(p, "msmlp", header, arrays)
-    with pytest.raises(ConfidenceError, match=re.escape(str(p)) + ".*" + re.escape(repr(key))):
+    # a key inside "widths" is named by the header rule as "widths"
+    with pytest.raises(ConfidenceError, match=re.escape(str(p)) + ".*" + repr(path[0])):
         MsMlpModel.load(p)
 
 
@@ -418,8 +435,8 @@ def _grown(header, key, extra):
 
 
 @pytest.mark.parametrize("edit, array", [
-    (lambda h, a: (dict(h, widths=dict(h["widths"], proj=3)), a), "w_window"),
-    (lambda h, a: (dict(h, widths=dict(h["widths"], hidden=3)), a), "w_hidden"),
+    (lambda h, a: (dict(h, widths=dict(h["widths"], proj=3)), a), "widths"),
+    (lambda h, a: (dict(h, widths=dict(h["widths"], hidden=3)), a), "widths"),
     (lambda h, a: (_grown(h, "pos_vocab", "VERB"), a), "w_pos"),
     (lambda h, a: (_grown(h, "deprel_vocab", "nsubj"), a), "w_deprel"),
     (lambda h, a: (h, dict(a, w_merge=a["w_merge"].T)), "w_merge"),
@@ -436,7 +453,7 @@ def _grown(header, key, extra):
 ], ids=["wider-proj", "wider-hidden", "more-pos", "more-deprel", "transposed-merge",
         "no-b_out", "more-fused-words", "narrower-fused", "int-widths", "int-pos-vocab",
         "int-unigrams", "int-bigram", "list-config", "unknown-config-field"])
-def test_msmlp_load_names_a_misshapen_array(tmp_path, edit, array):
+def test_msmlp_load_names_a_misshapen_array(tmp_path, tiny_widths, edit, array):
     p, header, arrays = _saved_tiny_model(tmp_path)
     modelio.save_blob(p, "msmlp", *edit(header, arrays))
     with pytest.raises(ConfidenceError, match=re.escape(str(p)) + ".*" + repr(array)):
@@ -444,7 +461,7 @@ def test_msmlp_load_names_a_misshapen_array(tmp_path, edit, array):
 
 
 @pytest.mark.parametrize("key", ["pos_vocab", "deprel_vocab"])
-def test_msmlp_load_refuses_a_vocabulary_without_unk(tmp_path, key):
+def test_msmlp_load_refuses_a_vocabulary_without_unk(tmp_path, tiny_widths, key):
     # "<UNK>" for "<unk>" keeps every array's shape, so only the lookup
     # of an unknown tag could fail, and it would fail at the first token
     p, header, arrays = _saved_tiny_model(tmp_path)
@@ -454,7 +471,7 @@ def test_msmlp_load_refuses_a_vocabulary_without_unk(tmp_path, key):
         MsMlpModel.load(p)
 
 
-def test_msmlp_load_refuses_stream_dims_its_vocabularies_contradict(tmp_path):
+def test_msmlp_load_refuses_stream_dims_its_vocabularies_contradict(tmp_path, tiny_widths):
     p, header, arrays = _saved_tiny_model(tmp_path)
     dims = dict(header["stream_dims"], lm=4)
     modelio.save_blob(p, "msmlp", dict(header, stream_dims=dims), arrays)
@@ -462,19 +479,90 @@ def test_msmlp_load_refuses_stream_dims_its_vocabularies_contradict(tmp_path):
         MsMlpModel.load(p)
 
 
+def _reversed(header, key):
+    return dict(header, **{key: header[key][::-1]})
+
+
+@pytest.mark.parametrize("kind, edit, key", [
+    ("msmlp", lambda h: _reversed(h, "stream_order"), "stream_order"),
+    ("msmlp", lambda h: _reversed(h, "unigrams"), "unigrams"),
+    ("msmlp", lambda h: dict(h, widths=dict(h["widths"], out=3)), "widths"),
+    ("msmlp", lambda h: dict(h, widths=dict(h["widths"], proj=2.0)), "widths"),
+    ("msmlp", lambda h: dict(h, config=dict(h["config"], lr=0.5)), "config"),
+    ("msmlp", lambda h: dict(h, note=1), "note"),
+    ("autoencoder", lambda h: dict(h, note=1), "note"),
+], ids=["reversed-stream-order", "reversed-unigrams", "three-outputs", "float-proj",
+        "foreign-lr", "msmlp-unknown-key", "autoencoder-unknown-key"])
+def test_model_load_names_the_header_key_save_would_not_write(tmp_path, tiny_tables,
+                                                                tiny_widths, kind, edit, key):
+    if kind == "msmlp":
+        p, header, arrays = _saved_tiny_model(tmp_path)
+    else:
+        p, header, arrays = _saved_tiny_ae(tmp_path, tiny_tables)
+    modelio.save_blob(p, kind, edit(header), arrays)
+    with pytest.raises(ConfidenceError, match=f"^{re.escape(str(p))}: header key {key!r}"):
+        (MsMlpModel if kind == "msmlp" else AutoencoderModel).load(p)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text("ab<>", max_size=3),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text("ab", max_size=2), inner, max_size=3)),
+    max_leaves=5)
+
+
+@given(kind=st.sampled_from(["autoencoder", "msmlp"]), data=st.data())
+def test_model_files_roundtrip_or_refuse(tmp_path_factory, tiny_tables, kind, data):
+    d = tmp_path_factory.mktemp("model")
+    cls = MsMlpModel if kind == "msmlp" else AutoencoderModel
+    with _mlp_constants(2, 3, 2):
+        if kind == "msmlp":
+            p, header, arrays = _saved_tiny_model(d)
+        else:
+            p, header, arrays = _saved_tiny_ae(d, tiny_tables)
+        saved = p.read_bytes()
+        cls.load(p).save(p)
+        assert p.read_bytes() == saved
+        # replace one value, at the top or inside "widths" or "config", or add a key
+        edited = json.loads(json.dumps(header))
+        where = data.draw(st.sampled_from([()] + [(k,) for k in ("widths", "config")
+                                                  if k in header]))
+        holder = edited[where[0]] if where else edited
+        key = data.draw(st.sampled_from(sorted(holder.keys() - {"kind", "arrays"}))
+                        | st.text("ab", max_size=2))
+        old = holder.get(key)
+        holder[key] = data.draw(_json_values if type(old) is not int
+                                else _json_values | st.just(float(old)))
+        modelio.save_blob(p, kind, edited, arrays)
+        written = p.read_bytes()
+        # an edit may describe another model that save writes the same way
+        # (no unigrams, say): then it loads, and must re-save to these bytes
+        try:
+            back = cls.load(p)
+        except ConfidenceError as exc:
+            assert json.dumps(edited, sort_keys=True) != json.dumps(header, sort_keys=True)
+            named = [*where, key, *(old if isinstance(old, dict) else ())]
+            assert str(exc).startswith(f"{p}: ")
+            assert "array '" in str(exc) or any(repr(k) in str(exc) for k in named), str(exc)
+            return
+        back.save(p)
+        assert p.read_bytes() == written
+
+
 def test_mlp_loss_monotone_small_lr():
     vec = _tiny_vectorizer(("aa", "bb", "cc"))
-    cfg = MsMlpConfig(proj=3, merge=4, hidden=3, seed=1)
+    cfg = MsMlpConfig(seed=1)
     ds = Dataset((_flagged(["aa", "bb", "cc"], ["correct", "error", "correct"]),))
-    model = MsMlpModel(vec, conf._init_mlp_params(vec, cfg), cfg)
     ids, y = conf._training_matrix(ds, vec)
     x = vec.gather(ids)
     losses = []
-    for _ in range(20):
-        loss, grads = mlp_loss_and_grads(model, x, y)
-        losses.append(loss)
-        for name, g in grads.items():
-            model.params[name] -= 0.05 * g
+    with _mlp_constants(3, 4, 3):
+        model = MsMlpModel(vec, conf._init_mlp_params(vec, cfg), cfg)
+        for _ in range(20):
+            loss, grads = mlp_loss_and_grads(model, x, y)
+            losses.append(loss)
+            for name, g in grads.items():
+                model.params[name] -= 0.05 * g
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
@@ -559,8 +647,8 @@ def test_attach_confidence_shards_equal_serial(small_corpus):
     words = sorted({w.lower() for u in small_corpus for w in u.surfaces()})
     vec = MsMlpVectorizer.from_training(
         small_corpus, hyp, make_hash_embeddings(words, 4, "fused", 0))
-    model = train_msmlp(hyp, vec, MsMlpConfig(proj=3, merge=4, hidden=3,
-                                              epochs=2, seed=0))
+    with _mlp_constants(3, 4, 3):
+        model = train_msmlp(hyp, vec, MsMlpConfig(epochs=2, seed=0))
     serial = attach_confidence(hyp, model)
     for k in range(len(hyp) + 1):
         head = attach_confidence(Dataset(hyp.utterances[:k]), model)
@@ -579,8 +667,8 @@ def test_mlp_requires_flags_and_data():
 def test_attach_confidence_fills_column():
     vec = _tiny_vectorizer(("aa", "bb"))
     ds = Dataset((_flagged(["aa", "bb"], ["correct", "error"]),))
-    model = train_msmlp(ds, vec, MsMlpConfig(proj=3, merge=4, hidden=3,
-                                             epochs=3, seed=0))
+    with _mlp_constants(3, 4, 3):
+        model = train_msmlp(ds, vec, MsMlpConfig(epochs=3, seed=0))
     out = attach_confidence(ds, model)
     for u in out:
         for t in u.tokens:
@@ -602,7 +690,8 @@ def test_train_autoencoder_equals_reference(n_words, dims, d, epochs, lr, seed):
     # 32 words per batch: most vocabulary sizes leave a short last batch
     vocab = [f"w{i}" for i in range(n_words)]
     tables = [make_hash_embeddings(vocab, dim, f"t{k}", seed) for k, dim in enumerate(dims)]
-    model, mse = train_autoencoder(tables, d, epochs=epochs, lr=lr, seed=seed)
+    with mock.patch.object(conf, "_AE_LR", lr):
+        model, mse = train_autoencoder(tables, d, epochs=epochs, seed=seed)
     expected, expected_mse = reference_train_autoencoder(tables, d, epochs=epochs, lr=lr,
                                                          seed=seed)
     assert mse == expected_mse
@@ -628,11 +717,11 @@ def _flagged_datasets(draw, min_utts=1):
        lr=st.sampled_from([0.3, 1.0]), seed=_seeds)
 def test_train_msmlp_equals_reference(ds, fused_dim, widths, epochs, batch, lr, seed):
     vec = _tiny_vectorizer(("aa", "bb", "cc", "dd"), fused_dim=fused_dim)
-    proj, merge, hidden = widths
-    cfg = MsMlpConfig(proj=proj, merge=merge, hidden=hidden, epochs=epochs, lr=lr,
-                      batch=batch, seed=seed)
-    params = train_msmlp(ds, vec, cfg).params
-    expected = reference_train_msmlp(ds, vec, cfg).params
+    # batches of 1-8 tokens: most datasets leave a short last batch
+    cfg = MsMlpConfig(epochs=epochs, seed=seed)
+    with _mlp_constants(*widths, lr=lr, batch=batch):
+        params = train_msmlp(ds, vec, cfg).params
+    expected = reference_train_msmlp(ds, vec, cfg, *widths, lr=lr, batch=batch).params
     assert list(params) == list(expected)
     for name in expected:
         assert np.array_equal(params[name], expected[name]), name
@@ -648,9 +737,9 @@ def test_train_msmlp_equals_reference(ds, fused_dim, widths, epochs, batch, lr, 
 def test_attach_confidence_equals_per_utterance_reference(ds, chunk, widths, scale, seed):
     # chunks of 1-4 tokens: most utterances straddle a chunk boundary
     vec = _tiny_vectorizer(("aa", "bb", "cc", "dd"))
-    proj, merge, hidden = widths
-    cfg = MsMlpConfig(proj=proj, merge=merge, hidden=hidden, seed=seed)
-    model = MsMlpModel(vec, conf._init_mlp_params(vec, cfg), cfg)
+    cfg = MsMlpConfig(seed=seed)
+    with _mlp_constants(*widths):
+        model = MsMlpModel(vec, conf._init_mlp_params(vec, cfg), cfg)
     model.params["w_out"] *= scale  # confidences near 0 and 1 too
     expected = [[round(float(c), 6) for c in model.confidences(u)] for u in ds]
     with mock.patch.object(conf, "_CHUNK", chunk):

@@ -16,7 +16,7 @@ from slukit.corpus import (ERROR_C, ERROR_N, NULL_LABEL, ConceptSegment,
                            Dataset, Memo, ParseError, PhraseTable, SchemaError,
                            TOKEN_FIELDS, TaggerOutput, Token, Utterance,
                            augment_error_labels, label_segments,
-                           labels_for_segments, read_dataset, read_outputs,
+                           read_dataset, read_outputs,
                            repair_bio,
                            segments_of, strip_error_labels,
                            validate_label_sequence, write_dataset,
@@ -103,10 +103,10 @@ def _blob(edit):
     ("bad.vec", "a 0.5\nb\n", load_embeddings, ConfidenceError,
      "bad.vec line 2: no vector components"),
     ("bad.vec", "a 0.5\nb x\n", load_embeddings, ConfidenceError, "bad.vec line 2: bad float"),
-    ("bad.slk", _blob(lambda data: b"XXXX" + data[4:]), load_blob, ModelIOError,
-     "bad.slk: bad magic"),
+    ("bad.slk", _blob(lambda data: b"XXXX" + data[4:]), lambda p: load_blob(p, "toy"),
+     ModelIOError, "bad.slk: bad magic"),
     ("bad.slk", _blob(lambda data: data[:4] + struct.pack(">I", VERSION + 1) + data[8:]),
-     load_blob, ModelIOError, "bad.slk: unsupported version"),
+     lambda p: load_blob(p, "toy"), ModelIOError, "bad.slk: unsupported version"),
     ("bad.slk", _blob(lambda data: data), lambda p: load_blob(p, expect_kind="other"),
      ModelIOError, "bad.slk: expected a 'other' model, found 'toy'"),
 ], ids=["too-few-cells", "index-out-of-order", "governor-not-int", "pap-not-float",
@@ -232,7 +232,9 @@ def test_segments_labels_roundtrip(case):
     n, triples = case
     words = [f"w{i}" for i in range(n)]
     segs = [ConceptSegment(lab, " ".join(words[a:b]), a, b) for lab, a, b in triples]
-    labels = labels_for_segments(segs, n)
+    labels = [NULL_LABEL] * n
+    for lab, a, b in triples:
+        labels[a:b] = ["B-" + lab] + ["I-" + lab] * (b - a - 1)
     u = utt("u", words, labels)
     assert segments_of(u) == segs
 
@@ -460,7 +462,21 @@ def datasets(draw):
     utts = []
     for uid in ids:
         n = draw(st.integers(min_value=1, max_value=3))
-        utts.append(Utterance(uid, tuple(draw(tokens()) for _ in range(n))))
+        toks = []
+        for i in range(n):
+            # a governor written as an int, a float or a bool, and a text
+            # field that is not text: the reader gives back only int and str
+            gov = draw(st.none() | st.sampled_from([g for g in range(n) if g != i] or [None]))
+            if gov is not None:
+                kinds = [int, float, bool] if gov < 2 else [int, float]  # bool(2) is True
+                gov = draw(st.sampled_from(kinds))(gov)
+            changes = {"governor": gov}
+            field = draw(st.sampled_from([None, None, "surface", "lemma", "pos", "deprel",
+                                          "label"]))
+            if field is not None:
+                changes[field] = draw(st.integers(min_value=1, max_value=9) | st.just(0.5))
+            toks.append(dataclasses.replace(draw(tokens()), **changes))
+        utts.append(Utterance(uid, tuple(toks)))
     return Dataset(tuple(utts))
 
 

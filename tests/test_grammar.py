@@ -32,7 +32,7 @@ def test_every_concept_appears(default_grammar):
     ds = generate_corpus(default_grammar, 10000, 1)
     seen = {t.label[2:] for u in ds for t in u.tokens
             if t.label and t.label.startswith("B-")}
-    assert seen == set(default_grammar.concept_inventory())
+    assert seen == {slot.concept for slot in default_grammar.slots.values()}
 
 
 def test_generated_labels_are_valid(default_grammar):

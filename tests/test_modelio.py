@@ -23,7 +23,7 @@ def test_truncated_blob_raises_model_error(tmp_path, cut):
     data = p.read_bytes()
     p.write_bytes(data[:cut(data)])
     with pytest.raises(ModelIOError, match="m.slk"):
-        load_blob(p)
+        load_blob(p, "toy")
 
 
 def test_save_blob_refuses_lone_surrogate_without_writing(tmp_path):
@@ -45,4 +45,4 @@ def test_malformed_header_raises_model_error(tmp_path, header):
         fh.write(MAGIC + struct.pack(">II", VERSION, len(payload)) + payload)
         npformat.write_array(fh, np.zeros(2))
     with pytest.raises(ModelIOError, match="m.slk"):
-        load_blob(p)
+        load_blob(p, "toy")
