@@ -10,9 +10,9 @@ averaged per example (per word).
 """
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -137,63 +137,8 @@ def make_hash_embeddings(vocab, dim, name, seed) -> EmbeddingTable:
 
 
 # ---------------------------------------------------------------------------
-# Shared by both networks: model file checks, and training
+# Shared by both networks: training
 # ---------------------------------------------------------------------------
-
-# the type each model header key holds as JSON reads it back; [kind] is
-# a list of that kind
-_HEADER_KINDS = {
-    "source_names": [str], "source_dims": [int], "bottleneck": int,
-    "config": dict, "epochs": int, "seed": int, "fused_words": [str], "pos_vocab": [str],
-    "deprel_vocab": [str], "unigrams": [str], "bigrams": [[str]],
-}
-
-
-def _holds(value, kind) -> bool:
-    if isinstance(kind, list):
-        return type(value) is list and all(_holds(v, kind[0]) for v in value)
-    return type(value) is kind  # so that true is not an int
-
-
-def _kind_name(kind) -> str:
-    return f"list[{_kind_name(kind[0])}]" if isinstance(kind, list) else kind.__name__
-
-
-def _header_values(path, header, *keys) -> list:
-    """header[key] for each key; ConfidenceError naming the file and the
-    key for one that is missing or not of its `_HEADER_KINDS` type."""
-    for key in keys:
-        if key not in header:
-            raise ConfidenceError(f"{path}: header lacks key {key!r}")
-        if not _holds(header[key], _HEADER_KINDS[key]):
-            raise ConfidenceError(f"{path}: header key {key!r} is not a "
-                                  f"{_kind_name(_HEADER_KINDS[key])}")
-    return [header[key] for key in keys]
-
-
-def _check_header(path, header, model) -> None:
-    """The one header rule: ConfidenceError naming the file and the first key,
-    in sorted order, that only one of `header` and `model._header()` holds or
-    whose `json.dumps(value, sort_keys=True)` text differs between the two.
-    modelio's own keys, "kind" and "arrays", are skipped."""
-    want = model._header()
-    for key in sorted((header.keys() | want.keys()) - {"kind", "arrays"}):
-        if key not in header:
-            raise ConfidenceError(f"{path}: header lacks key {key!r}")
-        if key not in want or (json.dumps(header[key], sort_keys=True)
-                               != json.dumps(want[key], sort_keys=True)):
-            raise ConfidenceError(f"{path}: header key {key!r} is not as save writes it")
-
-
-def _check_arrays(path, arrays, shapes) -> None:
-    """ConfidenceError naming the file and the array for a name of
-    `shapes` that `arrays` lacks or holds in another shape."""
-    for name, shape in shapes.items():
-        got = arrays[name].shape if name in arrays else None
-        if got != shape:
-            raise ConfidenceError(f"{path}: array {name!r} has shape {got}, "
-                                  f"the header implies {shape}")
-
 
 def _init_params(shapes, rng) -> dict:
     """Glorot-uniform weights `w_*` drawn from `rng` in table order, zero biases."""
@@ -232,6 +177,10 @@ def _sgd(params, loss_and_grads, n, epochs, lr, batch, rng) -> None:
 # Autoencoder fusion
 # ---------------------------------------------------------------------------
 
+# each header key `load` reads, and its type as JSON reads it back
+_AE_KEYS = {"source_names": [str], "source_dims": [int], "bottleneck": int}
+
+
 @dataclass
 class AutoencoderModel:
     w_enc: np.ndarray  # (d, Din)
@@ -264,27 +213,16 @@ class AutoencoderModel:
 
     @classmethod
     def load(cls, path):
-        """Read a model `save` wrote.
-
-        Raises ConfidenceError naming the file and the key or array for
-        a header key that is missing or of another type than `save`
-        writes, source names and dims of different lengths, an array that
-        is missing or whose shape does not follow from the bottleneck and
-        the source dims, and last, by the one header rule of
-        `_check_header`, any header key not as `save` writes it for the
-        model read.
-        """
+        """Read a model `save` wrote; ModelIOError, by the load rule of
+        `modelio`, for any other file."""
         header, arrays = modelio.load_blob(path, "autoencoder")
-        names, dims, d = _header_values(path, header, "source_names", "source_dims",
-                                        "bottleneck")
-        names, dims = tuple(names), tuple(dims)
-        if len(names) != len(dims):
-            raise ConfidenceError(f"{path}: header keys 'source_names' and 'source_dims' "
-                                  f"differ in length, {len(names)} and {len(dims)}")
-        _check_arrays(path, arrays, _ae_shapes(sum(dims), d))
-        model = cls(arrays["w_enc"], arrays["b_enc"], arrays["w_dec"],
-                    arrays["b_dec"], names, dims)
-        _check_header(path, header, model)
+        names, dims, d = modelio.header_values(path, header, _AE_KEYS)
+        if len(names) != len(dims) or min(dims, default=1) < 1:
+            raise modelio.ModelIOError(f"{path}: header key 'source_dims' is not one width "
+                                       "of at least 1 per entry of 'source_names'")
+        modelio.check_arrays(path, arrays, _ae_shapes(sum(dims), d))
+        model = cls(**arrays, source_names=tuple(names), source_dims=tuple(dims))
+        modelio.check_header(path, header, model._header())
         return model
 
 
@@ -349,6 +287,13 @@ def train_autoencoder(tables, d, epochs=300, seed=0):
 
 
 def build_fused_table(model: AutoencoderModel, tables, vocab) -> EmbeddingTable:
+    """The bottleneck of each word of `vocab` over `tables`; ConfidenceError
+    naming the first table whose name or width is not the model's source there."""
+    sources = zip(model.source_names, model.source_dims)
+    for k, (t, want) in enumerate(zip_longest(tables, sources)):
+        got = None if t is None else (t.name, t.dim)
+        if got != want:
+            raise ConfidenceError(f"table {k} (name, width) is {got}, the model's is {want}")
     vocab = sorted(set(vocab))
     mat = model.encode(concat_vectors(tables, vocab))
     return EmbeddingTable(vocab, mat, name="fused")
@@ -511,6 +456,12 @@ class MsMlpVectorizer:
         return self.gather(self.encode((utt,)))
 
 
+# each header key `load` reads, and its type as JSON reads it back
+_MLP_KEYS = {"fused_words": [str], "pos_vocab": [str], "deprel_vocab": [str],
+             "unigrams": [str], "bigrams": [[str]], "config": dict}
+_MLP_CONFIG_KEYS = {"epochs": int, "seed": int}
+
+
 class MsMlpModel:
     """Per-stream projections, a merge layer, one hidden layer and two
     output units scoring Correct and Error."""
@@ -565,34 +516,25 @@ class MsMlpModel:
 
     @classmethod
     def load(cls, path):
-        """Read a model `save` wrote.
-
-        Raises ConfidenceError naming the file and the key or array for
-        a header key that is missing or of another type than `save`
-        writes, a POS or deprel vocabulary without "<unk>", an array that
-        is missing or whose shape does not follow from the widths and the
-        vocabularies, and last, by the one header rule of `_check_header`,
-        any header key not as `save` writes it for the model read: another
-        window, width, step, batch size or stream order, or `16.0` for `16`.
-        """
+        """Read a model `save` wrote; ModelIOError, by the load rule of
+        `modelio`, for any other file."""
         header, arrays = modelio.load_blob(path, "msmlp")
-        words, pos_vocab, deprel_vocab, unigrams, bigrams, config = _header_values(
-            path, header, "fused_words", "pos_vocab", "deprel_vocab", "unigrams", "bigrams",
-            "config")
-        cfg = MsMlpConfig(*_header_values(path, config, "epochs", "seed"))
-        vocabs = (pos_vocab, deprel_vocab, frozenset(unigrams),
-                  frozenset(tuple(b) for b in bigrams))
+        words, pos_vocab, deprel_vocab, unigrams, bigrams, config = modelio.header_values(
+            path, header, _MLP_KEYS)
+        cfg = MsMlpConfig(*modelio.header_values(path, config, _MLP_CONFIG_KEYS))
         matrix = arrays.pop("fused_matrix", None)
-        if matrix is None or matrix.ndim != 2 or matrix.shape[0] != len(words):
-            raise ConfidenceError(
-                f"{path}: array 'fused_matrix' does not have one row per fused word")
+        if (matrix is None or matrix.ndim != 2 or matrix.shape[0] != len(words)
+                or matrix.dtype != np.float64):
+            raise modelio.ModelIOError(
+                f"{path}: array 'fused_matrix' is not float64 with one row per fused word")
         try:
-            vec = MsMlpVectorizer(EmbeddingTable(words, matrix, name="fused"), *vocabs)
+            vec = MsMlpVectorizer(EmbeddingTable(words, matrix, name="fused"), pos_vocab,
+                                  deprel_vocab, unigrams, (tuple(b) for b in bigrams))
         except ConfidenceError as exc:
-            raise ConfidenceError(f"{path}: {exc}") from exc
-        _check_arrays(path, arrays, _param_shapes(vec.stream_dims()))
+            raise modelio.ModelIOError(f"{path}: {exc}") from exc
+        modelio.check_arrays(path, arrays, _param_shapes(vec.stream_dims()))
         model = cls(vec, arrays, cfg)
-        _check_header(path, header, model)
+        modelio.check_header(path, header, model._header())
         return model
 
 

@@ -418,7 +418,7 @@ def _cell(name, value) -> str:
         if not value:
             return ABSENT
         for cat in value:
-            if cat in ("", ABSENT) or "|" in cat:
+            if not isinstance(cat, str) or cat in ("", ABSENT) or "|" in cat:
                 raise SchemaError(f"semantic category {cat!r} would not read back")
         return "|".join(sorted(value))
     if name == "governor":

@@ -1,9 +1,16 @@
-"""Versioned on-disk format for trained models.
+"""Versioned on-disk format for trained models, and the rule to load one.
 
 Layout: 4-byte magic, 4-byte big-endian version, 4-byte header length,
 a UTF-8 JSON header (sorted keys, includes the array name order), then
 one raw .npy blob per array in that order.  No timestamps anywhere, so
 identical models serialize to identical bytes.
+
+A model's `load` reads a file only as its `save` writes it: after
+`load_blob`, `header_values` types the keys the model reads, `check_arrays`
+matches the arrays to the shapes those imply, and `check_header` compares
+the whole header with the one `save` writes for the model read.  Every
+refusal of a model file is a ModelIOError that starts with the file and
+names the key or array.
 """
 from __future__ import annotations
 
@@ -64,3 +71,54 @@ def load_blob(path, expect_kind: str):
             f"{path}: expected a {expect_kind!r} model, found {header.get('kind')!r}"
         )
     return header, arrays
+
+
+def _holds(value, kind) -> bool:
+    if isinstance(kind, list):
+        return type(value) is list and all(_holds(v, kind[0]) for v in value)
+    return type(value) is kind  # so that true is not an int
+
+
+def _kind_name(kind) -> str:
+    return f"list[{_kind_name(kind[0])}]" if isinstance(kind, list) else kind.__name__
+
+
+def header_values(path, header, keys) -> list:
+    """header[key] for each key of the table `keys`, in its order; ModelIOError
+    naming the file and the key for one that is missing or not of its type in
+    `keys`, the type JSON reads back ([kind] is a list of that kind)."""
+    for key, kind in keys.items():
+        if key not in header:
+            raise ModelIOError(f"{path}: header lacks key {key!r}")
+        if not _holds(header[key], kind):
+            raise ModelIOError(f"{path}: header key {key!r} is not a {_kind_name(kind)}")
+    return [header[key] for key in keys]
+
+
+def check_arrays(path, arrays, shapes) -> None:
+    """ModelIOError naming the file and the array for a name of `shapes` that
+    `arrays` lacks or holds in another shape or not as float64, and for an
+    array `shapes` does not name."""
+    for name, shape in shapes.items():
+        got = arrays[name].shape if name in arrays else None
+        if got != shape:
+            raise ModelIOError(f"{path}: array {name!r} has shape {got}, "
+                               f"the header implies {shape}")
+        if arrays[name].dtype != np.float64:
+            raise ModelIOError(f"{path}: array {name!r} is {arrays[name].dtype}, not float64")
+    for name in sorted(arrays.keys() - shapes.keys()):
+        raise ModelIOError(f"{path}: array {name!r} is not one the header implies")
+
+
+def check_header(path, header, want) -> None:
+    """The one header rule: ModelIOError naming the file and the first key, in
+    sorted order, that only one of `header` and `want` (the header `save`
+    writes for the model read) holds or whose `json.dumps(value,
+    sort_keys=True)` text differs between the two.  The layout's own keys,
+    "kind" and "arrays", are skipped."""
+    for key in sorted((header.keys() | want.keys()) - {"kind", "arrays"}):
+        if key not in header:
+            raise ModelIOError(f"{path}: header lacks key {key!r}")
+        if key not in want or (json.dumps(header[key], sort_keys=True)
+                               != json.dumps(want[key], sort_keys=True)):
+            raise ModelIOError(f"{path}: header key {key!r} is not as save writes it")

@@ -21,6 +21,7 @@ from slukit.confidence import (STREAM_ORDER, AutoencoderModel, ConfidenceError,
                                write_embeddings)
 from slukit.corpus import Dataset, Token, Utterance
 from slukit.grammar import annotate_words, generate_corpus
+from slukit.modelio import ModelIOError
 from slukit.numutil import rng_for
 
 from helpers import (fd_gradcheck, reference_streams, reference_train_autoencoder,
@@ -201,6 +202,22 @@ def test_fuse_properties(tiny_tables):
     assert oov == pytest.approx(np.tanh(model.b_enc))
 
 
+@pytest.mark.parametrize("pick, first", [
+    (lambda x, y: [y, x], 0),
+    (lambda x, y: [x], 1),
+    (lambda x, y: [x, y, y], 2),
+    (lambda x, y: [x, make_hash_embeddings(y.words, 3, "y", 0)], 1),
+    (lambda x, y: [EmbeddingTable(x.words, x.matrix, name="z"), y], 0),
+], ids=["reversed", "fewer", "more", "wider", "renamed"])
+def test_build_fused_table_names_the_first_table_unlike_the_models_source(pick, first):
+    # reversed, the two widths still sum to the input width
+    vocab = [f"w{i}" for i in range(5)]
+    x, y = make_hash_embeddings(vocab, 3, "x", 0), make_hash_embeddings(vocab, 2, "y", 0)
+    model, _ = train_autoencoder([x, y], d=2, epochs=0, seed=0)
+    with pytest.raises(ConfidenceError, match=f"^table {first} "):
+        build_fused_table(model, pick(x, y), vocab)
+
+
 def test_ae_file_roundtrip(tmp_path, tiny_tables):
     model, _ = train_autoencoder(tiny_tables, d=4, epochs=3, seed=0)
     p = tmp_path / "ae.slk"
@@ -226,7 +243,7 @@ def test_ae_load_names_a_missing_header_key(tmp_path, tiny_tables, key):
     p, header, arrays = _saved_tiny_ae(tmp_path, tiny_tables)
     del header[key]
     modelio.save_blob(p, "autoencoder", header, arrays)
-    with pytest.raises(ConfidenceError, match=re.escape(str(p)) + ".*" + repr(key)):
+    with pytest.raises(ModelIOError, match=re.escape(str(p)) + ".*" + repr(key)):
         AutoencoderModel.load(p)
 
 
@@ -241,13 +258,16 @@ def test_ae_load_names_a_missing_header_key(tmp_path, tiny_tables, key):
     (lambda h, a: (dict(h, source_dims=["3", "4"]), a), "'source_dims'"),
     (lambda h, a: (dict(h, source_dims=3), a), "'source_dims'"),
     (lambda h, a: (dict(h, source_names=5), a), "'source_names'"),
+    # widths that sum to the input width, but are not widths
+    (lambda h, a: (dict(h, source_dims=[-1, 13]), a), "'source_dims'"),
+    (lambda h, a: (dict(h, source_dims=[0, 12]), a), "'source_dims'"),
 ], ids=["no-b_enc", "shorter-w_dec", "column-b_dec", "fewer-source-dims",
         "wider-bottleneck", "one-source-name", "text-source-dims", "int-source-dims",
-        "int-source-names"])
+        "int-source-names", "negative-source-dim", "zero-source-dim"])
 def test_ae_load_names_a_misshapen_array(tmp_path, tiny_tables, edit, what):
     p, header, arrays = _saved_tiny_ae(tmp_path, tiny_tables)
     modelio.save_blob(p, "autoencoder", *edit(header, arrays))
-    with pytest.raises(ConfidenceError, match=re.escape(str(p)) + ".*" + what):
+    with pytest.raises(ModelIOError, match=re.escape(str(p)) + ".*" + what):
         AutoencoderModel.load(p)
 
 
@@ -409,7 +429,7 @@ def test_msmlp_load_refuses_foreign_window(tmp_path, tiny_widths):
     p, header, arrays = _saved_tiny_model(tmp_path)
     assert header["window"] == conf.WINDOW
     modelio.save_blob(p, "msmlp", dict(header, window=1), arrays)
-    with pytest.raises(ConfidenceError, match=re.escape(str(p)) + ".*'window'"):
+    with pytest.raises(ModelIOError, match=re.escape(str(p)) + ".*'window'"):
         MsMlpModel.load(p)
 
 
@@ -426,7 +446,7 @@ def test_msmlp_load_names_a_missing_header_key(tmp_path, tiny_widths, path):
     del holder[key]
     modelio.save_blob(p, "msmlp", header, arrays)
     # a key inside "widths" is named by the header rule as "widths"
-    with pytest.raises(ConfidenceError, match=re.escape(str(p)) + ".*" + repr(path[0])):
+    with pytest.raises(ModelIOError, match=re.escape(str(p)) + ".*" + repr(path[0])):
         MsMlpModel.load(p)
 
 
@@ -456,7 +476,7 @@ def _grown(header, key, extra):
 def test_msmlp_load_names_a_misshapen_array(tmp_path, tiny_widths, edit, array):
     p, header, arrays = _saved_tiny_model(tmp_path)
     modelio.save_blob(p, "msmlp", *edit(header, arrays))
-    with pytest.raises(ConfidenceError, match=re.escape(str(p)) + ".*" + repr(array)):
+    with pytest.raises(ModelIOError, match=re.escape(str(p)) + ".*" + repr(array)):
         MsMlpModel.load(p)
 
 
@@ -467,7 +487,7 @@ def test_msmlp_load_refuses_a_vocabulary_without_unk(tmp_path, tiny_widths, key)
     p, header, arrays = _saved_tiny_model(tmp_path)
     vocab = ["<UNK>" if tag == "<unk>" else tag for tag in header[key]]
     modelio.save_blob(p, "msmlp", dict(header, **{key: vocab}), arrays)
-    with pytest.raises(ConfidenceError, match=re.escape(str(p)) + ".*" + repr(key)):
+    with pytest.raises(ModelIOError, match=re.escape(str(p)) + ".*" + repr(key)):
         MsMlpModel.load(p)
 
 
@@ -475,7 +495,7 @@ def test_msmlp_load_refuses_stream_dims_its_vocabularies_contradict(tmp_path, ti
     p, header, arrays = _saved_tiny_model(tmp_path)
     dims = dict(header["stream_dims"], lm=4)
     modelio.save_blob(p, "msmlp", dict(header, stream_dims=dims), arrays)
-    with pytest.raises(ConfidenceError, match=re.escape(str(p)) + ".*stream_dims"):
+    with pytest.raises(ModelIOError, match=re.escape(str(p)) + ".*stream_dims"):
         MsMlpModel.load(p)
 
 
@@ -500,7 +520,7 @@ def test_model_load_names_the_header_key_save_would_not_write(tmp_path, tiny_tab
     else:
         p, header, arrays = _saved_tiny_ae(tmp_path, tiny_tables)
     modelio.save_blob(p, kind, edit(header), arrays)
-    with pytest.raises(ConfidenceError, match=f"^{re.escape(str(p))}: header key {key!r}"):
+    with pytest.raises(ModelIOError, match=f"^{re.escape(str(p))}: header key {key!r}"):
         (MsMlpModel if kind == "msmlp" else AutoencoderModel).load(p)
 
 
@@ -509,6 +529,12 @@ _json_values = st.recursive(
     lambda inner: (st.lists(inner, max_size=3)
                    | st.dictionaries(st.text("ab", max_size=2), inner, max_size=3)),
     max_leaves=5)
+
+
+_array_edits = {
+    "drop": None, "reshape": lambda a: a[..., None],
+    "float32": lambda a: a.astype(np.float32), "int64": lambda a: a.astype(np.int64),
+}
 
 
 @given(kind=st.sampled_from(["autoencoder", "msmlp"]), data=st.data())
@@ -523,28 +549,43 @@ def test_model_files_roundtrip_or_refuse(tmp_path_factory, tiny_tables, kind, da
         saved = p.read_bytes()
         cls.load(p).save(p)
         assert p.read_bytes() == saved
-        # replace one value, at the top or inside "widths" or "config", or add a key
         edited = json.loads(json.dumps(header))
-        where = data.draw(st.sampled_from([()] + [(k,) for k in ("widths", "config")
-                                                  if k in header]))
-        holder = edited[where[0]] if where else edited
-        key = data.draw(st.sampled_from(sorted(holder.keys() - {"kind", "arrays"}))
-                        | st.text("ab", max_size=2))
-        old = holder.get(key)
-        holder[key] = data.draw(_json_values if type(old) is not int
-                                else _json_values | st.just(float(old)))
+        if data.draw(st.booleans(), label="edit an array"):
+            # drop, reshape or retype one array, or add one: save writes
+            # none of these, so each must be refused naming that array
+            name = data.draw(st.sampled_from(sorted(arrays) + ["fused_matrix", "w_enc", "w_ab"]))
+            edit = _array_edits[data.draw(st.sampled_from(sorted(_array_edits)))]
+            if name not in arrays:
+                arrays[name] = np.zeros(2)
+            elif edit is None:
+                del arrays[name]
+            else:
+                arrays[name] = edit(arrays[name])
+            named, array_edit = [name], True
+        else:
+            # replace one value, at the top or inside "widths" or "config", or add a key
+            where = data.draw(st.sampled_from([()] + [(k,) for k in ("widths", "config")
+                                                      if k in header]))
+            holder = edited[where[0]] if where else edited
+            key = data.draw(st.sampled_from(sorted(holder.keys() - {"kind", "arrays"}))
+                            | st.text("ab", max_size=2))
+            old = holder.get(key)
+            holder[key] = data.draw(_json_values if type(old) is not int
+                                    else _json_values | st.just(float(old)))
+            named, array_edit = [*where, key, *(old if isinstance(old, dict) else ())], False
         modelio.save_blob(p, kind, edited, arrays)
         written = p.read_bytes()
-        # an edit may describe another model that save writes the same way
-        # (no unigrams, say): then it loads, and must re-save to these bytes
+        # a header edit may describe another model that save writes the same
+        # way (no unigrams, say): then it loads, and must re-save to these bytes
         try:
             back = cls.load(p)
-        except ConfidenceError as exc:
-            assert json.dumps(edited, sort_keys=True) != json.dumps(header, sort_keys=True)
-            named = [*where, key, *(old if isinstance(old, dict) else ())]
+        except ModelIOError as exc:
+            assert written != saved
             assert str(exc).startswith(f"{p}: ")
-            assert "array '" in str(exc) or any(repr(k) in str(exc) for k in named), str(exc)
+            assert ((not array_edit and "array '" in str(exc))
+                    or any(repr(k) in str(exc) for k in named)), str(exc)
             return
+        assert not array_edit, named
         back.save(p)
         assert p.read_bytes() == written
 

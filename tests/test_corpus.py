@@ -558,6 +558,7 @@ def test_outputs_roundtrip_or_refuse(tmp_path_factory, blocks):
     Token(surface="a", label="I-TOWN"),
     Token(surface="a", pap=0.1234567),
     Token(surface="a", mlp_conf=1 / 3),
+    Token(surface="a", sem_categories=frozenset({5})),
 ])
 def test_write_dataset_refuses_unrepresentable_token(tmp_path, tok):
     with pytest.raises(SchemaError):
