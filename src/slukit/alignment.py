@@ -477,19 +477,19 @@ def project_labels(hyp: Utterance) -> Utterance:
 # N-best and confusion network files
 # ---------------------------------------------------------------------------
 
-def _check_words(uid, words):
+def _check_words(words):
     for word in words:
         if word.split() != [word]:
-            raise SchemaError(f"utterance {uid!r}: word {word!r} is empty or holds whitespace")
+            raise SchemaError(f"word {word!r} is empty or holds whitespace")
 
 
-def _nbest_row(uid, weight, words):
-    _check_words(uid, words)
+def _nbest_row(weight, words):
+    _check_words(words)
     text = f"{weight:.9e}"
     # `build_cn` takes only a finite weight > 0; checked as read back,
     # since a weight near the float maximum rounds up to inf in this form
     if not (math.isfinite(float(text)) and weight > 0):
-        raise SchemaError(f"utterance {uid!r}: weight {weight!r} is not finite and positive")
+        raise SchemaError(f"weight {weight!r} is not finite and positive")
     return f"{text}\t{' '.join(words)}"
 
 
@@ -498,11 +498,11 @@ def write_nbest(path, per_utt) -> None:
     `read_nbest` give them; a list of (weight, words) pairs is written
     the same way.
 
-    Raises SchemaError naming the utterance for a word that is empty or
-    holds whitespace, since the words of a row are space-joined, and for
-    a weight `build_cn` would refuse after the read-back.
+    Raises SchemaError naming the utterance for a breach of the block rules
+    (`corpus`), a word that is empty or holds whitespace (a row's words are
+    space-joined), and a weight `build_cn` would refuse after the read-back.
     """
-    write_blocks(path, ((uid, [_nbest_row(uid, weight, words) for weight, words in nbest])
+    write_blocks(path, ((uid, (_nbest_row(w, words) for w, words in nbest))
                         for uid, nbest in per_utt))
 
 
@@ -535,17 +535,17 @@ def read_nbest(path):
     `write_nbest` of it writes the same bytes.
     Weights are parsed as written: `build_cn` refuses one that is not
     finite and positive.  Raises ParseError naming the file and line for
-    a row without a tab, a weight that is not a float, text that is not
-    UTF-8, and each layout error `corpus.read_blocks` refuses.
+    a row without a tab, a weight that is not a float, and each refusal
+    of `corpus.read_blocks`, which owns the block rules.
     """
     shared_word = Memo(str).__getitem__
     return [(uid, _nbest_block(path, rows, shared_word)) for uid, rows in read_blocks(path)]
 
 
-def _cn_rows(uid, cn: ConfusionNetwork):
-    _check_words(uid, cn.words)
+def _cn_rows(cn: ConfusionNetwork):
+    _check_words(cn.words)
     entries = [f"{w}:{p:.6f}" for w, p in zip(cn.words, cn.posteriors)]
-    return [" ".join(entries[start:end]) for start, end in _spans(cn.ends)]
+    yield from (" ".join(entries[start:end]) for start, end in _spans(cn.ends))
 
 
 def write_cn(path, per_utt) -> None:
@@ -553,7 +553,7 @@ def write_cn(path, per_utt) -> None:
 
     Each bin is one row of `word:posterior` entries, read from the
     network's columns.  Raises SchemaError naming the utterance for a
-    word that is empty or holds whitespace, since the entries of a row
-    are space-joined.
+    breach of the block rules (`corpus`), such as a network of no bins,
+    and a word that is empty or holds whitespace (entries are space-joined).
     """
-    write_blocks(path, ((uid, _cn_rows(uid, cn)) for uid, cn in per_utt))
+    write_blocks(path, ((uid, _cn_rows(cn)) for uid, cn in per_utt))

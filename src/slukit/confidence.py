@@ -75,20 +75,20 @@ def load_embeddings(path, name="") -> EmbeddingTable:
     index = {}
     dim = None
     for lineno, line in text_lines(
-            path, lambda n: ConfidenceError(f"{path} line {n}: text is not UTF-8")):
+            path, lambda n: ConfidenceError(f"{path}: line {n}: text is not UTF-8")):
         parts = line.split(" ")
         if len(parts) < 2:
-            raise ConfidenceError(f"{path} line {lineno}: no vector components")
+            raise ConfidenceError(f"{path}: line {lineno}: no vector components")
         word, comps = parts[0], parts[1:]
         try:
             vec = [float(c) for c in comps]
         except ValueError as exc:
-            raise ConfidenceError(f"{path} line {lineno}: bad float") from exc
+            raise ConfidenceError(f"{path}: line {lineno}: bad float") from exc
         if dim is None:
             dim = len(vec)
         elif len(vec) != dim:
             raise ConfidenceError(
-                f"{path} line {lineno}: dimension {len(vec)} != {dim}")
+                f"{path}: line {lineno}: dimension {len(vec)} != {dim}")
         if word in index:
             warnings.warn(f"{path}: duplicate word {word!r}, keeping last")
             rows[index[word]] = vec
@@ -488,9 +488,7 @@ class MsMlpModel:
 
     def _confidences(self, streams):
         """`confidences` of the token rows of `streams`."""
-        z = self.forward(streams)[0]
-        diff = z[:, 0] - z[:, 1]
-        p = 1.0 / (1.0 + np.exp(-np.clip(diff, -700, 700)))
+        p = softmax(self.forward(streams)[0], axis=1)[:, 0]
         return np.clip(p, 1e-15, 1.0 - 1e-15)
 
     def _header(self):

@@ -8,17 +8,13 @@ with B-/I- prefixes over concept names so that labelled segments can be
 recovered exactly; `null` marks words conveying no domain information.
 Two extra labels, ERROR-C and ERROR-N, replace the regular label of
 erroneous recognizer words during training and are mapped back to null
-before scoring.
-
-The records are slotted dataclasses, and each block reader parses equal
-text once per read through a `Memo`, so equal words, labels and
-category sets read back as one object and a read-back costs about what
-the data cost before it was written.
+before scoring.  The records are slotted dataclasses.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, fields
+from itertools import chain
 from operator import attrgetter
 
 NULL_LABEL = "null"
@@ -37,16 +33,10 @@ class CorpusError(Exception):
 
 
 class ParseError(CorpusError):
-    """A line of a file does not parse; the message names file and line."""
+    """A line of a file does not parse; the message starts with file and line."""
 
-    def __init__(self, message, line=None, path=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        if path is not None:
-            message = f"{path}: {message}"
-        super().__init__(message)
-        self.line = line
-        self.path = path
+    def __init__(self, message, line, path):
+        super().__init__(f"{path}: line {line}: {message}")
 
 
 class SchemaError(CorpusError):
@@ -303,33 +293,41 @@ def strip_error_labels(output: TaggerOutput) -> TaggerOutput:
 # Block files: a "# id=<text>" header, one row per line, and a blank line
 # closing each block, UTF-8.  The corpus TSV, tagger outputs, n-best lists
 # and confusion networks share this layout and differ only in their rows.
-# Their readers parse each distinct cell text once per read, in a `Memo`.
+# The block rules, for all four: an id is non-empty, holds no line break
+# and heads one block per file, of at least one row; a row is not blank
+# and does not start with the header.  `write_blocks` refuses a breach
+# with SchemaError naming the utterance, `read_blocks` with ParseError at
+# the line of the block's header.  Readers parse equal cell texts once per
+# read, in a `Memo`, so equal text reads back as one object and a read-back
+# costs about what the data cost before it was written.
 # ---------------------------------------------------------------------------
 
 HEADER = "# id="
 
 
 def write_blocks(path, blocks) -> None:
-    """Write (id, rows) blocks in the layout `read_blocks` parses.
-
-    Raises SchemaError for an id or row that would not read back as
-    itself: an empty id, a blank row, a row that starts with the header,
-    a line break in either, or text UTF-8 cannot encode (a lone
-    surrogate); the file then holds the blocks before it.
-    """
+    """Write (id, rows) blocks as `read_blocks` parses them; SchemaError prefixed
+    "utterance '<id>': " for a breach of the block rules, text UTF-8 cannot
+    encode (a lone surrogate) and any raised while drawing the block's rows,
+    which may be lazy.  The file then holds the blocks before the refused one."""
+    seen = set()
     with open(path, "wb") as fh:
         for block_id, rows in blocks:
-            if not block_id or "\n" in block_id or "\r" in block_id:
-                raise SchemaError(f"id {block_id!r} is empty or holds a line break")
             lines = [HEADER + block_id]
-            for row in rows:
-                if not row.strip() or row.startswith(HEADER) or "\n" in row or "\r" in row:
-                    raise SchemaError(f"block {block_id!r}: row {row!r} would not read back")
-                lines.append(row)
             try:
+                if not block_id or "\n" in block_id or "\r" in block_id or block_id in seen:
+                    raise SchemaError("the id is empty, holds a line break or heads another block")
+                seen.add(block_id)
+                for row in rows:
+                    if not row.strip() or row.startswith(HEADER) or "\n" in row or "\r" in row:
+                        raise SchemaError(f"row {row!r} would not read back")
+                    lines.append(row)
+                if len(lines) == 1:
+                    raise SchemaError("the block has no rows")
                 fh.write(("\n".join(lines) + "\n\n").encode("utf-8"))
-            except UnicodeEncodeError as exc:
-                raise SchemaError(f"block {block_id!r} holds text UTF-8 cannot encode") from exc
+            except (SchemaError, UnicodeEncodeError) as exc:
+                why = exc if isinstance(exc, SchemaError) else "text UTF-8 cannot encode"
+                raise SchemaError(f"utterance {block_id!r}: {why}") from exc
 
 
 class Memo(dict):
@@ -369,27 +367,31 @@ def text_lines(path, refuse):
 
 
 def read_blocks(path):
-    """Yield (id, [(line number, row), ...]) for each block of a block file.
-
-    Raises ParseError naming the file and line for an empty id, for a
-    row outside any block, and for bytes that are not UTF-8.
-    """
-    block = None
-    for lineno, line in text_lines(path, lambda n: ParseError("text is not UTF-8", n, path)):
+    """Yield (id, [(line number, row), ...]) for each block of a block file,
+    in order; the rows follow the header, at line `rows[0][0] - 1`.  Raises
+    ParseError naming the file and line for a breach of the block rules, a
+    row outside any block, and bytes that are not UTF-8."""
+    headers = {}  # id -> the line of its header
+    uid = None
+    lines = text_lines(path, lambda n: ParseError("text is not UTF-8", n, path))
+    for lineno, line in chain(lines, [(0, "")]):  # a blank line closes the last block
         if line.startswith(HEADER) or not line.strip():
-            if block is not None:
-                yield block
-            block = None
+            if uid is not None:
+                if not rows:
+                    raise ParseError(f"utterance {uid!r} has no rows", headers[uid], path)
+                yield uid, rows
+            uid = None
             if line.startswith(HEADER):
-                if line == HEADER:
+                uid, rows = line[len(HEADER):], []
+                if not uid:
                     raise ParseError("empty id", lineno, path)
-                block = (line[len(HEADER):], [])
-        elif block is None:
+                if uid in headers:
+                    raise ParseError(f"utterance {uid!r} repeats line {headers[uid]}", lineno, path)
+                headers[uid] = lineno
+        elif uid is None:
             raise ParseError(f"row before any {HEADER!r} header", lineno, path)
         else:
-            block[1].append((lineno, line))
-    if block is not None:
-        yield block
+            rows.append((lineno, line))
 
 
 # ---------------------------------------------------------------------------
@@ -439,15 +441,15 @@ def _token_row(i, tok: Token) -> str:
 
 
 def _utterance_rows(utt: Utterance):
-    rows = [_token_row(i, tok) for i, tok in enumerate(utt.tokens)]
+    for i, tok in enumerate(utt.tokens):
+        yield _token_row(i, tok)
     validate_label_sequence(utt.labels())  # after the rows, which refuse a label not text
-    return rows
 
 
 def write_dataset(dataset: Dataset, path) -> None:
-    """Write the corpus TSV; SchemaError for a field it cannot represent.
-
-    `Utterance.reference_tokens` is not written, so a read-back has none."""
+    """Write the corpus TSV under the block rules; SchemaError naming the
+    utterance for a field it cannot represent.  `Utterance.reference_tokens`
+    is not written, so a read-back has none."""
     write_blocks(path, ((utt.id, _utterance_rows(utt)) for utt in dataset))
 
 
@@ -483,28 +485,26 @@ def read_dataset(path) -> Dataset:
     `reference_tokens` is None, since `write_dataset` does not write it.
     Equal text cells read back as one string and equal SEMCATS cells as
     one frozenset, each through a `Memo` of this read.
-    Raises ParseError naming the file and line for malformed rows and
-    SchemaError for invariant violations such as an I-x label that does
-    not continue a segment.
+    Raises ParseError naming the file and line for malformed rows and block
+    rule breaches, and SchemaError naming the row for a bad token and the
+    block's header for a bad governor or an I-x that continues no segment.
     """
     utterances = []
     text = Memo(str)
     semcats = Memo(lambda cell: frozenset() if cell == ABSENT else frozenset(cell.split("|")))
     for uid, rows in read_blocks(path):
-        if not rows:
-            raise ParseError(f"utterance {uid!r} has no tokens", path=path)
         tokens = tuple(_parse_token(i, line, lineno, path, text, semcats)
                        for i, (lineno, line) in enumerate(rows))
         try:
             validate_label_sequence([t.label for t in tokens], line_base=rows[0][0])
             utterances.append(Utterance(uid, tokens))
         except SchemaError as exc:
-            raise SchemaError(f"utterance {uid!r}: {exc}") from exc
+            raise SchemaError(f"{path}: line {rows[0][0] - 1}: {exc}") from exc
     return Dataset(tuple(utterances))
 
 
 # ---------------------------------------------------------------------------
-# Tagger output rows: one label per row.
+# Tagger output rows: one label per row, under the block rules.
 # ---------------------------------------------------------------------------
 
 def write_outputs(outputs, path) -> None:

@@ -42,6 +42,12 @@ class DomainGrammar:
     extra_vocab: tuple = ()  # recognizer-only words (confusion candidates)
 
     def validate(self):
+        for key in ("categories", "values", "word_pos", "lemmas"):
+            if not all(type(k) is str and type(v) is str for k, v in getattr(self, key).items()):
+                raise GrammarError(f"grammar key {key!r} is not a table of text to text")
+        for key in ("insertion_words", "extra_vocab"):
+            if not all(type(w) is str for w in getattr(self, key)):
+                raise GrammarError(f"grammar key {key!r} is not a list of text")
         if not self.patterns:
             raise GrammarError("grammar has no patterns")
         if not self.slots:

@@ -5,8 +5,9 @@ a UTF-8 JSON header (sorted keys, includes the array name order), then
 one raw .npy blob per array in that order.  No timestamps anywhere, so
 identical models serialize to identical bytes.
 
-A model's `load` reads a file only as its `save` writes it: after
-`load_blob`, `header_values` types the keys the model reads, `check_arrays`
+A model's `load` reads a file only as its `save` writes it: `load_blob`
+refuses an array blob other than the one `save_blob` writes for it, then
+`header_values` types the keys the model reads, `check_arrays`
 matches the arrays to the shapes those imply, and `check_header` compares
 the whole header with the one `save` writes for the model read.  Every
 refusal of a model file is a ModelIOError that starts with the file and
@@ -14,6 +15,7 @@ names the key or array.
 """
 from __future__ import annotations
 
+import io
 import json
 import struct
 
@@ -48,7 +50,8 @@ def save_blob(path, kind: str, header: dict, arrays: dict) -> None:
 
 
 def load_blob(path, expect_kind: str):
-    """(header, arrays) of an `expect_kind` model file; ModelIOError if it is not one."""
+    """(header, arrays) of an `expect_kind` model file; ModelIOError if it is not
+    one, or if an array's blob is not the one `save_blob` writes for it."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
@@ -63,7 +66,7 @@ def load_blob(path, expect_kind: str):
             if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
                 raise ModelIOError(f"{path}: header is not an object with an 'arrays' "
                                    "list of names")
-            arrays = {name: npformat.read_array(fh) for name in names}
+            arrays = {name: _read_array(path, fh, name) for name in names}
         except (struct.error, ValueError) as exc:
             raise ModelIOError(f"{path}: truncated or corrupt model file: {exc}") from exc
     if header.get("kind") != expect_kind:
@@ -71,6 +74,20 @@ def load_blob(path, expect_kind: str):
             f"{path}: expected a {expect_kind!r} model, found {header.get('kind')!r}"
         )
     return header, arrays
+
+
+def _read_array(path, fh, name):
+    """The next .npy blob of `fh`; ModelIOError naming the file and the array
+    unless its bytes are those `save_blob` writes for the array read."""
+    start = fh.tell()
+    array = npformat.read_array(fh)
+    end = fh.tell()
+    again = io.BytesIO()
+    npformat.write_array(again, np.ascontiguousarray(array))
+    fh.seek(start)
+    if fh.read(end - start) != again.getvalue():
+        raise ModelIOError(f"{path}: array {name!r} is not stored as save writes it")
+    return array
 
 
 def _holds(value, kind) -> bool:

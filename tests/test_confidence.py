@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import re
 from unittest import mock
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from numpy.lib import format as npformat
 
 from slukit import confidence as conf
 from slukit import modelio
@@ -58,7 +60,7 @@ def test_load_embeddings_refuses_empty_file(tmp_path):
 def test_load_embeddings_names_the_line_that_is_not_utf8(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_bytes(b"a 0.1 0.2\r\nb 0.3 0.4\r\n\xff 0.5 0.6\r\n")
-    with pytest.raises(ConfidenceError, match="emb.txt line 3: text is not UTF-8"):
+    with pytest.raises(ConfidenceError, match="emb.txt: line 3: text is not UTF-8"):
         load_embeddings(p)
 
 
@@ -537,6 +539,23 @@ _array_edits = {
 }
 
 
+def _relayout(data, name, fortran):
+    """Model file bytes `data` with array `name`'s blob rewritten, the same
+    values, in Fortran order or as a version 2.0 .npy: layouts save never writes."""
+    fh = io.BytesIO(data)
+    fh.seek(12 + int.from_bytes(data[8:12], "big"))
+    for n in json.loads(data[12:fh.tell()])["arrays"]:
+        start, a = fh.tell(), npformat.read_array(fh)
+        if n == name:
+            blob = io.BytesIO()
+            if fortran:
+                npformat.write_array(blob, np.asfortranarray(a))
+            else:
+                npformat.write_array(blob, a, version=(2, 0))
+            return data[:start] + blob.getvalue() + data[fh.tell():]
+    raise AssertionError(name)
+
+
 @given(kind=st.sampled_from(["autoencoder", "msmlp"]), data=st.data())
 def test_model_files_roundtrip_or_refuse(tmp_path_factory, tiny_tables, kind, data):
     d = tmp_path_factory.mktemp("model")
@@ -550,7 +569,17 @@ def test_model_files_roundtrip_or_refuse(tmp_path_factory, tiny_tables, kind, da
         cls.load(p).save(p)
         assert p.read_bytes() == saved
         edited = json.loads(json.dumps(header))
-        if data.draw(st.booleans(), label="edit an array"):
+        relayout = None
+        edit_kind = data.draw(st.sampled_from(["array", "header", "layout"]), label="edit")
+        if edit_kind == "layout":
+            # store one array's blob in a layout save does not write: Fortran
+            # order where that changes the bytes (a matrix of 2+ rows and
+            # columns), else the .npy 2.0 header
+            name = data.draw(st.sampled_from(sorted(arrays)))
+            shape = arrays[name].shape
+            fortran = len(shape) > 1 and min(shape) > 1 and data.draw(st.booleans())
+            relayout, named, array_edit = (name, fortran), [name], True
+        elif edit_kind == "array":
             # drop, reshape or retype one array, or add one: save writes
             # none of these, so each must be refused naming that array
             name = data.draw(st.sampled_from(sorted(arrays) + ["fused_matrix", "w_enc", "w_ab"]))
@@ -574,6 +603,8 @@ def test_model_files_roundtrip_or_refuse(tmp_path_factory, tiny_tables, kind, da
                                     else _json_values | st.just(float(old)))
             named, array_edit = [*where, key, *(old if isinstance(old, dict) else ())], False
         modelio.save_blob(p, kind, edited, arrays)
+        if relayout is not None:
+            p.write_bytes(_relayout(p.read_bytes(), *relayout))
         written = p.read_bytes()
         # a header edit may describe another model that save writes the same
         # way (no unigrams, say): then it loads, and must re-save to these bytes

@@ -6,11 +6,12 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from slukit import corpus
-from slukit.alignment import corrupt
+from slukit.alignment import (ConfusionNetwork, corrupt, decode_nbest, read_nbest,
+                              write_cn, write_nbest)
 from slukit.confidence import ConfidenceError, load_embeddings
 from slukit.corpus import (ERROR_C, ERROR_N, NULL_LABEL, ConceptSegment,
                            Dataset, Memo, ParseError, PhraseTable, SchemaError,
@@ -99,10 +100,10 @@ def _blob(edit):
     ("bad.tsv", "# id=u1\n" + _row(mlp_conf="1.5") + "\n", read_dataset, SchemaError,
      "bad.tsv: line 2: mlp_conf=1.5 outside"),
     ("bad.tsv", "# id=u1\n\n", read_dataset, ParseError,
-     "bad.tsv: utterance 'u1' has no tokens"),
+     "bad.tsv: line 1: utterance 'u1' has no rows"),
     ("bad.vec", "a 0.5\nb\n", load_embeddings, ConfidenceError,
-     "bad.vec line 2: no vector components"),
-    ("bad.vec", "a 0.5\nb x\n", load_embeddings, ConfidenceError, "bad.vec line 2: bad float"),
+     "bad.vec: line 2: no vector components"),
+    ("bad.vec", "a 0.5\nb x\n", load_embeddings, ConfidenceError, "bad.vec: line 2: bad float"),
     ("bad.slk", _blob(lambda data: b"XXXX" + data[4:]), lambda p: load_blob(p, "toy"),
      ModelIOError, "bad.slk: bad magic"),
     ("bad.slk", _blob(lambda data: data[:4] + struct.pack(">I", VERSION + 1) + data[8:]),
@@ -616,6 +617,109 @@ def test_read_outputs_names_the_line_that_is_not_utf8(tmp_path):
     p.write_bytes(b"# id=u\r\nnull\r\n\r\n# id=v\r\nB-TOWN\r\n\xc3\xa9\r\n\r\n")
     assert read_outputs(p) == [TaggerOutput("u", ("null",)),
                                TaggerOutput("v", ("B-TOWN", "\xe9"))]
+
+
+# the TSV's governor and label columns, after the index
+_GOVERNOR, _LABEL = (1 + TOKEN_FIELDS.index(name) for name in ("governor", "label"))
+
+
+def _block_file(fmt, utts, noise_config, n):
+    """(value, write, read) of format `fmt` for `utts`, the n-best lists n
+    long: `write(value, path)` writes what `read(path)` gives back."""
+    if fmt == "tsv":
+        return Dataset(tuple(utts)), write_dataset, read_dataset
+    if fmt == "nbest":
+        return ([(u.id, decode_nbest(u, noise_config, n)) for u in utts],
+                lambda value, p: write_nbest(p, value), read_nbest)
+    return [TaggerOutput(u.id, tuple(u.labels())) for u in utts], write_outputs, read_outputs
+
+
+def _header_line(blocks, k):
+    """The line of block k's header, in a file of `blocks` (lists of lines)."""
+    return 1 + sum(len(b) + 1 for b in blocks[:k])
+
+
+@given(st.sampled_from(["tsv", "nbest", "outputs"]), st.data())
+def test_block_files_roundtrip_and_refuse_edits_at_their_line(tmp_path_factory, small_corpus,
+                                                              noise_config, fmt, data):
+    utts = data.draw(st.lists(st.sampled_from(small_corpus.utterances), min_size=1,
+                              max_size=4, unique_by=lambda u: u.id), label="utterances")
+    value, write, read = _block_file(fmt, utts, noise_config, data.draw(st.integers(1, 3)))
+    p = tmp_path_factory.mktemp("blocks") / f"f.{fmt}"
+    write(value, p)
+    # the file round-trips: its read-back writes the same bytes
+    write(read(p), p.with_name("again"))
+    assert p.with_name("again").read_bytes() == p.read_bytes()
+
+    blocks = [b.split("\n") for b in p.read_text().split("\n\n")[:-1]]
+    edits = ["repeat", "empty"] + (["governor", "orphan"] if fmt == "tsv" else [])
+    edit = data.draw(st.sampled_from(edits), label="edit")
+    k = data.draw(st.integers(0, len(blocks) - 1), label="block")
+    if edit == "repeat":
+        # a copy of block k anywhere after it: the copy's header is refused
+        at = data.draw(st.integers(k + 1, len(blocks)))
+        blocks.insert(at, blocks[k])
+        error, line = ParseError, _header_line(blocks, at)
+    elif edit == "empty":
+        blocks[k] = blocks[k][:1]
+        error, line = ParseError, _header_line(blocks, k)
+    else:
+        rows = [r.split("\t") for r in blocks[k][1:]]
+        if edit == "governor":
+            cells = rows[data.draw(st.integers(0, len(rows) - 1))]
+            cells[_GOVERNOR] = str(data.draw(st.sampled_from([len(rows), -1])))
+        else:
+            # a B-x that a B-x/I-x does not precede becomes an orphan I-x
+            starts = [i for i, cells in enumerate(rows) if cells[_LABEL].startswith("B-")
+                      and (i == 0 or rows[i - 1][_LABEL][2:] != cells[_LABEL][2:])]
+            assume(starts)
+            cells = rows[data.draw(st.sampled_from(starts))]
+            cells[_LABEL] = "I-" + cells[_LABEL][2:]
+        blocks[k][1:] = ["\t".join(cells) for cells in rows]
+        error, line = SchemaError, _header_line(blocks, k)
+    p.write_text("".join("\n".join(b) + "\n\n" for b in blocks))
+    with pytest.raises(error) as exc:
+        read(p)
+    assert str(exc.value).startswith(f"{p}: line {line}: "), (edit, str(exc.value))
+
+
+def _bare_utterance(uid):
+    """An utterance of no tokens, which `Utterance` refuses; so must the writer."""
+    u = object.__new__(Utterance)
+    for name, value in (("id", uid), ("tokens", ()), ("reference_tokens", None)):
+        object.__setattr__(u, name, value)
+    return u
+
+
+_WRITERS = {
+    "tsv": write_dataset,
+    "outputs": write_outputs,
+    "nbest": lambda blocks, p: write_nbest(p, blocks),
+    "cn": lambda blocks, p: write_cn(p, blocks),
+}
+
+
+@pytest.mark.parametrize("fmt, blocks, why", [
+    ("tsv", [Utterance("u9", (Token("a"),))] * 2, "heads another block"),
+    ("tsv", [_bare_utterance("u9")], "the block has no rows"),
+    ("tsv", [Utterance("u9", (Token("a", lemma=5),))], "lemma=5 is not text"),
+    ("outputs", [TaggerOutput("u9", ("null",))] * 2, "heads another block"),
+    ("outputs", [TaggerOutput("u9", ())], "the block has no rows"),
+    ("outputs", [TaggerOutput("u9", ("null", " "))], "row ' ' would not read back"),
+    ("nbest", [("u9", [(1.0, ["a"])])] * 2, "heads another block"),
+    ("nbest", [("u9", [])], "the block has no rows"),
+    ("nbest", [("u9", [(1.0, ["a b"])])], "word 'a b' is empty or holds whitespace"),
+    ("cn", [("u9", ConfusionNetwork.from_bins(((("a", 1.0),),), ("a",)))] * 2,
+     "heads another block"),
+    ("cn", [("u9", ConfusionNetwork.from_bins((), ()))], "the block has no rows"),
+    ("cn", [("u9", ConfusionNetwork.from_bins(((("a b", 1.0),),), ("a",)))],
+     "word 'a b' is empty or holds whitespace"),
+], ids=[f"{fmt}-{rule}" for fmt in ("tsv", "outputs", "nbest", "cn")
+        for rule in ("repeated", "empty", "row")])
+def test_writers_name_the_utterance_once(tmp_path, fmt, blocks, why):
+    with pytest.raises(SchemaError, match=f"^utterance 'u9': .*{re.escape(why)}") as exc:
+        _WRITERS[fmt](blocks, tmp_path / "f")
+    assert str(exc.value).count("u9") == 1
 
 
 @pytest.mark.parametrize("record", [

@@ -131,3 +131,14 @@ _SLOT_WITHOUT_REALIZATIONS = json.dumps({"slots": {"TOWN": {"concept": "town"}}}
 def test_grammar_from_json_refuses_malformed_documents(text, match):
     with pytest.raises(GrammarError, match=match):
         DomainGrammar.from_json(text)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("values", {"twenty": 5}), ("categories", {"paris": 7}), ("word_pos", {"paris": 3}),
+    ("lemmas", {"rooms": 1}), ("insertion_words", [1]), ("extra_vocab", [2]),
+], ids=["values", "categories", "word_pos", "lemmas", "insertion_words", "extra_vocab"])
+def test_grammar_from_json_refuses_a_value_of_the_wrong_type(default_grammar, key, value):
+    doc = json.loads(default_grammar.to_json())
+    doc[key] = {**doc[key], **value} if isinstance(value, dict) else doc[key] + value
+    with pytest.raises(GrammarError, match=f"grammar key {key!r}"):
+        DomainGrammar.from_json(json.dumps(doc))
