@@ -10,8 +10,10 @@ Everything is keyed by (seed, utterance id), so corpus-parallel runs are
 bit-identical to serial ones.
 
 `NBest` lists and `ConfusionNetwork`s are flat columns that share equal
-words: read back, 1000 lists of 40 (correlation 0.3) hold 4.4 MB and their
-networks 1.0 MB, where nested pairs held 8.9 MB and 4.26 MB (tracemalloc).
+words: a list keeps each distinct word once and codes its entries as
+indices.  Read back, 1000 lists of 40 (correlation 0.3) hold 2.4 MB and
+their networks 1.05 MB (tracemalloc), where lists of a tuple per distinct
+hypothesis held 4.4 MB, and nested pairs 8.9 MB and 4.26 MB.
 """
 from __future__ import annotations
 
@@ -233,30 +235,84 @@ def corrupt(utt: Utterance, cfg: NoiseConfig) -> Utterance:
 
 @dataclass(frozen=True, slots=True)
 class NBest:
-    """One utterance's n-best list as two equal-length columns:
-    `weights[k]` is the weight of `hyps[k]`, a tuple of words.
+    """One utterance's n-best list as four flat columns.
 
-    `decode_nbest` and `read_nbest` both return one, and within one
-    list equal hypotheses are one tuple.  It reads as a sequence of
-    (weight, words) pairs: `len`, `nbest[k]` for an int k, and iteration
-    in order.
+    `weights` is an array("d"), one weight per entry.  `vocab` holds each
+    distinct word of the list once, in first-appearance order, and `ids`
+    is an array("I") of indices into it, entry after entry: entry k's
+    words are `vocab[i]` for i in `ids[ends[k-1]:ends[k]]`, from 0 for
+    k = 0, and `ends` is an array("I").  No per-entry object is kept.
+    `from_pairs` builds a list from (weight, words) pairs, and the list
+    reads back as them: `len`, `nbest[k]` for an int k (negative too) and
+    iteration give (weight, words tuple), the tuple built on each access.
+
+    Raises AlignmentError for a `weights` column of another length than
+    `ends`, `ends` that decrease or whose last value is not `len(ids)`,
+    an id outside `vocab`, and a word twice in `vocab`; an entry may be
+    empty.  Lists compare equal column by column and are not hashable.
     """
 
-    weights: tuple
-    hyps: tuple
+    weights: array
+    vocab: tuple
+    ids: array
+    ends: array
+
+    __hash__ = None
 
     def __post_init__(self):
-        if len(self.weights) != len(self.hyps):
-            raise AlignmentError(f"{len(self.weights)} weights for {len(self.hyps)} hypotheses")
+        if len(self.weights) != len(self.ends):
+            raise AlignmentError(f"{len(self.weights)} weights for {len(self.ends)} entries")
+        if ((self.ends[-1] if self.ends else 0) != len(self.ids)
+                or list(self.ends) != sorted(self.ends)):
+            raise AlignmentError(f"the ends column does not split {len(self.ids)} ids "
+                                 "into entries")
+        if self.ids and max(self.ids) >= len(self.vocab):
+            raise AlignmentError(f"id {max(self.ids)} is outside a vocabulary of "
+                                 f"{len(self.vocab)} words")
+        if len(set(self.vocab)) != len(self.vocab):
+            raise AlignmentError("a word appears twice in the vocabulary")
+
+    @classmethod
+    def from_pairs(cls, pairs) -> NBest:
+        """The list of (weight, words) `pairs`, in order; words are hashable."""
+        weights, ends, words = array("d"), array("I"), []
+        for weight, entry in pairs:
+            weights.append(weight)
+            words += entry
+            ends.append(len(words))
+        return cls(weights, *_vocab_ids(words), ends)
 
     def __len__(self):
-        return len(self.hyps)
+        return len(self.ends)
 
     def __getitem__(self, k):
-        return self.weights[k], self.hyps[k]
+        k = range(len(self.ends))[k]  # a negative k counts from the end
+        start = self.ends[k - 1] if k else 0
+        return self.weights[k], _tuple(map(self.vocab.__getitem__, self.ids[start:self.ends[k]]))
 
     def __iter__(self):
-        return zip(self.weights, self.hyps)
+        words = self._words()
+        return zip(self.weights, (words[start:end] for start, end in _spans(self.ends)))
+
+    def _words(self) -> tuple:
+        """Every entry's words, entry after entry: `vocab` mapped over `ids`."""
+        return _tuple(map(self.vocab.__getitem__, self.ids))
+
+
+def _tuple(items) -> tuple:
+    """A tuple of `items` allocated at its size.  One grown from an
+    iterator of unknown length goes back to the free list of another
+    size than it came from, and tuples dropped by the thousand pile up
+    there (2 MB once for 1000 lists of 40)."""
+    return tuple([*items])
+
+
+def _vocab_ids(words):
+    """(vocab, ids) of a word sequence: its distinct words in order of
+    first appearance, and the array("I") of each word's index in them."""
+    vocab = tuple(dict.fromkeys(words))
+    index = dict(zip(vocab, range(len(vocab))))
+    return vocab, array("I", map(index.__getitem__, words))
 
 
 def decode_nbest(utt: Utterance, cfg: NoiseConfig, n: int) -> NBest:
@@ -264,8 +320,8 @@ def decode_nbest(utt: Utterance, cfg: NoiseConfig, n: int) -> NBest:
 
     This is the pipeline's recognizer surrogate: the first entry is the
     transcription the taggers consume, and the remaining entries mimic
-    the correlated alternatives a lattice would hold.  Equal weights in
-    the list are one float, and equal hypotheses one tuple.
+    the correlated alternatives a lattice would hold.  The list keeps
+    each distinct word once (`NBest.from_pairs`), and no tuple per entry.
 
     Draw contract, on which the file bytes rest: entry k takes its own
     `random.Random`, seeded with `derived_seed("asr", seed, id, 0)` for
@@ -287,9 +343,7 @@ def decode_nbest(utt: Utterance, cfg: NoiseConfig, n: int) -> NBest:
     words = utt.surfaces()
     primary = _draw(words, cfg, utt.id, 0)
     draws = [primary] + [_draw(words, cfg, utt.id, k, primary) for k in range(1, n)]
-    shared = {}  # equal weights are one float, equal hypotheses one tuple
-    weights = tuple(shared.setdefault(d[2], d[2]) for d in draws)
-    return NBest(weights, tuple(shared.setdefault(d[3], d[3]) for d in draws))
+    return NBest.from_pairs([(weight, hyp) for _, _, weight, hyp in draws])
 
 
 # ---------------------------------------------------------------------------
@@ -367,15 +421,15 @@ def _spans(ends):
     return zip((0, *ends), ends)
 
 
-def _pivot_column(pivot, hyp) -> tuple:
-    """The word `hyp` puts in each pivot bin: its aligned word on
-    match/substitution, epsilon where it skips the bin."""
+def _pivot_column(pivot, hyp, eps) -> tuple:
+    """The entry `hyp` puts in each pivot bin: its aligned entry on
+    match/substitution, `eps` where it skips the bin."""
     column = [None] * len(pivot)
     for op, i, j in align(pivot, hyp).ops:
         if op in (MATCH, SUB):
             column[i] = hyp[j]
         elif op == DEL:
-            column[i] = EPS
+            column[i] = eps
     if None in column:
         raise AlignmentError("a hypothesis left a pivot bin without an entry")
     return tuple(column)
@@ -384,51 +438,60 @@ def _pivot_column(pivot, hyp) -> tuple:
 def build_cn(nbest) -> ConfusionNetwork:
     """Align weighted hypotheses into the first (pivot) hypothesis.
 
-    `nbest` is an `NBest`, as `decode_nbest` and `read_nbest` return it;
-    it is read as a sequence of (weight, words) pairs, so a list of such
-    pairs serves too.
+    `nbest` is an `NBest`, as `decode_nbest` and `read_nbest` return it,
+    or a sequence of (weight, words) pairs, which `NBest.from_pairs`
+    turns into one.
 
     Every hypothesis contributes to each pivot bin exactly once: its
     aligned word on match/substitution, epsilon where it skips the bin.
     Words it inserts between bins are dropped; at this scale the pivot
-    positions are all the taggers consume.  Each distinct hypothesis is
-    aligned once; weights are still added in n-best order, so repeats
-    give the same posteriors, bit for bit, as aligning every entry.
-    A bin's posterior is its word's mass over the total weight, and the
-    bin is sorted by (-posterior, word) and divided by its own sum.
-    These are written straight into the network's columns, with no
-    nested `bins`; the pivot is the first hypothesis's own tuple.
+    positions are all the taggers consume.  Hypotheses are aligned as
+    runs of vocabulary ids, which are equal where the words are, and
+    each distinct run is aligned once; weights are still added in
+    n-best order, so repeats give the same posteriors, bit for bit, as
+    aligning every entry.  A bin's posterior is its word's mass over
+    the total weight, and the bin is sorted by (-posterior, word), the
+    ids mapped back to words first, and divided by its own sum.  These
+    are written straight into the network's columns, with no nested
+    `bins`; the pivot's words are the list's own `vocab` strings.
     Raises AlignmentError for a weight that is not finite and positive,
     and for weights whose sum overflows.
     """
+    if not isinstance(nbest, NBest):
+        nbest = NBest.from_pairs(nbest)
     if not nbest:
         raise AlignmentError("need at least one hypothesis")
-    pivot = tuple(nbest[0][1])
+    # epsilon gets an id of its own unless the list holds it as a word
+    words_of = nbest.vocab if EPS in nbest.vocab else (*nbest.vocab, EPS)
+    eps = words_of.index(EPS)
+    ids = tuple(nbest.ids.tolist())
+    pivot = ids[:nbest.ends[0]]
     mass = [dict() for _ in pivot]
-    columns = {}  # tuple(hyp) -> its word in each pivot bin
+    columns = {}  # a hypothesis's ids -> its id in each pivot bin
     total = 0.0
-    for weight, hyp in nbest:
+    for weight, (start, end) in zip(nbest.weights, _spans(nbest.ends)):
         if not (math.isfinite(weight) and weight > 0):
             raise AlignmentError(f"hypothesis weight {weight!r} is not finite and positive")
         total += weight
-        key = tuple(hyp)
-        column = columns.get(key)
+        hyp = ids[start:end]
+        column = columns.get(hyp)
         if column is None:
-            column = columns[key] = _pivot_column(pivot, hyp)
-        for entries, word in zip(mass, column):
-            entries[word] = entries.get(word, 0.0) + weight
+            column = columns[hyp] = _pivot_column(pivot, hyp, eps)
+        for entries, i in zip(mass, column):
+            entries[i] = entries.get(i, 0.0) + weight
     if not math.isfinite(total):
         raise AlignmentError(f"hypothesis weights sum to {total}")
     words, posteriors, ends = [], [], []
     for entries in mass:
-        post = {w: p / total for w, p in entries.items()}
+        post = {words_of[i]: p / total for i, p in entries.items()}
         order = sorted(post, key=lambda w: (-post[w], w))
         # renormalize away float dust so the bin invariant holds exactly
         s = sum([post[w] for w in order])
         words += order
         posteriors += [post[w] / s for w in order]
         ends.append(len(words))
-    return ConfusionNetwork(pivot, tuple(words), array("d", posteriors), tuple(ends))
+    pivot_words = _tuple(map(words_of.__getitem__, pivot))
+    return ConfusionNetwork(pivot_words, tuple(words), array("d", posteriors), tuple(ends))
 
 
 def pap_of(cn: ConfusionNetwork, hyp_words):
@@ -483,56 +546,58 @@ def _check_words(words):
             raise SchemaError(f"word {word!r} is empty or holds whitespace")
 
 
-def _nbest_row(weight, words):
-    _check_words(words)
-    text = f"{weight:.9e}"
-    # `build_cn` takes only a finite weight > 0; checked as read back,
-    # since a weight near the float maximum rounds up to inf in this form
-    if not (math.isfinite(float(text)) and weight > 0):
-        raise SchemaError(f"weight {weight!r} is not finite and positive")
-    return f"{text}\t{' '.join(words)}"
+def _nbest_rows(nbest):
+    if not isinstance(nbest, NBest):
+        nbest = NBest.from_pairs(nbest)
+    _check_words(nbest.vocab)
+    words = nbest._words()
+    for weight, (start, end) in zip(nbest.weights, _spans(nbest.ends)):
+        text = f"{weight:.9e}"
+        # `build_cn` takes only a finite weight > 0; checked as read back,
+        # since a weight near the float maximum rounds up to inf in this form
+        if not (math.isfinite(float(text)) and weight > 0):
+            raise SchemaError(f"weight {weight!r} is not finite and positive")
+        yield f"{text}\t{' '.join(words[start:end])}"
 
 
 def write_nbest(path, per_utt) -> None:
     """per_utt: iterable of (utterance_id, NBest), as `decode_nbest` and
     `read_nbest` give them; a list of (weight, words) pairs is written
-    the same way.
+    the same way, through `NBest.from_pairs`.
 
     Raises SchemaError naming the utterance for a breach of the block rules
     (`corpus`), a word that is empty or holds whitespace (a row's words are
     space-joined), and a weight `build_cn` would refuse after the read-back.
+    A list's words are checked, once each, before its weights.
     """
-    write_blocks(path, ((uid, (_nbest_row(w, words) for w, words in nbest))
-                        for uid, nbest in per_utt))
+    write_blocks(path, ((uid, _nbest_rows(nbest)) for uid, nbest in per_utt))
 
 
 def _nbest_block(path, rows, shared_word) -> NBest:
-    weights, hyps = [], []
-    # this block's weight and words texts, each parsed once; a tuple made
-    # from a list is allocated at its size, one made from a map is not
-    floats = Memo(float)
-    tuples = Memo(lambda words: tuple([*map(shared_word, words.split())]))
+    weights, ends, words = array("d"), array("I"), []
     for lineno, row in rows:
         weight_text, tab, words_text = row.partition("\t")
         if not tab:
             raise ParseError("expected weight<TAB>words", lineno, path)
         try:
-            weights.append(floats[weight_text])
+            weights.append(float(weight_text))
         except ValueError as exc:
             raise ParseError(f"bad weight {weight_text!r}", lineno, path) from exc
-        hyps.append(tuples[words_text])
-    return NBest(tuple(weights), tuple(hyps))
+        words += words_text.split()
+        ends.append(len(words))
+    vocab, ids = _vocab_ids(words)
+    return NBest(weights, _tuple(map(shared_word, vocab)), ids, ends)
 
 
 def read_nbest(path):
     """[(utterance_id, NBest), ...] from a file `write_nbest` wrote, in order.
 
     Each `NBest` is the one written, with weights to their printed
-    precision.  Within one block, equal hypothesis texts are one tuple
-    object and equal weight texts one float; across the whole file,
-    equal words are one string, each through a `corpus.Memo`.  So a
-    read-back costs about what the `decode_nbest` lists cost, and
-    `write_nbest` of it writes the same bytes.
+    precision, its columns built as the rows are parsed.  Across the
+    whole file, equal words are one string: each list's vocabulary goes
+    through one `corpus.Memo`.  So a read-back costs about what the
+    `decode_nbest` lists cost, and `write_nbest` of it writes the same
+    bytes.
     Weights are parsed as written: `build_cn` refuses one that is not
     finite and positive.  Raises ParseError naming the file and line for
     a row without a tab, a weight that is not a float, and each refusal

@@ -26,6 +26,8 @@ FLAG_CORRECT = "correct"
 FLAG_ERROR = "error"
 
 ABSENT = "_"
+# the `sem_categories` of a token in no category: one set that every such token shares
+NO_CATEGORIES = frozenset()
 
 
 class CorpusError(Exception):
@@ -50,7 +52,7 @@ class Token:
     pos: str | None = None
     governor: int | None = None
     deprel: str | None = None
-    sem_categories: frozenset = frozenset()
+    sem_categories: frozenset = NO_CATEGORIES
     pap: float | None = None
     mlp_conf: float | None = None
     error_flag: str | None = None

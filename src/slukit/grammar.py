@@ -16,7 +16,7 @@ import random
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
-from .corpus import Dataset, PhraseTable, Token, Utterance
+from .corpus import NO_CATEGORIES, Dataset, Memo, PhraseTable, Token, Utterance
 from .numutil import derived_seed
 
 
@@ -67,9 +67,12 @@ class DomainGrammar:
 
     @cached_property
     def category_table(self) -> PhraseTable:
-        """`categories` as a phrase table, built on first use (so later
-        changes to `categories` are not seen)."""
-        return PhraseTable(self.categories.items())
+        """`categories` as a phrase table whose payload is the token's
+        `sem_categories` set: one frozenset per category, shared by every
+        phrase and token naming it.  Built on first use (so later changes
+        to `categories` are not seen)."""
+        sets = Memo(lambda cat: frozenset((cat,)))
+        return PhraseTable((phrase, sets[cat]) for phrase, cat in self.categories.items())
 
     def vocabulary(self):
         """Words the clean generator can emit."""
@@ -354,10 +357,10 @@ def annotate_words(words, grammar: DomainGrammar, labels=None):
     lowered = [w.lower() for w in words]
     pos = [grammar.word_pos.get(w, "X") for w in lowered]
     head = next((i for i, p in enumerate(pos) if p == "VERB"), 0)
-    cats = [frozenset()] * len(words)
-    for start, end, cat in grammar.category_table.matches(words):
-        if cat is not None:
-            cats[start:end] = [frozenset((cat,))] * (end - start)
+    cats = [NO_CATEGORIES] * len(words)
+    for start, end, cat_set in grammar.category_table.matches(words):
+        if cat_set is not None:
+            cats[start:end] = [cat_set] * (end - start)
     tokens = []
     for i, w in enumerate(words):
         tokens.append(Token(

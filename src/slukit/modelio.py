@@ -6,12 +6,12 @@ one raw .npy blob per array in that order.  No timestamps anywhere, so
 identical models serialize to identical bytes.
 
 A model's `load` reads a file only as its `save` writes it: `load_blob`
-refuses an array blob other than the one `save_blob` writes for it, then
-`header_values` types the keys the model reads, `check_arrays`
-matches the arrays to the shapes those imply, and `check_header` compares
-the whole header with the one `save` writes for the model read.  Every
-refusal of a model file is a ModelIOError that starts with the file and
-names the key or array.
+refuses header bytes, an array blob or a tail other than those `save_blob`
+writes for what it read, then `header_values` types the keys the model
+reads, `check_arrays` matches the arrays to the shapes those imply, and
+`check_header` compares the whole header with the one `save` writes for
+the model read.  Every refusal of a model file is a ModelIOError that
+starts with the file, and names the key or array where one is at fault.
 """
 from __future__ import annotations
 
@@ -37,10 +37,7 @@ def save_blob(path, kind: str, header: dict, arrays: dict) -> None:
     head = dict(header)
     head["kind"] = kind
     head["arrays"] = names
-    try:
-        payload = json.dumps(head, sort_keys=True, ensure_ascii=False).encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise ModelIOError(f"{path}: header holds text UTF-8 cannot encode") from exc
+    payload = _header_bytes(path, head)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack(">II", VERSION, len(payload)))
@@ -49,9 +46,20 @@ def save_blob(path, kind: str, header: dict, arrays: dict) -> None:
             npformat.write_array(fh, np.ascontiguousarray(arrays[name]))
 
 
+def _header_bytes(path, head) -> bytes:
+    """The header as a model file holds it; ModelIOError if it holds text
+    UTF-8 cannot encode (a lone surrogate)."""
+    try:
+        return json.dumps(head, sort_keys=True, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ModelIOError(f"{path}: header holds text UTF-8 cannot encode") from exc
+
+
 def load_blob(path, expect_kind: str):
     """(header, arrays) of an `expect_kind` model file; ModelIOError if it is not
-    one, or if an array's blob is not the one `save_blob` writes for it."""
+    one, or if its bytes are not those `save_blob` writes for the header and
+    arrays read: a header written with other spacing or key order, an array's
+    blob in another layout, or bytes after the last array."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
@@ -61,12 +69,17 @@ def load_blob(path, expect_kind: str):
             if version != VERSION:
                 raise ModelIOError(f"{path}: unsupported version {version}")
             # JSON and numpy report bad or missing bytes as ValueError
-            header = json.loads(fh.read(hlen).decode("utf-8"))
+            payload = fh.read(hlen)
+            header = json.loads(payload.decode("utf-8"))
             names = header.get("arrays") if isinstance(header, dict) else None
             if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
                 raise ModelIOError(f"{path}: header is not an object with an 'arrays' "
                                    "list of names")
+            if _header_bytes(path, header) != payload:
+                raise ModelIOError(f"{path}: header is not written as save writes it")
             arrays = {name: _read_array(path, fh, name) for name in names}
+            if fh.read(1):
+                raise ModelIOError(f"{path}: bytes follow the last array")
         except (struct.error, ValueError) as exc:
             raise ModelIOError(f"{path}: truncated or corrupt model file: {exc}") from exc
     if header.get("kind") != expect_kind:

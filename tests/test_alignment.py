@@ -158,7 +158,7 @@ def test_channel_matches_reference(cfg, uid, words, n):
     nbest = decode_nbest(u, cfg, n)
     expected = reference_decode_nbest(u, cfg, n)
     assert list(nbest.weights) == [weight for weight, _ in expected]
-    assert [list(hyp) for hyp in nbest.hyps] == [hyp for _, hyp in expected]
+    assert [list(hyp) for _, hyp in nbest] == [hyp for _, hyp in expected]
     assert corrupt(u, cfg) == reference_corrupt(u, cfg)
 
 
@@ -232,7 +232,12 @@ def test_decode_nbest_zero_rate_weights(monkeypatch, small_corpus, noise_config,
 
 def test_nbest_slices_stay_nbest_lists(small_corpus, noise_config):
     nbest = decode_nbest(small_corpus.utterances[0], noise_config, 10)
-    assert build_cn(NBest(nbest.weights[:3], nbest.hyps[:3])) == build_cn(list(nbest)[:3])
+    assert (nbest.weights.typecode, nbest.ids.typecode, nbest.ends.typecode) == ("d", "I", "I")
+    head = NBest.from_pairs(list(nbest)[:3])
+    assert list(head) == list(nbest)[:3]
+    # a list built from another's entries keeps its word strings
+    assert all(any(w is v for v in nbest.vocab) for w in head.vocab)
+    assert build_cn(head) == build_cn(list(nbest)[:3])
 
 
 def test_build_cn_single_hypothesis():
@@ -374,20 +379,67 @@ def test_read_nbest_shares_equal_words(tmp_path):
                     ("u2", [(1.0, ["lyon", "lyon"]), (0.5, ["paris"])])])
     (_, nb1), (_, nb2) = read_nbest(p)
     assert isinstance(nb1, NBest) and isinstance(nb2, NBest)
-    (x1, w1), (x2, w2), (x3, w3) = nb1
-    (x4, w4), (x5, w5) = nb2
-    assert [list(w) for w in (w1, w2, w3, w4, w5)] == \
-        [["paris", "lyon"], ["paris"], ["paris", "lyon"], ["lyon", "lyon"], ["paris"]]
-    assert (x1, x2, x3, x4, x5) == (0.5, 0.5, 0.25, 1.0, 0.5)
-    # equal words are one string across the file
-    assert w1[0] is w2[0] is w5[0]
-    assert w1[1] is w4[0] is w4[1]
-    # within one block, equal hypothesis rows are one tuple and equal
-    # weight texts one float
-    assert type(w1) is tuple and w1 is w3
-    assert x1 is x2
-    assert nb1.hyps == (w1, w2, w3) and nb1.weights == (x1, x2, x3)
-    assert len(nb1) == 3 and nb1[2] == (x3, w3)
+    assert [(x, list(w)) for x, w in (*nb1, *nb2)] == \
+        [(0.5, ["paris", "lyon"]), (0.5, ["paris"]), (0.25, ["paris", "lyon"]),
+         (1.0, ["lyon", "lyon"]), (0.5, ["paris"])]
+    # each list keeps a word once, and equal words are one string across the file
+    assert nb1.vocab == ("paris", "lyon") and nb2.vocab == ("lyon", "paris")
+    assert nb1.vocab[0] is nb2.vocab[1] and nb1.vocab[1] is nb2.vocab[0]
+    (_, w1), (_, w2), _ = nb1
+    assert w1[0] is w2[0] is nb2[1][1][0]
+    # the weights, ids and ends are arrays
+    assert nb1.weights == array("d", [0.5, 0.5, 0.25])
+    assert nb1.ids == array("I", [0, 1, 0, 0, 1]) and nb1.ends == array("I", [2, 3, 5])
+    assert nb2.ids == array("I", [0, 0, 1]) and nb2.ends == array("I", [2, 3])
+    assert len(nb1) == 3 and nb1[2] == (0.25, ("paris", "lyon")) and nb1[-3] == nb1[0]
+
+
+@pytest.mark.parametrize("weights, vocab, ids, ends, match", [
+    ([1.0], ("a",), [0], [1, 1], "1 weights for 2 entries"),
+    ([1.0, 1.0], ("a", "b"), [0, 1], [2, 1], "does not split 2 ids"),
+    ([1.0], ("a", "b"), [0, 1], [1], "does not split 2 ids"),
+    ([1.0], ("a", "b"), [0, 2], [2], "id 2 is outside a vocabulary of 2 words"),
+    ([1.0], ("a", "a"), [0, 1], [2], "a word appears twice"),
+], ids=["weights-for-ends", "ends-decrease", "ends-short-of-ids", "id-outside-vocab",
+        "word-twice"])
+def test_nbest_refuses_columns_that_break_its_rules(weights, vocab, ids, ends, match):
+    with pytest.raises(AlignmentError, match=match):
+        NBest(array("d", weights), vocab, array("I", ids), array("I", ends))
+
+
+def test_nbest_entries_may_be_empty():
+    nb = NBest.from_pairs([(1.0, []), (0.5, ["a"]), (0.25, [])])
+    assert list(nb) == [(1.0, ()), (0.5, ("a",)), (0.25, ())]
+    assert nb.ends == array("I", [0, 1, 1])
+
+
+_column_words = st.sampled_from(["a", "b", "c", EPS, "é"])
+
+
+@given(st.lists(st.tuples(st.floats(min_value=1e-9, max_value=1.0),
+                          st.lists(_column_words, max_size=5)),
+                min_size=1, max_size=8))
+def test_nbest_columns_roundtrip(tmp_path_factory, pairs):
+    nb = NBest.from_pairs(pairs)
+    expected = [(weight, tuple(words)) for weight, words in pairs]
+    assert len(nb) == len(pairs)
+    assert list(nb) == expected
+    assert [nb[k] for k in range(len(pairs))] == expected
+    assert nb[-1] == expected[-1] and nb[-len(pairs)] == expected[0]
+    with pytest.raises(IndexError):
+        nb[len(pairs)]
+    # each word once, in order of first appearance
+    seen = []
+    for _, words in pairs:
+        for w in words:
+            if w not in seen:
+                seen.append(w)
+    assert nb.vocab == tuple(seen)
+    assert build_cn(pairs) == build_cn(nb) == reference_build_cn(pairs)
+    p = tmp_path_factory.mktemp("nbest") / "n.txt"
+    write_nbest(p, [("u", nb)])
+    write_nbest(p.with_name("again.txt"), read_nbest(p))
+    assert p.with_name("again.txt").read_bytes() == p.read_bytes()
 
 
 # sha256 of the n-best and confusion network files below, recorded

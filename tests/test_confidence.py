@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import io
 import json
 import re
@@ -556,6 +557,20 @@ def _relayout(data, name, fortran):
     raise AssertionError(name)
 
 
+def _respaced(data, style):
+    """Model file bytes `data` with the same header written as save never
+    writes it: indented, without spaces, or with its keys unsorted."""
+    end = 12 + int.from_bytes(data[8:12], "big")
+    head = json.loads(data[12:end])
+    if style == "unsorted":
+        text = json.dumps(dict(reversed(head.items())), ensure_ascii=False)
+    else:
+        spacing = {"indent": {"indent": 1}, "compact": {"separators": (",", ":")}}[style]
+        text = json.dumps(head, sort_keys=True, ensure_ascii=False, **spacing)
+    text = text.encode("utf-8")
+    return data[:8] + len(text).to_bytes(4, "big") + text + data[end:]
+
+
 @given(kind=st.sampled_from(["autoencoder", "msmlp"]), data=st.data())
 def test_model_files_roundtrip_or_refuse(tmp_path_factory, tiny_tables, kind, data):
     d = tmp_path_factory.mktemp("model")
@@ -569,8 +584,9 @@ def test_model_files_roundtrip_or_refuse(tmp_path_factory, tiny_tables, kind, da
         cls.load(p).save(p)
         assert p.read_bytes() == saved
         edited = json.loads(json.dumps(header))
-        relayout = None
-        edit_kind = data.draw(st.sampled_from(["array", "header", "layout"]), label="edit")
+        rewrite, why = None, None
+        edit_kind = data.draw(st.sampled_from(["array", "header", "layout", "tail", "spacing"]),
+                              label="edit")
         if edit_kind == "layout":
             # store one array's blob in a layout save does not write: Fortran
             # order where that changes the bytes (a matrix of 2+ rows and
@@ -578,7 +594,17 @@ def test_model_files_roundtrip_or_refuse(tmp_path_factory, tiny_tables, kind, da
             name = data.draw(st.sampled_from(sorted(arrays)))
             shape = arrays[name].shape
             fortran = len(shape) > 1 and min(shape) > 1 and data.draw(st.booleans())
-            relayout, named, array_edit = (name, fortran), [name], True
+            rewrite = functools.partial(_relayout, name=name, fortran=fortran)
+            named, array_edit = [name], True
+        elif edit_kind == "tail":
+            # bytes after the last array
+            tail = data.draw(st.binary(min_size=1, max_size=3))
+            rewrite, why, named, array_edit = (lambda b: b + tail), "bytes follow", [], True
+        elif edit_kind == "spacing":
+            # the same header, spaced or ordered as save does not write it
+            style = data.draw(st.sampled_from(["indent", "compact", "unsorted"]))
+            rewrite = functools.partial(_respaced, style=style)
+            why, named, array_edit = "header is not written as save", [], True
         elif edit_kind == "array":
             # drop, reshape or retype one array, or add one: save writes
             # none of these, so each must be refused naming that array
@@ -603,8 +629,8 @@ def test_model_files_roundtrip_or_refuse(tmp_path_factory, tiny_tables, kind, da
                                     else _json_values | st.just(float(old)))
             named, array_edit = [*where, key, *(old if isinstance(old, dict) else ())], False
         modelio.save_blob(p, kind, edited, arrays)
-        if relayout is not None:
-            p.write_bytes(_relayout(p.read_bytes(), *relayout))
+        if rewrite is not None:
+            p.write_bytes(rewrite(p.read_bytes()))
         written = p.read_bytes()
         # a header edit may describe another model that save writes the same
         # way (no unigrams, say): then it loads, and must re-save to these bytes
@@ -613,8 +639,11 @@ def test_model_files_roundtrip_or_refuse(tmp_path_factory, tiny_tables, kind, da
         except ModelIOError as exc:
             assert written != saved
             assert str(exc).startswith(f"{p}: ")
-            assert ((not array_edit and "array '" in str(exc))
-                    or any(repr(k) in str(exc) for k in named)), str(exc)
+            if why:
+                assert why in str(exc), str(exc)
+            else:
+                assert ((not array_edit and "array '" in str(exc))
+                        or any(repr(k) in str(exc) for k in named)), str(exc)
             return
         assert not array_edit, named
         back.save(p)

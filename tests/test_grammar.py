@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -87,6 +88,19 @@ def test_annotation_multiword_category(default_grammar):
     toks = annotate_words(["swimming", "pool"], default_grammar)
     assert "SERVICE" in toks[0].sem_categories
     assert "SERVICE" in toks[1].sem_categories
+
+
+def test_annotation_shares_one_set_per_category(default_grammar):
+    # two utterances naming the same category, by other phrases and by
+    # the same one, share its one set; uncategorized tokens share the empty set
+    a = annotate_words(["a", "room", "in", "paris"], default_grammar)
+    b = annotate_words(["lyon", "not", "paris"], default_grammar)
+    assert a[3].sem_categories == frozenset({"TOWN"})
+    assert a[3].sem_categories is b[0].sem_categories is b[2].sem_categories
+    assert a[0].sem_categories == frozenset() and a[0].sem_categories is b[1].sem_categories
+    # tokens still compare equal to ones built with sets of their own
+    assert a[3] == dataclasses.replace(a[3], sem_categories=frozenset({"TOWN"}))
+    assert b[1] == dataclasses.replace(b[1], sem_categories=frozenset())
 
 
 def test_grammar_json_roundtrip(default_grammar):
