@@ -11,9 +11,10 @@ bit-identical to serial ones.
 
 `NBest` lists and `ConfusionNetwork`s are flat columns that share equal
 words: a list keeps each distinct word once and codes its entries as
-indices.  Read back, 1000 lists of 40 (correlation 0.3) hold 2.4 MB and
-their networks 1.05 MB (tracemalloc), where lists of a tuple per distinct
-hypothesis held 4.4 MB, and nested pairs 8.9 MB and 4.26 MB.
+indices, one byte each for a vocabulary of at most 256 words.  Read
+back, 1000 lists of 40 (correlation 0.3) hold 1.55 MB and their networks
+1.05 MB (tracemalloc), where four-byte ids held 2.4 MB, lists of a tuple
+per distinct hypothesis 4.4 MB, and nested pairs 8.9 MB and 4.26 MB.
 """
 from __future__ import annotations
 
@@ -216,20 +217,28 @@ def _draw(words, cfg: NoiseConfig, uid, k, primary=None):
     return decisions, inserts, math.exp(logp), tuple(out) or ("euh",)
 
 
+@functools.lru_cache(maxsize=4096)
+def _hyp_token(word, flag) -> Token:
+    """The hypothesis token of `word` with error flag `flag`, one shared
+    frozen object per (word, flag) while it stays in the cache.  The
+    bound holds both flags of 2048 words; past it, a token is built
+    again and only shares less."""
+    return Token(surface=word, error_flag=flag)
+
+
 def _hyp_utterance(utt: Utterance, hyp_words) -> Utterance:
     """Wrap channel output as an utterance; flags come from the alignment."""
     ali = align(utt.surfaces(), hyp_words)
     matched = {j for op, _, j in ali.ops if op == MATCH}
-    tokens = tuple(
-        Token(surface=w, error_flag=FLAG_CORRECT if j in matched else FLAG_ERROR)
-        for j, w in enumerate(hyp_words)
-    )
+    tokens = tuple(_hyp_token(w, FLAG_CORRECT if j in matched else FLAG_ERROR)
+                   for j, w in enumerate(hyp_words))
     return Utterance(utt.id, tokens, reference_tokens=utt.tokens)
 
 
 def corrupt(utt: Utterance, cfg: NoiseConfig) -> Utterance:
     """The primary channel draw for an utterance, keyed by (seed, id):
-    the words of `decode_nbest`'s first entry, with error flags."""
+    the words of `decode_nbest`'s first entry, with error flags.  Equal
+    (word, flag) tokens are one shared frozen object, across calls too."""
     return _hyp_utterance(utt, _draw(utt.surfaces(), cfg, utt.id, 0)[3])
 
 
@@ -239,9 +248,11 @@ class NBest:
 
     `weights` is an array("d"), one weight per entry.  `vocab` holds each
     distinct word of the list once, in first-appearance order, and `ids`
-    is an array("I") of indices into it, entry after entry: entry k's
-    words are `vocab[i]` for i in `ids[ends[k-1]:ends[k]]`, from 0 for
-    k = 0, and `ends` is an array("I").  No per-entry object is kept.
+    is an array of indices into it, entry after entry: entry k's words
+    are `vocab[i]` for i in `ids[ends[k-1]:ends[k]]`, from 0 for k = 0,
+    and `ends` is an array("I").  The library's lists store `ids` as an
+    array("B"), one byte an id, for a vocabulary of at most 256 words,
+    else as an array("I").  No per-entry object is kept.
     `from_pairs` builds a list from (weight, words) pairs, and the list
     reads back as them: `len`, `nbest[k]` for an int k (negative too) and
     iteration give (weight, words tuple), the tuple built on each access.
@@ -280,7 +291,7 @@ class NBest:
             weights.append(weight)
             words += entry
             ends.append(len(words))
-        return cls(weights, *_vocab_ids(words), ends)
+        return _built(cls, weights, *_vocab_ids(words), ends)
 
     def __len__(self):
         return len(self.ends)
@@ -299,6 +310,17 @@ class NBest:
         return _tuple(map(self.vocab.__getitem__, self.ids))
 
 
+def _built(cls, *columns):
+    """The `cls` (`NBest` or `ConfusionNetwork`) of `columns`, given in
+    field order, built without the checks of `__post_init__`.  Only for
+    columns that a builder of this module has made to the class's rules;
+    the public constructor checks every rule."""
+    built = object.__new__(cls)
+    for name, column in zip(cls.__slots__, columns):
+        object.__setattr__(built, name, column)
+    return built
+
+
 def _tuple(items) -> tuple:
     """A tuple of `items` allocated at its size.  One grown from an
     iterator of unknown length goes back to the free list of another
@@ -309,10 +331,11 @@ def _tuple(items) -> tuple:
 
 def _vocab_ids(words):
     """(vocab, ids) of a word sequence: its distinct words in order of
-    first appearance, and the array("I") of each word's index in them."""
+    first appearance, and the array of each word's index in them, of
+    typecode "B" (one byte) for at most 256 words, else "I"."""
     vocab = tuple(dict.fromkeys(words))
     index = dict(zip(vocab, range(len(vocab))))
-    return vocab, array("I", map(index.__getitem__, words))
+    return vocab, array("B" if len(vocab) <= 256 else "I", map(index.__getitem__, words))
 
 
 def decode_nbest(utt: Utterance, cfg: NoiseConfig, n: int) -> NBest:
@@ -491,7 +514,8 @@ def build_cn(nbest) -> ConfusionNetwork:
         posteriors += [post[w] / s for w in order]
         ends.append(len(words))
     pivot_words = _tuple(map(words_of.__getitem__, pivot))
-    return ConfusionNetwork(pivot_words, tuple(words), array("d", posteriors), tuple(ends))
+    return _built(ConfusionNetwork, pivot_words, tuple(words), array("d", posteriors),
+                  tuple(ends))
 
 
 def pap_of(cn: ConfusionNetwork, hyp_words):
@@ -586,7 +610,7 @@ def _nbest_block(path, rows, shared_word) -> NBest:
         words += words_text.split()
         ends.append(len(words))
     vocab, ids = _vocab_ids(words)
-    return NBest(weights, _tuple(map(shared_word, vocab)), ids, ends)
+    return _built(NBest, weights, _tuple(map(shared_word, vocab)), ids, ends)
 
 
 def read_nbest(path):

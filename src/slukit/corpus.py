@@ -8,7 +8,9 @@ with B-/I- prefixes over concept names so that labelled segments can be
 recovered exactly; `null` marks words conveying no domain information.
 Two extra labels, ERROR-C and ERROR-N, replace the regular label of
 erroneous recognizer words during training and are mapped back to null
-before scoring.  The records are slotted dataclasses.
+before scoring.  The records are slotted frozen dataclasses, and equal
+ones may be one shared object (a generated corpus shares each distinct
+token), so compare records with ==, never by identity.
 """
 from __future__ import annotations
 
@@ -103,8 +105,11 @@ class Utterance:
 
         Each token is rebuilt through the constructor, so it is
         validated as `dataclasses.replace` would validate it, at half
-        the cost.
+        the cost.  Raises SchemaError for a `name` that is not a Token
+        field and for values of another length than the tokens.
         """
+        if name not in TOKEN_FIELDS:
+            raise SchemaError(f"{name!r} is not a token field")
         if len(values) != len(self.tokens):
             raise SchemaError(f"{len(values)} {name} values for {len(self.tokens)} tokens")
         k = TOKEN_FIELDS.index(name)

@@ -352,8 +352,13 @@ def annotate_words(words, grammar: DomainGrammar, labels=None):
     the first token) heads the utterance and every other token attaches
     to it with a POS-typed relation.  POS and lemma are looked up
     lowercased, as categories are matched; an unknown word's lemma is
-    its lowercased form.
+    its lowercased form.  Each token is a new object.
     """
+    return tuple(Token(*row) for row in _token_rows(words, grammar, labels))
+
+
+def _token_rows(words, grammar: DomainGrammar, labels):
+    """The `Token` fields, in order, of each token `annotate_words` builds."""
     lowered = [w.lower() for w in words]
     pos = [grammar.word_pos.get(w, "X") for w in lowered]
     head = next((i for i, p in enumerate(pos) if p == "VERB"), 0)
@@ -361,19 +366,16 @@ def annotate_words(words, grammar: DomainGrammar, labels=None):
     for start, end, cat_set in grammar.category_table.matches(words):
         if cat_set is not None:
             cats[start:end] = [cat_set] * (end - start)
-    tokens = []
     for i, w in enumerate(words):
-        tokens.append(Token(
-            surface=w,
-            # an unknown lowercase word is its own lemma, the same object
-            lemma=grammar.lemmas.get(lowered[i], w if lowered[i] == w else lowered[i]),
-            pos=pos[i],
-            governor=None if i == head else head,
-            deprel="root" if i == head else _DEPREL_BY_POS.get(pos[i], "dep"),
-            sem_categories=cats[i],
-            label=None if labels is None else labels[i],
-        ))
-    return tuple(tokens)
+        yield (w,
+               # an unknown lowercase word is its own lemma, the same object
+               grammar.lemmas.get(lowered[i], w if lowered[i] == w else lowered[i]),
+               pos[i],
+               None if i == head else head,
+               "root" if i == head else _DEPREL_BY_POS.get(pos[i], "dep"),
+               cats[i],
+               None, None, None,  # pap, mlp_conf, error_flag
+               None if labels is None else labels[i])
 
 
 # ---------------------------------------------------------------------------
@@ -405,15 +407,20 @@ def generate_corpus(grammar: DomainGrammar, n: int, seed: int) -> Dataset:
     """Sample n annotated, concept-labelled utterances, reproducibly.
 
     Utterance i depends only on (seed, i), so any prefix of a larger
-    corpus equals the smaller corpus generated with the same seed.
+    corpus equals the smaller corpus generated with the same seed.  Its
+    tokens equal `annotate_words` of its words and labels, and equal
+    tokens are one shared frozen object: each is looked up by its fields
+    in a `Memo` of this call before one is built, so a corpus holds one
+    token per distinct annotated word, not one per word.
     """
     grammar.validate()
     if n < 1:
         raise GrammarError(f"need n >= 1 utterances, got {n}")
+    shared_token = Memo(lambda row: Token(*row)).__getitem__
     utterances = []
     for i in range(n):
         rng = random.Random(derived_seed("gen", seed, i))
         words, labels = _instantiate(grammar, rng)
-        tokens = annotate_words(words, grammar, labels=labels)
+        tokens = tuple(map(shared_token, _token_rows(words, grammar, labels)))
         utterances.append(Utterance(f"g{seed}-{i:05d}", tokens))
     return Dataset(tuple(utterances))

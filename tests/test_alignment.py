@@ -232,12 +232,31 @@ def test_decode_nbest_zero_rate_weights(monkeypatch, small_corpus, noise_config,
 
 def test_nbest_slices_stay_nbest_lists(small_corpus, noise_config):
     nbest = decode_nbest(small_corpus.utterances[0], noise_config, 10)
-    assert (nbest.weights.typecode, nbest.ids.typecode, nbest.ends.typecode) == ("d", "I", "I")
+    # ids take one byte for a vocabulary of at most 256 words, else four
+    assert (nbest.weights.typecode, nbest.ids.typecode, nbest.ends.typecode) == \
+        ("d", "B" if len(nbest.vocab) <= 256 else "I", "I")
     head = NBest.from_pairs(list(nbest)[:3])
     assert list(head) == list(nbest)[:3]
     # a list built from another's entries keeps its word strings
     assert all(any(w is v for v in nbest.vocab) for w in head.vocab)
     assert build_cn(head) == build_cn(list(nbest)[:3])
+
+
+def test_corrupt_shares_equal_tokens(small_corpus, noise_config):
+    first = {}  # (surface, error_flag) -> (the first token, its utterance)
+    across = 0
+    for u in small_corpus.utterances:
+        for tok in corrupt(u, noise_config).tokens:
+            shared, uid = first.setdefault((tok.surface, tok.error_flag), (tok, u.id))
+            assert tok is shared
+            across += uid != u.id
+    assert across > 0
+
+
+def _rebuilt(columns):
+    """`columns` (an NBest or ConfusionNetwork) rebuilt through the public
+    constructor, which checks every rule of its class."""
+    return type(columns)(*(getattr(columns, f.name) for f in dataclasses.fields(columns)))
 
 
 def test_build_cn_single_hypothesis():
@@ -293,7 +312,7 @@ def test_build_cn_matches_reference(nbest):
 @given(nbest_lists())
 def test_cn_columns_roundtrip(nbest):
     cn = build_cn(nbest)
-    assert ConfusionNetwork.from_bins(cn.bins, cn.pivot) == cn
+    assert ConfusionNetwork.from_bins(cn.bins, cn.pivot) == cn == _rebuilt(cn)
 
 
 @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf"), 0.0, -0.5])
@@ -435,10 +454,49 @@ def test_nbest_columns_roundtrip(tmp_path_factory, pairs):
             if w not in seen:
                 seen.append(w)
     assert nb.vocab == tuple(seen)
+    assert _rebuilt(nb) == nb
     assert build_cn(pairs) == build_cn(nb) == reference_build_cn(pairs)
     p = tmp_path_factory.mktemp("nbest") / "n.txt"
     write_nbest(p, [("u", nb)])
-    write_nbest(p.with_name("again.txt"), read_nbest(p))
+    [(_, back)] = read_nbest(p)
+    assert _rebuilt(back) == back
+    write_nbest(p.with_name("again.txt"), [("u", back)])
+    assert p.with_name("again.txt").read_bytes() == p.read_bytes()
+
+
+# lists of 250-300 distinct words, so that their ids take one byte or four:
+# n words of a pool of 300 from a drawn start, around the end; short entries
+# keep the alignments against the pivot small, and a few draws per list keep
+# the 1000 examples of the deep profile quick
+_wide_pool = [EPS, *(f"w{i}" for i in range(299))] * 2
+
+
+@st.composite
+def wide_nbest_lists(draw):
+    n = draw(st.integers(min_value=250, max_value=300))
+    start = draw(st.integers(min_value=0, max_value=299))
+    words = _wide_pool[start:start + n]
+    size = draw(st.integers(min_value=1, max_value=12))
+    entries = [words[i:i + size] for i in range(0, n, size)]
+    entries += [entries[k] for k in draw(st.lists(st.integers(0, len(entries) - 1),
+                                                  max_size=4))]
+    weights = draw(st.lists(st.floats(min_value=1e-9, max_value=1.0), min_size=1,
+                            max_size=4))
+    return [(weights[k % len(weights)], entry) for k, entry in enumerate(entries)]
+
+
+@given(wide_nbest_lists())
+def test_nbest_wide_vocab_roundtrip(tmp_path_factory, pairs):
+    nb = NBest.from_pairs(pairs)
+    assert list(nb) == [(weight, tuple(words)) for weight, words in pairs]
+    assert nb.ids.typecode == ("B" if len(nb.vocab) <= 256 else "I")
+    assert _rebuilt(nb) == nb
+    assert build_cn(nb) == build_cn(list(nb))
+    p = tmp_path_factory.mktemp("nbest") / "n.txt"
+    write_nbest(p, [("u", nb)])
+    [(_, back)] = read_nbest(p)
+    assert back.ids.typecode == nb.ids.typecode and _rebuilt(back) == back
+    write_nbest(p.with_name("again.txt"), [("u", back)])
     assert p.with_name("again.txt").read_bytes() == p.read_bytes()
 
 

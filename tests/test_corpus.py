@@ -321,6 +321,11 @@ def test_with_column_refuses_length_mismatch():
         utt("u", ["a", "b"]).with_column("label", ["B-TOWN"])
 
 
+def test_with_column_refuses_unknown_field():
+    with pytest.raises(SchemaError, match="'lable' is not a token field"):
+        utt("u", ["a", "b"]).with_column("lable", ["B-TOWN", "null"])
+
+
 def test_validate_label_sequence_rejects_switch():
     with pytest.raises(SchemaError):
         validate_label_sequence(["B-TOWN", "I-DATE"])

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from slukit.corpus import PhraseTable, segments_of, validate_label_sequence
+from slukit.corpus import (Dataset, PhraseTable, Utterance, segments_of,
+                           validate_label_sequence, write_dataset)
 from slukit.grammar import (DomainGrammar, GrammarError, SlotSpec, annotate_words,
                             default_grammar, generate_corpus)
 
@@ -27,6 +28,21 @@ def test_prefix_stability(default_grammar):
     a = generate_corpus(default_grammar, 5, 3)
     b = generate_corpus(default_grammar, 9, 3)
     assert a.utterances == b.utterances[:5]
+
+
+def test_generated_corpus_shares_equal_tokens(tmp_path, default_grammar):
+    ds = generate_corpus(default_grammar, 300, 11)
+    tokens = [t for u in ds for t in u.tokens]
+    assert len({id(t) for t in tokens}) == len(set(tokens)) < len(tokens)
+    # the shared tokens are the ones annotation builds, each a new object there
+    fresh = Dataset(tuple(Utterance(u.id, annotate_words(u.surfaces(), default_grammar,
+                                                         labels=u.labels()))
+                          for u in ds))
+    assert fresh == ds
+    assert len({id(t) for u in fresh for t in u.tokens}) == len(tokens)
+    write_dataset(ds, tmp_path / "shared.tsv")
+    write_dataset(fresh, tmp_path / "fresh.tsv")
+    assert (tmp_path / "shared.tsv").read_bytes() == (tmp_path / "fresh.tsv").read_bytes()
 
 
 def test_every_concept_appears(default_grammar):
