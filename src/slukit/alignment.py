@@ -1,5 +1,5 @@
-"""Edit alignment, WER, a stochastic recognizer channel, and confusion
-networks with word posteriors.
+"""Edit alignment, a stochastic recognizer channel, and confusion networks
+with word posteriors.
 
 The channel replaces a real recognizer: per reference word it may
 substitute (preferring phonetically near candidates), delete, or insert,
@@ -106,14 +106,6 @@ def align(ref, hyp) -> Alignment:
             ops.append((INS, None, j))
     ops.reverse()
     return Alignment(tuple(ops), dist[n][m])
-
-
-def wer(ref, hyp) -> float:
-    """100 * (S + D + I) / |ref| under unit edit costs."""
-    if len(ref) < 1:
-        raise AlignmentError("WER undefined for an empty reference")
-    c = align(ref, hyp).counts()
-    return 100.0 * (c[SUB] + c[DEL] + c[INS]) / len(ref)
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +374,7 @@ class ConfusionNetwork:
     bin ordered by (-posterior, word); `posteriors` is an array("d") of
     the same length, the posterior of each word.  Bin k is the slice
     [ends[k-1], ends[k]) of both, from 0 for k = 0.  No per-entry or
-    per-bin object is kept.  `bins` is the nested view, a tuple per bin
-    of (word, posterior) pairs, built on each access; `from_bins` builds
-    a network from that view.
+    per-bin object is kept.
 
     Raises AlignmentError for a bin count other than the pivot length,
     columns whose lengths or `ends` do not partition `words` into
@@ -420,24 +410,6 @@ class ConfusionNetwork:
             if not abs(total - 1.0) <= 1e-9:
                 raise AlignmentError(f"bin {k} posteriors sum to {total}")
 
-    @classmethod
-    def from_bins(cls, bins, pivot) -> ConfusionNetwork:
-        """The network whose `bins` view is `bins`: per pivot word, a
-        sequence of (word, posterior) pairs in bin order."""
-        words, posteriors, ends = [], [], []
-        for entries in bins:
-            for word, p in entries:
-                words.append(word)
-                posteriors.append(p)
-            ends.append(len(words))
-        return cls(tuple(pivot), tuple(words), array("d", posteriors), tuple(ends))
-
-    @property
-    def bins(self) -> tuple:
-        """Per pivot word, a tuple of its bin's (word, posterior) pairs."""
-        return tuple(tuple(zip(self.words[start:end], self.posteriors[start:end]))
-                     for start, end in _spans(self.ends))
-
 
 def _spans(ends):
     """(start, end) of each bin of a network's `ends` column."""
@@ -458,12 +430,9 @@ def _pivot_column(pivot, hyp, eps) -> tuple:
     return tuple(column)
 
 
-def build_cn(nbest) -> ConfusionNetwork:
-    """Align weighted hypotheses into the first (pivot) hypothesis.
-
-    `nbest` is an `NBest`, as `decode_nbest` and `read_nbest` return it,
-    or a sequence of (weight, words) pairs, which `NBest.from_pairs`
-    turns into one.
+def build_cn(nbest: NBest) -> ConfusionNetwork:
+    """Align an `NBest` list's weighted hypotheses into its first (pivot)
+    hypothesis.
 
     Every hypothesis contributes to each pivot bin exactly once: its
     aligned word on match/substitution, epsilon where it skips the bin.
@@ -475,13 +444,11 @@ def build_cn(nbest) -> ConfusionNetwork:
     aligning every entry.  A bin's posterior is its word's mass over
     the total weight, and the bin is sorted by (-posterior, word), the
     ids mapped back to words first, and divided by its own sum.  These
-    are written straight into the network's columns, with no nested
-    `bins`; the pivot's words are the list's own `vocab` strings.
+    are written straight into the network's columns, with no per-bin
+    object; the pivot's words are the list's own `vocab` strings.
     Raises AlignmentError for a weight that is not finite and positive,
     and for weights whose sum overflows.
     """
-    if not isinstance(nbest, NBest):
-        nbest = NBest.from_pairs(nbest)
     if not nbest:
         raise AlignmentError("need at least one hypothesis")
     # epsilon gets an id of its own unless the list holds it as a word
@@ -566,13 +533,14 @@ def project_labels(hyp: Utterance) -> Utterance:
 
 def _check_words(words):
     for word in words:
+        if not isinstance(word, str):
+            raise SchemaError(f"word {word!r} is not text")
         if word.split() != [word]:
             raise SchemaError(f"word {word!r} is empty or holds whitespace")
 
 
-def _nbest_rows(nbest):
-    if not isinstance(nbest, NBest):
-        nbest = NBest.from_pairs(nbest)
+def _nbest_rows(nbest: NBest):
+    """The rows of one `NBest` list, one per entry: weight<TAB>words."""
     _check_words(nbest.vocab)
     words = nbest._words()
     for weight, (start, end) in zip(nbest.weights, _spans(nbest.ends)):
@@ -586,12 +554,12 @@ def _nbest_rows(nbest):
 
 def write_nbest(path, per_utt) -> None:
     """per_utt: iterable of (utterance_id, NBest), as `decode_nbest` and
-    `read_nbest` give them; a list of (weight, words) pairs is written
-    the same way, through `NBest.from_pairs`.
+    `read_nbest` give them.
 
     Raises SchemaError naming the utterance for a breach of the block rules
-    (`corpus`), a word that is empty or holds whitespace (a row's words are
-    space-joined), and a weight `build_cn` would refuse after the read-back.
+    (`corpus`), a word that is not text, is empty or holds whitespace (a
+    row's words are space-joined), and a weight `build_cn` would refuse
+    after the read-back.
     A list's words are checked, once each, before its weights.
     """
     write_blocks(path, ((uid, _nbest_rows(nbest)) for uid, nbest in per_utt))
@@ -643,6 +611,7 @@ def write_cn(path, per_utt) -> None:
     Each bin is one row of `word:posterior` entries, read from the
     network's columns.  Raises SchemaError naming the utterance for a
     breach of the block rules (`corpus`), such as a network of no bins,
-    and a word that is empty or holds whitespace (entries are space-joined).
+    and a word that is not text, is empty or holds whitespace (entries are
+    space-joined).
     """
     write_blocks(path, ((uid, _cn_rows(cn)) for uid, cn in per_utt))

@@ -106,13 +106,15 @@ def write_embeddings(table: EmbeddingTable, path) -> None:
 
     Raises ConfidenceError, before the file is opened, for a table that
     would not read back as itself: one with no words or no vector
-    components, or a word that is empty, holds whitespace, holds text
-    UTF-8 cannot encode (a lone surrogate) or appears twice.
+    components, or a word that is not text, is empty, holds whitespace,
+    holds text UTF-8 cannot encode (a lone surrogate) or appears twice.
     """
     if not table.words or table.dim < 1:
         raise ConfidenceError(f"cannot write a {len(table)} x {table.dim} embedding table")
     seen = set()
     for w in table.words:
+        if not isinstance(w, str):
+            raise ConfidenceError(f"word {w!r} is not text")
         if w.split() != [w]:
             raise ConfidenceError(f"word {w!r} is empty or holds whitespace")
         try:

@@ -300,13 +300,13 @@ def strip_error_labels(output: TaggerOutput) -> TaggerOutput:
 # Block files: a "# id=<text>" header, one row per line, and a blank line
 # closing each block, UTF-8.  The corpus TSV, tagger outputs, n-best lists
 # and confusion networks share this layout and differ only in their rows.
-# The block rules, for all four: an id is non-empty, holds no line break
-# and heads one block per file, of at least one row; a row is not blank
-# and does not start with the header.  `write_blocks` refuses a breach
-# with SchemaError naming the utterance, `read_blocks` with ParseError at
-# the line of the block's header.  Readers parse equal cell texts once per
-# read, in a `Memo`, so equal text reads back as one object and a read-back
-# costs about what the data cost before it was written.
+# The block rules, for all four: an id is non-empty text, holds no line
+# break and heads one block per file, of at least one row; a row is text,
+# not blank, and does not start with the header.  `write_blocks` refuses a
+# breach with SchemaError naming the utterance, `read_blocks` with
+# ParseError at the line of the block's header.  Readers parse equal cell
+# texts once per read, in a `Memo`, so equal text reads back as one object
+# and a read-back costs about what the data cost before it was written.
 # ---------------------------------------------------------------------------
 
 HEADER = "# id="
@@ -320,12 +320,16 @@ def write_blocks(path, blocks) -> None:
     seen = set()
     with open(path, "wb") as fh:
         for block_id, rows in blocks:
-            lines = [HEADER + block_id]
             try:
+                if not isinstance(block_id, str):
+                    raise SchemaError("the id is not text")
                 if not block_id or "\n" in block_id or "\r" in block_id or block_id in seen:
                     raise SchemaError("the id is empty, holds a line break or heads another block")
                 seen.add(block_id)
+                lines = [HEADER + block_id]
                 for row in rows:
+                    if not isinstance(row, str):
+                        raise SchemaError(f"row {row!r} is not text")
                     if not row.strip() or row.startswith(HEADER) or "\n" in row or "\r" in row:
                         raise SchemaError(f"row {row!r} would not read back")
                     lines.append(row)

@@ -32,6 +32,11 @@ class SlotSpec:
 
 @dataclass(frozen=True)
 class DomainGrammar:
+    """The patterns, slots and lexicon the generator and annotator read.
+    `to_json` writes it as one sorted document, to hash; nothing reads
+    that back.  `validate` refuses an unusable grammar, such as one whose
+    tables hold a value that is not text."""
+
     patterns: tuple  # of (weight, items tuple); items are words or "$SLOT"
     slots: dict
     categories: dict       # phrase -> semantic category
@@ -90,31 +95,6 @@ class DomainGrammar:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=1, sort_keys=True, ensure_ascii=False)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DomainGrammar":
-        """The grammar `to_json` wrote.  Raises GrammarError for text that
-        is not JSON, a missing key (named) and a value of the wrong type."""
-        try:
-            doc = json.loads(text)
-            g = cls(
-                slots={name: SlotSpec(spec["concept"],
-                                      tuple((w, tuple(ph)) for w, ph in spec["realizations"]))
-                       for name, spec in doc["slots"].items()},
-                patterns=tuple((w, tuple(items)) for w, items in doc["patterns"]),
-                categories=dict(doc["categories"]),
-                values=dict(doc["values"]),
-                word_pos=dict(doc["word_pos"]),
-                lemmas=dict(doc.get("lemmas", {})),
-                insertion_words=tuple(doc.get("insertion_words", ())),
-                extra_vocab=tuple(doc.get("extra_vocab", ())),
-            )
-            g.validate()
-        except KeyError as exc:
-            raise GrammarError(f"grammar JSON lacks key {exc}") from exc
-        except (AttributeError, TypeError, ValueError) as exc:  # ValueError: not JSON
-            raise GrammarError(f"grammar JSON is malformed: {exc}") from exc
-        return g
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +213,7 @@ def _default_values():
 
 _POS_GROUPS = {
     "PROPN": _TOWNS + _HOTELS,
-    "NUM": tuple(w for num in _NUMBER_VALUES for w in num.replace("-", " ").split())
+    "NUM": tuple(w for num in _NUMBER_VALUES for w in num.split())
            + ("eighty",),
     "NOUN": _MONTHS + ("tomorrow", "tonight", "room", "rooms", "people", "person",
                        "nights", "night", "price", "car", "morning", "evening",
@@ -272,6 +252,7 @@ _EXTRA_POS = {
     "purple": "ADJ", "yellow": "ADJ", "say": "VERB", "day": "NOUN",
     "play": "VERB", "here": "ADV", "ear": "NOUN", "form": "NOUN",
     "once": "ADV", "light": "NOUN", "bike": "NOUN", "tan": "NOUN",
+    "steeple": "NOUN",
 }
 
 DEFAULT_CONFUSIONS = {
@@ -325,8 +306,6 @@ def default_grammar() -> DomainGrammar:
         for w in words:
             word_pos[w] = pos
     word_pos.update(_EXTRA_POS)
-    word_pos["steeple"] = "NOUN"
-    word_pos["thirty-three"] = "NUM"
     g = DomainGrammar(
         patterns=_PATTERNS,
         slots=dict(_SLOTS),
@@ -335,7 +314,7 @@ def default_grammar() -> DomainGrammar:
         word_pos=word_pos,
         lemmas=dict(_LEMMAS),
         insertion_words=DEFAULT_INSERTIONS,
-        extra_vocab=tuple(sorted(set(_EXTRA_POS) | {"steeple"})),
+        extra_vocab=tuple(sorted(_EXTRA_POS)),
     )
     g.validate()
     return g

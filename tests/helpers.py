@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import random
+from array import array
 
 import numpy as np
 
@@ -116,7 +117,27 @@ def reference_build_cn(nbest):
                         key=lambda e: (-e[1], e[0]))
         s = sum(p for _, p in scored)
         bins.append(tuple((w, p / s) for w, p in scored))
-    return ConfusionNetwork.from_bins(tuple(bins), tuple(pivot))
+    return cn_from_bins(bins, pivot)
+
+
+def cn_from_bins(bins, pivot):
+    """The network of `bins`, per pivot word a sequence of (word, posterior)
+    pairs in bin order, built through the public constructor, which checks
+    every rule of a network."""
+    words, posteriors, ends = [], [], []
+    for entries in bins:
+        for word, p in entries:
+            words.append(word)
+            posteriors.append(p)
+        ends.append(len(words))
+    return ConfusionNetwork(tuple(pivot), tuple(words), array("d", posteriors), tuple(ends))
+
+
+def cn_bins(cn):
+    """The nested view of a network: per pivot word, a tuple of its bin's
+    (word, posterior) pairs."""
+    return tuple(tuple(zip(cn.words[start:end], cn.posteriors[start:end]))
+                 for start, end in zip((0, *cn.ends), cn.ends))
 
 
 def _reference_decision(word, cfg, rng):

@@ -112,7 +112,7 @@ def test_embeddings_roundtrip_or_refuse(tmp_path_factory, words, bad, dim, data)
 
 @pytest.mark.parametrize("words, bad", [
     (["a", "b c"], "b c"), (["a", ""], ""), (["\xa0"], "\xa0"),
-    (["a", "b\ud800"], "b\ud800"), (["a", "b", "a"], "a"),
+    (["a", "b\ud800"], "b\ud800"), (["a", "b", "a"], "a"), (["a", 3], 3),
 ])
 def test_write_embeddings_names_the_word_before_opening(tmp_path, words, bad):
     p = tmp_path / "e.txt"

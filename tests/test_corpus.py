@@ -10,8 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from slukit import corpus
-from slukit.alignment import (ConfusionNetwork, corrupt, decode_nbest, read_nbest,
-                              write_cn, write_nbest)
+from slukit.alignment import NBest, corrupt, decode_nbest, read_nbest, write_cn, write_nbest
 from slukit.confidence import ConfidenceError, load_embeddings
 from slukit.corpus import (ERROR_C, ERROR_N, NULL_LABEL, ConceptSegment,
                            Dataset, Memo, ParseError, PhraseTable, SchemaError,
@@ -25,7 +24,7 @@ from slukit.corpus import (ERROR_C, ERROR_N, NULL_LABEL, ConceptSegment,
 from slukit.evaluation import ConfidenceRecord
 from slukit.modelio import VERSION, ModelIOError, load_blob, save_blob
 
-from helpers import (brute_force_phrase_spans, reference_parse_token,
+from helpers import (brute_force_phrase_spans, cn_from_bins, reference_parse_token,
                      reference_segments_of, reference_token_row,
                      reference_validate_label_sequence, utt)
 
@@ -578,6 +577,7 @@ def test_write_dataset_refuses_unrepresentable_token(tmp_path, tok):
     TaggerOutput("u", ("# id=v",)),
     TaggerOutput("u", ("",)),
     TaggerOutput("u", (" ",)),
+    TaggerOutput(9, ("null",)),
 ])
 def test_write_outputs_refuses_unrepresentable_block(tmp_path, out):
     with pytest.raises(SchemaError):
@@ -711,16 +711,20 @@ _WRITERS = {
     ("outputs", [TaggerOutput("u9", ("null",))] * 2, "heads another block"),
     ("outputs", [TaggerOutput("u9", ())], "the block has no rows"),
     ("outputs", [TaggerOutput("u9", ("null", " "))], "row ' ' would not read back"),
-    ("nbest", [("u9", [(1.0, ["a"])])] * 2, "heads another block"),
-    ("nbest", [("u9", [])], "the block has no rows"),
-    ("nbest", [("u9", [(1.0, ["a b"])])], "word 'a b' is empty or holds whitespace"),
-    ("cn", [("u9", ConfusionNetwork.from_bins(((("a", 1.0),),), ("a",)))] * 2,
-     "heads another block"),
-    ("cn", [("u9", ConfusionNetwork.from_bins((), ()))], "the block has no rows"),
-    ("cn", [("u9", ConfusionNetwork.from_bins(((("a b", 1.0),),), ("a",)))],
+    ("nbest", [("u9", NBest.from_pairs([(1.0, ["a"])]))] * 2, "heads another block"),
+    ("nbest", [("u9", NBest.from_pairs([]))], "the block has no rows"),
+    ("nbest", [("u9", NBest.from_pairs([(1.0, ["a b"])]))],
      "word 'a b' is empty or holds whitespace"),
+    ("cn", [("u9", cn_from_bins(((("a", 1.0),),), ("a",)))] * 2, "heads another block"),
+    ("cn", [("u9", cn_from_bins((), ()))], "the block has no rows"),
+    ("cn", [("u9", cn_from_bins(((("a b", 1.0),),), ("a",)))],
+     "word 'a b' is empty or holds whitespace"),
+    ("outputs", [TaggerOutput("u9", ("null", None))], "row None is not text"),
+    ("nbest", [("u9", NBest.from_pairs([(1.0, ["a", 3])]))], "word 3 is not text"),
+    ("cn", [("u9", cn_from_bins(((("a", 0.5), (3, 0.5)),), ("a",)))], "word 3 is not text"),
 ], ids=[f"{fmt}-{rule}" for fmt in ("tsv", "outputs", "nbest", "cn")
-        for rule in ("repeated", "empty", "row")])
+        for rule in ("repeated", "empty", "row")]
+    + [f"{fmt}-not-text" for fmt in ("outputs", "nbest", "cn")])
 def test_writers_name_the_utterance_once(tmp_path, fmt, blocks, why):
     with pytest.raises(SchemaError, match=f"^utterance 'u9': .*{re.escape(why)}") as exc:
         _WRITERS[fmt](blocks, tmp_path / "f")

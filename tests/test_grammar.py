@@ -1,5 +1,5 @@
 import dataclasses
-import json
+import hashlib
 
 import pytest
 
@@ -119,13 +119,6 @@ def test_annotation_shares_one_set_per_category(default_grammar):
     assert b[1] == dataclasses.replace(b[1], sem_categories=frozenset())
 
 
-def test_grammar_json_roundtrip(default_grammar):
-    doc = default_grammar.to_json()
-    again = DomainGrammar.from_json(doc)
-    assert again.to_json() == doc
-    assert generate_corpus(again, 20, 9) == generate_corpus(default_grammar, 20, 9)
-
-
 def _small_grammar():
     return DomainGrammar(
         patterns=((2.0, ("a", "room", "in", "$TOWN")), (1.0, ("$TOWN", "é", "$DATE"))),
@@ -141,34 +134,26 @@ def _small_grammar():
     )
 
 
-@pytest.mark.parametrize("grammar", [default_grammar, _small_grammar],
-                         ids=["default", "small"])
-def test_grammar_json_equals_reference(grammar):
-    g = grammar()
-    assert g.to_json() == reference_grammar_json(g)
-    assert DomainGrammar.from_json(g.to_json()).to_json() == g.to_json()
+# the sha256 of each document pins the grammar's data too: a change that
+# moves one entry of the default grammar's tables fails here
+@pytest.mark.parametrize("grammar, sha256", [
+    (default_grammar, "f123e3eaf260e49c61028d6df090bbabda727fb4bcdaba024d41befb6410c4bd"),
+    (_small_grammar, "a65f086a5c8f69386a9a70207e55926420b02d30cb43c4eab3a2f940891570bc"),
+], ids=["default", "small"])
+def test_grammar_json_equals_reference(grammar, sha256):
+    doc = grammar().to_json()
+    assert doc == reference_grammar_json(grammar())
+    assert hashlib.sha256(doc.encode()).hexdigest() == sha256
 
 
-_SLOT_WITHOUT_REALIZATIONS = json.dumps({"slots": {"TOWN": {"concept": "town"}}})
-
-
-@pytest.mark.parametrize("text, match", [
-    ("not json", "grammar JSON is malformed: Expecting value"),
-    ("{}", "grammar JSON lacks key 'slots'"),
-    (_SLOT_WITHOUT_REALIZATIONS, "grammar JSON lacks key 'realizations'"),
-    ("[]", "grammar JSON is malformed: list indices"),
-], ids=["not-json", "empty-object", "slot-without-realizations", "list"])
-def test_grammar_from_json_refuses_malformed_documents(text, match):
-    with pytest.raises(GrammarError, match=match):
-        DomainGrammar.from_json(text)
-
-
+# named for the grammar JSON reader these checks once guarded; `validate`
+# owns them, and they still guard a grammar built by hand
 @pytest.mark.parametrize("key, value", [
     ("values", {"twenty": 5}), ("categories", {"paris": 7}), ("word_pos", {"paris": 3}),
-    ("lemmas", {"rooms": 1}), ("insertion_words", [1]), ("extra_vocab", [2]),
+    ("lemmas", {"rooms": 1}), ("insertion_words", (1,)), ("extra_vocab", (2,)),
 ], ids=["values", "categories", "word_pos", "lemmas", "insertion_words", "extra_vocab"])
 def test_grammar_from_json_refuses_a_value_of_the_wrong_type(default_grammar, key, value):
-    doc = json.loads(default_grammar.to_json())
-    doc[key] = {**doc[key], **value} if isinstance(value, dict) else doc[key] + value
+    old = getattr(default_grammar, key)
+    bad = {**old, **value} if isinstance(value, dict) else old + value
     with pytest.raises(GrammarError, match=f"grammar key {key!r}"):
-        DomainGrammar.from_json(json.dumps(doc))
+        dataclasses.replace(default_grammar, **{key: bad}).validate()
