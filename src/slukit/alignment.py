@@ -11,10 +11,14 @@ bit-identical to serial ones.
 
 `NBest` lists and `ConfusionNetwork`s are flat columns that share equal
 words: a list keeps each distinct word once and codes its entries as
-indices, one byte each for a vocabulary of at most 256 words.  Read
-back, 1000 lists of 40 (correlation 0.3) hold 1.55 MB and their networks
-1.05 MB (tracemalloc), where four-byte ids held 2.4 MB, lists of a tuple
-per distinct hypothesis 4.4 MB, and nested pairs 8.9 MB and 4.26 MB.
+indices, one byte each for a vocabulary of at most 256 words, and its
+entry ends in one byte each for at most 255 indices; each array is
+allocated once, at its final size.  Read back, 1000 lists of 40
+(correlation 0.3) hold 1.43 MB and their networks 1.05 MB (tracemalloc),
+where arrays grown entry by entry, with four-byte ends, held 1.55 MB,
+four-byte ids 2.4 MB, lists of a tuple per distinct hypothesis 4.4 MB,
+and nested pairs 8.9 MB and 4.26 MB; 2000 lists of 10 (correlation
+0.72) hold 1.43 MB, where grown arrays held 1.64 MB.
 """
 from __future__ import annotations
 
@@ -242,9 +246,12 @@ class NBest:
     distinct word of the list once, in first-appearance order, and `ids`
     is an array of indices into it, entry after entry: entry k's words
     are `vocab[i]` for i in `ids[ends[k-1]:ends[k]]`, from 0 for k = 0,
-    and `ends` is an array("I").  The library's lists store `ids` as an
+    and `ends` is an array too.  The library's lists store `ids` as an
     array("B"), one byte an id, for a vocabulary of at most 256 words,
-    else as an array("I").  No per-entry object is kept.
+    else as an array("I"), and `ends` by the same rule on its largest
+    value, `len(ids)`: "B" for at most 255 ids, else "I".  Each of their
+    arrays is built once from a list, so it is allocated at its final
+    size, not grown entry by entry.  No per-entry object is kept.
     `from_pairs` builds a list from (weight, words) pairs, and the list
     reads back as them: `len`, `nbest[k]` for an int k (negative too) and
     iteration give (weight, words tuple), the tuple built on each access.
@@ -278,12 +285,7 @@ class NBest:
     @classmethod
     def from_pairs(cls, pairs) -> NBest:
         """The list of (weight, words) `pairs`, in order; words are hashable."""
-        weights, ends, words = array("d"), array("I"), []
-        for weight, entry in pairs:
-            weights.append(weight)
-            words += entry
-            ends.append(len(words))
-        return _built(cls, weights, *_vocab_ids(words), ends)
+        return _built(cls, *_nbest_columns(pairs))
 
     def __len__(self):
         return len(self.ends)
@@ -321,13 +323,26 @@ def _tuple(items) -> tuple:
     return tuple([*items])
 
 
-def _vocab_ids(words):
-    """(vocab, ids) of a word sequence: its distinct words in order of
-    first appearance, and the array of each word's index in them, of
-    typecode "B" (one byte) for at most 256 words, else "I"."""
+def _nbest_columns(pairs):
+    """(weights, vocab, ids, ends), the `NBest` columns of (weight, words)
+    `pairs`: `vocab` the distinct words in order of first appearance, and
+    each array built once, from a list, at its final size."""
+    weights, ends, words = [], [], []
+    for weight, entry in pairs:
+        weights.append(weight)
+        words += entry
+        ends.append(len(words))
     vocab = tuple(dict.fromkeys(words))
     index = dict(zip(vocab, range(len(vocab))))
-    return vocab, array("B" if len(vocab) <= 256 else "I", map(index.__getitem__, words))
+    ids = _index_array(list(map(index.__getitem__, words)), len(vocab) - 1)
+    return array("d", weights), vocab, ids, _index_array(ends, len(words))
+
+
+def _index_array(values: list, top) -> array:
+    """`values`, none above `top`, as an array of typecode "B" (one byte)
+    for a `top` below 256, else "I".  An array made from a list is
+    allocated at its size; one grown from an iterator is not."""
+    return array("B" if top < 256 else "I", values)
 
 
 def decode_nbest(utt: Utterance, cfg: NoiseConfig, n: int) -> NBest:
@@ -565,19 +580,21 @@ def write_nbest(path, per_utt) -> None:
     write_blocks(path, ((uid, _nbest_rows(nbest)) for uid, nbest in per_utt))
 
 
-def _nbest_block(path, rows, shared_word) -> NBest:
-    weights, ends, words = array("d"), array("I"), []
+def _nbest_pairs(path, rows):
+    """(weight, words) of each weight<TAB>words row of an n-best block."""
     for lineno, row in rows:
         weight_text, tab, words_text = row.partition("\t")
         if not tab:
             raise ParseError("expected weight<TAB>words", lineno, path)
         try:
-            weights.append(float(weight_text))
+            weight = float(weight_text)
         except ValueError as exc:
             raise ParseError(f"bad weight {weight_text!r}", lineno, path) from exc
-        words += words_text.split()
-        ends.append(len(words))
-    vocab, ids = _vocab_ids(words)
+        yield weight, words_text.split()
+
+
+def _nbest_block(path, rows, shared_word) -> NBest:
+    weights, vocab, ids, ends = _nbest_columns(_nbest_pairs(path, rows))
     return _built(NBest, weights, _tuple(map(shared_word, vocab)), ids, ends)
 
 

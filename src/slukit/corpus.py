@@ -464,7 +464,9 @@ def write_dataset(dataset: Dataset, path) -> None:
     write_blocks(path, ((utt.id, _utterance_rows(utt)) for utt in dataset))
 
 
-def _parse_token(i, line, lineno, path, text: Memo, semcats: Memo) -> Token:
+def _parse_token(i, line, lineno, path, text: Memo, semcats: Memo, confs: dict) -> Token:
+    """The token of row `i` at `lineno`; `confs` maps each non-zero
+    confidence read so far to its one shared float."""
     cells = line.split("\t")
     if len(cells) != len(_ROW):
         raise ParseError(f"expected {len(_ROW)} columns, found {len(cells)}", lineno, path)
@@ -473,13 +475,22 @@ def _parse_token(i, line, lineno, path, text: Memo, semcats: Memo) -> Token:
         if name in _TEXT:
             value = None if cell == ABSENT and name != "surface" else text[cell]
         elif name in _NUMBERS:
-            # not memoized: most numbers are distinct, so a memo would only hold them
+            # only the text the writer writes for a value reads back ("0.5",
+            # "1e-7" and "00" do not); not a Memo of the cell texts, which
+            # would keep every distinct one alive for the read
             try:
                 value = None if cell == ABSENT else _NUMBERS[name](cell)
-            except ValueError as exc:
-                raise ParseError(f"bad {name} {cell!r}", lineno, path) from exc
+                written = (cell if value is None else str(value) if name == "index"
+                           else _cell(name, value))
+            except (ValueError, SchemaError):
+                written = None
+            if written != cell:
+                raise ParseError(f"bad {name} {cell!r}", lineno, path)
             if name == "index" and value != i:
                 raise ParseError(f"index {cell} out of order", lineno, path)
+            # a zero keeps its own object, since -0.0 == 0.0 would lose its sign
+            if value and name in ("pap", "mlp_conf"):
+                value = confs.setdefault(value, value)
         else:
             value = semcats[cell]
         values.append(value)
@@ -495,23 +506,35 @@ def read_dataset(path) -> Dataset:
     Missing fields stay absent (they are never defaulted to zero), and
     `reference_tokens` is None, since `write_dataset` does not write it.
     Equal text cells read back as one string and equal SEMCATS cells as
-    one frozenset, each through a `Memo` of this read.
-    Raises ParseError naming the file and line for malformed rows and block
-    rule breaches, and SchemaError naming the row for a bad token and the
-    block's header for a bad governor or an I-x that continues no segment.
+    one frozenset, each through a `Memo` of this read, and equal non-zero
+    PAP and CONF values as one float, through a dict of this read (a zero
+    is not shared, so that -0.0 keeps its sign).  The memos are dropped
+    before the `Dataset` is built.
+    Raises ParseError naming the file and line for malformed rows, a number
+    cell that is not the text `write_dataset` writes for its value (such
+    as "0.5", "1e-7" or a governor "00") and block rule breaches, and
+    SchemaError naming the row for a bad token and the block's header for
+    a bad governor or an I-x that continues no segment.
     """
+    return Dataset(tuple(_read_utterances(path)))
+
+
+def _read_utterances(path) -> list:
+    """The utterances of a corpus TSV; the memos of the read are dropped
+    on return, before the caller builds the `Dataset`."""
     utterances = []
     text = Memo(str)
     semcats = Memo(lambda cell: frozenset() if cell == ABSENT else frozenset(cell.split("|")))
+    confs = {}
     for uid, rows in read_blocks(path):
-        tokens = tuple(_parse_token(i, line, lineno, path, text, semcats)
+        tokens = tuple(_parse_token(i, line, lineno, path, text, semcats, confs)
                        for i, (lineno, line) in enumerate(rows))
         try:
             validate_label_sequence([t.label for t in tokens], line_base=rows[0][0])
             utterances.append(Utterance(uid, tokens))
         except SchemaError as exc:
             raise SchemaError(f"{path}: line {rows[0][0] - 1}: {exc}") from exc
-    return Dataset(tuple(utterances))
+    return utterances
 
 
 # ---------------------------------------------------------------------------

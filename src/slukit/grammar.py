@@ -12,6 +12,7 @@ recognizer hypotheses get re-annotated the same way reference text is.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -35,7 +36,9 @@ class DomainGrammar:
     """The patterns, slots and lexicon the generator and annotator read.
     `to_json` writes it as one sorted document, to hash; nothing reads
     that back.  `validate` refuses an unusable grammar, such as one whose
-    tables hold a value that is not text."""
+    tables hold a value that is not text, or whose patterns or slots hold
+    a word that is not text or a weight that is not a finite positive
+    number."""
 
     patterns: tuple  # of (weight, items tuple); items are words or "$SLOT"
     slots: dict
@@ -58,8 +61,9 @@ class DomainGrammar:
         if not self.slots:
             raise GrammarError("grammar has no slots")
         for w, items in self.patterns:
-            if w <= 0 or not items:
+            if not items:
                 raise GrammarError(f"bad pattern {items!r}")
+            _check_entry(f"pattern {items!r}", w, items)
             for item in items:
                 if item.startswith("$") and item[1:] not in self.slots:
                     raise GrammarError(f"pattern references unknown slot {item}")
@@ -67,8 +71,9 @@ class DomainGrammar:
             if not slot.realizations:
                 raise GrammarError(f"slot {name} has no realizations")
             for w, words in slot.realizations:
-                if w <= 0 or not words:
+                if not words:
                     raise GrammarError(f"slot {name} has an empty realization")
+                _check_entry(f"slot {name} realization {words!r}", w, words)
 
     @cached_property
     def category_table(self) -> PhraseTable:
@@ -95,6 +100,18 @@ class DomainGrammar:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=1, sort_keys=True, ensure_ascii=False)
+
+
+def _check_entry(what, weight, words):
+    """GrammarError naming `what`, a pattern or a slot realization, for a
+    weight that is not a finite number above 0 (a bool is not one) and a
+    word that is not text."""
+    if (not isinstance(weight, (int, float)) or isinstance(weight, bool)
+            or not (math.isfinite(weight) and weight > 0)):
+        raise GrammarError(f"{what} has weight {weight!r}, not a finite positive number")
+    for word in words:
+        if type(word) is not str:
+            raise GrammarError(f"{what} holds {word!r}, which is not text")
 
 
 # ---------------------------------------------------------------------------

@@ -339,12 +339,17 @@ def reference_token_row(i, tok):
 
 
 def _reference_parse_opt(cell, caster, what, line, path):
+    """A number cell, refused unless it is the text the writer writes for
+    its value: `str` of an int, six decimals of a float, never a NaN."""
     if cell == ABSENT:
         return None
     try:
-        return caster(cell)
+        value = caster(cell)
     except ValueError as exc:
         raise ParseError(f"bad {what} {cell!r}", line, path) from exc
+    if (str(value) if caster is int else f"{value:.6f}") != cell or value != value:
+        raise ParseError(f"bad {what} {cell!r}", line, path)
+    return value
 
 
 _REFERENCE_POOLED = frozenset(_REFERENCE_COLUMNS.index(c)

@@ -227,13 +227,26 @@ def test_decode_nbest_zero_rate_weights(monkeypatch, small_corpus, noise_config,
 
 def test_nbest_slices_stay_nbest_lists(small_corpus, noise_config):
     nbest = decode_nbest(small_corpus.utterances[0], noise_config, 10)
-    # ids take one byte for a vocabulary of at most 256 words, else four
-    assert (nbest.weights.typecode, nbest.ids.typecode, nbest.ends.typecode) == \
-        ("d", "B" if len(nbest.vocab) <= 256 else "I", "I")
+    assert _typecodes(nbest) == ("d", "B", "B") and _at_final_size(nbest)
     head = NBest.from_pairs(list(nbest)[:3])
+    assert _at_final_size(head)
     assert list(head) == list(nbest)[:3]
     # a list built from another's entries keeps its word strings
     assert all(any(w is v for v in nbest.vocab) for w in head.vocab)
+
+
+def _typecodes(nb):
+    """The typecodes of an `NBest`'s arrays, as its docstring states them:
+    ids take one byte for a vocabulary of at most 256 words, else four,
+    and ends one byte for at most 255 ids, else four."""
+    return nb.weights.typecode, nb.ids.typecode, nb.ends.typecode
+
+
+def _at_final_size(nb):
+    """Each array column of `nb` is allocated at its size, as one made
+    from a list is, not grown entry by entry."""
+    return all(sys.getsizeof(col) == sys.getsizeof(array(col.typecode, list(col)))
+               for col in (nb.weights, nb.ids, nb.ends))
 
 
 def test_corrupt_shares_equal_tokens(small_corpus, noise_config):
@@ -449,17 +462,19 @@ def test_nbest_columns_roundtrip(tmp_path_factory, pairs):
             if w not in seen:
                 seen.append(w)
     assert nb.vocab == tuple(seen)
+    assert _typecodes(nb) == ("d", "B", "B") and _at_final_size(nb)
     assert _rebuilt(nb) == nb
     assert build_cn(nb) == reference_build_cn(pairs)
     p = tmp_path_factory.mktemp("nbest") / "n.txt"
     write_nbest(p, [("u", nb)])
     [(_, back)] = read_nbest(p)
+    assert _typecodes(back) == _typecodes(nb) and _at_final_size(back)
     assert _rebuilt(back) == back
     write_nbest(p.with_name("again.txt"), [("u", back)])
     assert p.with_name("again.txt").read_bytes() == p.read_bytes()
 
 
-# lists of 250-300 distinct words, so that their ids take one byte or four:
+# lists of 250-300 distinct words, so that their ids and ends take one byte or four:
 # n words of a pool of 300 from a drawn start, around the end; short entries
 # keep the alignments against the pivot small, and a few draws per list keep
 # the 1000 examples of the deep profile quick
@@ -484,13 +499,15 @@ def wide_nbest_lists(draw):
 def test_nbest_wide_vocab_roundtrip(tmp_path_factory, pairs):
     nb = NBest.from_pairs(pairs)
     assert list(nb) == [(weight, tuple(words)) for weight, words in pairs]
-    assert nb.ids.typecode == ("B" if len(nb.vocab) <= 256 else "I")
-    assert _rebuilt(nb) == nb
+    assert _typecodes(nb) == ("d", "B" if len(nb.vocab) <= 256 else "I",
+                              "B" if len(nb.ids) <= 255 else "I")
+    assert _at_final_size(nb) and _rebuilt(nb) == nb
     assert build_cn(nb) == reference_build_cn(pairs)
     p = tmp_path_factory.mktemp("nbest") / "n.txt"
     write_nbest(p, [("u", nb)])
     [(_, back)] = read_nbest(p)
-    assert back.ids.typecode == nb.ids.typecode and _rebuilt(back) == back
+    assert _typecodes(back) == _typecodes(nb) and _at_final_size(back)
+    assert _rebuilt(back) == back
     write_nbest(p.with_name("again.txt"), [("u", back)])
     assert p.with_name("again.txt").read_bytes() == p.read_bytes()
 

@@ -90,14 +90,25 @@ def _blob(edit):
      "bad.tsv: line 2: bad governor 'x'"),
     ("bad.tsv", "# id=u1\n" + _row(pap="high") + "\n", read_dataset, ParseError,
      "bad.tsv: line 2: bad pap 'high'"),
-    ("bad.tsv", "# id=u1\n" + _row(pap="1.5") + "\n", read_dataset, SchemaError,
+    ("bad.tsv", "# id=u1\n" + _row(pap="1.500000") + "\n", read_dataset, SchemaError,
      "bad.tsv: line 2: pap=1.5 outside"),
     ("bad.tsv", "# id=u1\n" + _row(index="x") + "\n", read_dataset, ParseError,
      "bad.tsv: line 2: bad index 'x'"),
     ("bad.tsv", "# id=u1\n" + _row(mlp_conf="x") + "\n", read_dataset, ParseError,
      "bad.tsv: line 2: bad mlp_conf 'x'"),
-    ("bad.tsv", "# id=u1\n" + _row(mlp_conf="1.5") + "\n", read_dataset, SchemaError,
+    ("bad.tsv", "# id=u1\n" + _row(mlp_conf="1.500000") + "\n", read_dataset, SchemaError,
      "bad.tsv: line 2: mlp_conf=1.5 outside"),
+    # a number cell reads back only as the writer writes its value
+    ("bad.tsv", "# id=u1\n" + _row(pap="0.5") + "\n", read_dataset, ParseError,
+     "bad.tsv: line 2: bad pap '0.5'"),
+    ("bad.tsv", "# id=u1\n" + _row(mlp_conf="1e-7") + "\n", read_dataset, ParseError,
+     "bad.tsv: line 2: bad mlp_conf '1e-7'"),
+    ("bad.tsv", "# id=u1\n" + _row(pap="nan") + "\n", read_dataset, ParseError,
+     "bad.tsv: line 2: bad pap 'nan'"),
+    ("bad.tsv", "# id=u1\n" + _row(index="00") + "\n", read_dataset, ParseError,
+     "bad.tsv: line 2: bad index '00'"),
+    ("bad.tsv", "# id=u1\n" + _row() + _row(index="1", governor="00") + "\n", read_dataset,
+     ParseError, "bad.tsv: line 3: bad governor '00'"),
     ("bad.tsv", "# id=u1\n\n", read_dataset, ParseError,
      "bad.tsv: line 1: utterance 'u1' has no rows"),
     ("bad.vec", "a 0.5\nb\n", load_embeddings, ConfidenceError,
@@ -111,6 +122,8 @@ def _blob(edit):
      ModelIOError, "bad.slk: expected a 'other' model, found 'toy'"),
 ], ids=["too-few-cells", "index-out-of-order", "governor-not-int", "pap-not-float",
         "pap-out-of-range", "index-not-int", "mlp-conf-not-float", "mlp-conf-out-of-range",
+        "pap-short", "mlp-conf-exponent", "pap-nan", "index-zero-padded",
+        "governor-zero-padded",
         "header-without-rows", "embedding-without-components",
         "embedding-bad-float", "model-bad-magic", "model-unsupported-version",
         "model-kind-mismatch"])
@@ -515,12 +528,13 @@ def test_token_row_equals_reference(i, tok, governor):
     row = _same_outcome(lambda: reference_token_row(i, tok), lambda: corpus._token_row(i, tok))
     if row is not None:
         _same_outcome(lambda: reference_parse_token(i, row, 2, "d.tsv", Memo(str), {}),
-                      lambda: corpus._parse_token(i, row, 2, "d.tsv", Memo(str), _semcats()))
+                      lambda: corpus._parse_token(i, row, 2, "d.tsv", Memo(str), _semcats(), {}))
 
 
 # cells of every kind a row holds, well-formed or not
 _cells = st.sampled_from(["_", "0", "1", "x", "-1", "0.5", "1.5", "nan", "a", "B-x", "I-x",
-                          "a|b", "correct", "wrong", ""])
+                          "a|b", "correct", "wrong", "", "00", "+1", "1e-7", "0.500000",
+                          "1.500000", "-0.000000", "inf"])
 
 
 @given(st.just("0") | st.sampled_from(["1", "x", "_"]),
@@ -528,7 +542,7 @@ _cells = st.sampled_from(["_", "0", "1", "x", "-1", "0.5", "1.5", "nan", "a", "B
 def test_parse_token_equals_reference(index, cells):
     line = "\t".join([index, *cells])
     _same_outcome(lambda: reference_parse_token(0, line, 5, "d.tsv", Memo(str), {}),
-                  lambda: corpus._parse_token(0, line, 5, "d.tsv", Memo(str), _semcats()))
+                  lambda: corpus._parse_token(0, line, 5, "d.tsv", Memo(str), _semcats(), {}))
 
 
 @given(datasets())
@@ -761,6 +775,33 @@ def test_read_dataset_shares_equal_text(tmp_path):
     assert a == b == town("u1").tokens[0]
     for name in ("surface", "lemma", "pos", "deprel", "sem_categories", "error_flag", "label"):
         assert getattr(a, name) is getattr(b, name), name
+
+
+# confidences the writer writes as they are, the two zeros among them
+_written_confs = st.sampled_from([None, 0.0, -0.0, 1.0, 0.5, 0.25, 0.123456])
+
+
+@given(st.lists(st.lists(st.tuples(_written_confs, _written_confs), min_size=1, max_size=4),
+                min_size=1, max_size=4))
+def test_tsv_confidences_roundtrip_shared_and_signed(tmp_path_factory, utts):
+    ds = Dataset(tuple(Utterance(f"u{k}", tuple(Token("a", pap=pap, mlp_conf=conf)
+                                                 for pap, conf in toks))
+                       for k, toks in enumerate(utts)))
+    p = tmp_path_factory.mktemp("tsv") / "d.tsv"
+    write_dataset(ds, p)
+    back = read_dataset(p)
+    # == cannot tell 0.0 from -0.0, so the bytes written again decide the sign
+    write_dataset(back, p.with_name("again.tsv"))
+    assert p.with_name("again.tsv").read_bytes() == p.read_bytes()
+    confs = [v for u in back for t in u.tokens for v in (t.pap, t.mlp_conf) if v is not None]
+    signs = [math.copysign(1.0, v) for u in ds for t in u.tokens
+             for v in (t.pap, t.mlp_conf) if v is not None]
+    assert [math.copysign(1.0, v) for v in confs] == signs
+    # equal non-zero values, in PAP and CONF alike, are one float
+    first = {}
+    for v in confs:
+        if v:
+            assert first.setdefault(v, v) is v
 
 
 def test_memo_parses_each_text_once():

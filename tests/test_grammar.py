@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 
 import pytest
 
@@ -157,3 +158,35 @@ def test_grammar_from_json_refuses_a_value_of_the_wrong_type(default_grammar, ke
     bad = {**old, **value} if isinstance(value, dict) else old + value
     with pytest.raises(GrammarError, match=f"grammar key {key!r}"):
         dataclasses.replace(default_grammar, **{key: bad}).validate()
+
+
+def _with_pattern(grammar, weight, items):
+    return dataclasses.replace(grammar, patterns=(*grammar.patterns, (weight, items)))
+
+
+def _with_realization(grammar, weight, words):
+    town = grammar.slots["TOWN"]
+    spec = SlotSpec(town.concept, (*town.realizations, (weight, words)))
+    return dataclasses.replace(grammar, slots={**grammar.slots, "TOWN": spec})
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda g: _with_pattern(g, 1.0, ("hello", 3)), r"pattern \('hello', 3\) holds 3, "),
+    (lambda g: _with_pattern(g, "1", ("hello",)), r"pattern \('hello',\) has weight '1'"),
+    (lambda g: _with_pattern(g, math.nan, ("hello",)), r"pattern \('hello',\) has weight nan"),
+    (lambda g: _with_pattern(g, math.inf, ("hello",)), r"pattern \('hello',\) has weight inf"),
+    (lambda g: _with_pattern(g, True, ("hello",)), r"pattern \('hello',\) has weight True"),
+    (lambda g: _with_realization(g, 1.0, (3,)), r"slot TOWN realization \(3,\) holds 3, "),
+    (lambda g: _with_realization(g, "1", ("rome",)),
+     r"slot TOWN realization \('rome',\) has weight '1'"),
+    (lambda g: _with_realization(g, math.nan, ("rome",)),
+     r"slot TOWN realization \('rome',\) has weight nan"),
+], ids=["pattern-item", "pattern-weight-text", "pattern-weight-nan", "pattern-weight-inf",
+        "pattern-weight-bool", "realization-word", "realization-weight-text",
+        "realization-weight-nan"])
+def test_validate_names_a_pattern_or_slot_entry_of_the_wrong_type(default_grammar, edit, match):
+    grammar = edit(default_grammar)
+    with pytest.raises(GrammarError, match=match):
+        grammar.validate()
+    with pytest.raises(GrammarError, match=match):
+        generate_corpus(grammar, 5, 0)
