@@ -13,12 +13,7 @@ bit-identical to serial ones.
 words: a list keeps each distinct word once and codes its entries as
 indices, one byte each for a vocabulary of at most 256 words, and its
 entry ends in one byte each for at most 255 indices; each array is
-allocated once, at its final size.  Read back, 1000 lists of 40
-(correlation 0.3) hold 1.43 MB and their networks 1.05 MB (tracemalloc),
-where arrays grown entry by entry, with four-byte ends, held 1.55 MB,
-four-byte ids 2.4 MB, lists of a tuple per distinct hypothesis 4.4 MB,
-and nested pairs 8.9 MB and 4.26 MB; 2000 lists of 10 (correlation
-0.72) hold 1.43 MB, where grown arrays held 1.64 MB.
+allocated once, at its final size.
 """
 from __future__ import annotations
 
@@ -29,8 +24,8 @@ from array import array
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .corpus import (FLAG_CORRECT, FLAG_ERROR, NULL_LABEL, Memo, ParseError,
-                     SchemaError, Token, Utterance, read_blocks, repair_bio,
+from .corpus import (CONFIDENCE_DECIMALS, FLAG_CORRECT, FLAG_ERROR, NULL_LABEL, Memo,
+                     ParseError, SchemaError, Token, Utterance, read_blocks, repair_bio,
                      write_blocks)
 from .numutil import derived_seed
 
@@ -516,7 +511,7 @@ def pap_of(cn: ConfusionNetwork, hyp_words):
 
 def attach_pap(utt: Utterance, cn: ConfusionNetwork) -> Utterance:
     paps = pap_of(cn, utt.surfaces())
-    return utt.with_column("pap", [round(p, 6) for p in paps])
+    return utt.with_column("pap", [round(p, CONFIDENCE_DECIMALS) for p in paps])
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +534,7 @@ def project_labels(hyp: Utterance) -> Utterance:
         if op in (MATCH, SUB):
             ref_lab = hyp.reference_tokens[i].label
             labels[j] = ref_lab if ref_lab is not None else NULL_LABEL
-    return hyp.with_labels(repair_bio(labels))
+    return hyp.with_column("label", repair_bio(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -554,17 +549,22 @@ def _check_words(words):
             raise SchemaError(f"word {word!r} is empty or holds whitespace")
 
 
+def _weight_cell(weight) -> str:
+    """The text of `weight` in an n-best row; SchemaError for a weight
+    `build_cn` refuses, checked as read back, since a weight near the
+    float maximum rounds up to inf in this form."""
+    text = f"{weight:.9e}"
+    if not (math.isfinite(float(text)) and weight > 0):
+        raise SchemaError(f"weight {weight!r} is not finite and positive")
+    return text
+
+
 def _nbest_rows(nbest: NBest):
     """The rows of one `NBest` list, one per entry: weight<TAB>words."""
     _check_words(nbest.vocab)
     words = nbest._words()
     for weight, (start, end) in zip(nbest.weights, _spans(nbest.ends)):
-        text = f"{weight:.9e}"
-        # `build_cn` takes only a finite weight > 0; checked as read back,
-        # since a weight near the float maximum rounds up to inf in this form
-        if not (math.isfinite(float(text)) and weight > 0):
-            raise SchemaError(f"weight {weight!r} is not finite and positive")
-        yield f"{text}\t{' '.join(words[start:end])}"
+        yield f"{_weight_cell(weight)}\t{' '.join(words[start:end])}"
 
 
 def write_nbest(path, per_utt) -> None:
@@ -580,21 +580,35 @@ def write_nbest(path, per_utt) -> None:
     write_blocks(path, ((uid, _nbest_rows(nbest)) for uid, nbest in per_utt))
 
 
-def _nbest_pairs(path, rows):
-    """(weight, words) of each weight<TAB>words row of an n-best block."""
+def _parse_weight(text) -> float:
+    """The weight of an n-best row's weight text; ValueError or SchemaError
+    for text other than the `_weight_cell` of its value."""
+    weight = float(text)
+    if _weight_cell(weight) != text:
+        raise SchemaError(f"{text!r} would be written as another weight")
+    return weight
+
+
+def _nbest_pairs(path, rows, weight_of: Memo):
+    """(weight, words) of each weight<TAB>words row of an n-best block;
+    ParseError for a row other than the one `_nbest_rows` writes for them.
+    `weight_of` is a `Memo` of `_parse_weight`."""
     for lineno, row in rows:
         weight_text, tab, words_text = row.partition("\t")
         if not tab:
             raise ParseError("expected weight<TAB>words", lineno, path)
         try:
-            weight = float(weight_text)
-        except ValueError as exc:
+            weight = weight_of[weight_text]
+        except (ValueError, SchemaError) as exc:
             raise ParseError(f"bad weight {weight_text!r}", lineno, path) from exc
-        yield weight, words_text.split()
+        words = words_text.split()
+        if " ".join(words) != words_text:
+            raise ParseError(f"words {words_text!r} are not single-space-joined", lineno, path)
+        yield weight, words
 
 
-def _nbest_block(path, rows, shared_word) -> NBest:
-    weights, vocab, ids, ends = _nbest_columns(_nbest_pairs(path, rows))
+def _nbest_block(path, rows, weight_of, shared_word) -> NBest:
+    weights, vocab, ids, ends = _nbest_columns(_nbest_pairs(path, rows, weight_of))
     return _built(NBest, weights, _tuple(map(shared_word, vocab)), ids, ends)
 
 
@@ -603,17 +617,21 @@ def read_nbest(path):
 
     Each `NBest` is the one written, with weights to their printed
     precision, its columns built as the rows are parsed.  Across the
-    whole file, equal words are one string: each list's vocabulary goes
-    through one `corpus.Memo`.  So a read-back costs about what the
-    `decode_nbest` lists cost, and `write_nbest` of it writes the same
-    bytes.
-    Weights are parsed as written: `build_cn` refuses one that is not
-    finite and positive.  Raises ParseError naming the file and line for
-    a row without a tab, a weight that is not a float, and each refusal
-    of `corpus.read_blocks`, which owns the block rules.
+    whole file, equal words are one string, and equal weight texts are
+    parsed and checked once: each list's vocabulary and weights go
+    through a `corpus.Memo` of this read.  So a read-back costs about
+    what the `decode_nbest` lists cost, and `write_nbest` of it writes
+    the same bytes.
+    Only rows `write_nbest` writes read back.  Raises ParseError naming
+    the file and line for a row without a tab, weight text other than
+    the text `write_nbest` writes for a weight it takes (such as "1.0",
+    "0", "nan" or "1e400"), words not joined by single spaces (such as
+    "a  b" or " a"), and each refusal of `corpus.read_blocks`, which owns
+    the block rules.
     """
-    shared_word = Memo(str).__getitem__
-    return [(uid, _nbest_block(path, rows, shared_word)) for uid, rows in read_blocks(path)]
+    weight_of, shared_word = Memo(_parse_weight), Memo(str).__getitem__
+    return [(uid, _nbest_block(path, rows, weight_of, shared_word))
+            for uid, rows in read_blocks(path)]
 
 
 def _cn_rows(cn: ConfusionNetwork):

@@ -17,7 +17,7 @@ from itertools import zip_longest
 import numpy as np
 
 from . import modelio
-from .corpus import FLAG_CORRECT, Dataset, Utterance, text_lines
+from .corpus import CONFIDENCE_DECIMALS, FLAG_CORRECT, Dataset, Utterance, text_lines
 from .numutil import rng_for, softmax
 
 LM_FULL, LM_BACKOFF, LM_UNKNOWN = 0, 1, 2
@@ -453,10 +453,6 @@ class MsMlpVectorizer:
             "govpos": self._pos_eye[ids["govpos"][sel]],
         }
 
-    def streams(self, utt: Utterance):
-        """The stream rows of one utterance: `gather` of its `encode` ids."""
-        return self.gather(self.encode((utt,)))
-
 
 # each header key `load` reads, and its type as JSON reads it back
 _MLP_KEYS = {"fused_words": [str], "pos_vocab": [str], "deprel_vocab": [str],
@@ -486,7 +482,8 @@ class MsMlpModel:
 
     def confidences(self, utt: Utterance):
         """Softmax value of the Correct output per token, strictly in (0,1)."""
-        return self._confidences(self.vectorizer.streams(utt))
+        vec = self.vectorizer
+        return self._confidences(vec.gather(vec.encode((utt,))))
 
     def _confidences(self, streams):
         """`confidences` of the token rows of `streams`."""
@@ -612,7 +609,7 @@ def train_msmlp(dataset: Dataset, vectorizer: MsMlpVectorizer,
 
 def attach_confidence(dataset: Dataset, model: MsMlpModel) -> Dataset:
     """Fill every token's mlp_conf column with its `MsMlpModel.confidences`
-    value, rounded to 6 decimals for stable files.
+    value, rounded to the corpus TSV's `CONFIDENCE_DECIMALS`.
 
     The dataset is encoded once, and the forward pass runs over
     consecutive chunks of _CHUNK tokens, which may cut across utterances:
@@ -626,6 +623,7 @@ def attach_confidence(dataset: Dataset, model: MsMlpModel) -> Dataset:
     utts, at = [], 0
     for utt in dataset:
         end = at + len(utt)
-        utts.append(utt.with_column("mlp_conf", [round(float(c), 6) for c in conf[at:end]]))
+        utts.append(utt.with_column("mlp_conf", [round(float(c), CONFIDENCE_DECIMALS)
+                                                 for c in conf[at:end]]))
         at = end
     return Dataset(tuple(utts))

@@ -120,9 +120,6 @@ class Utterance:
             toks.append(Token(*row))
         return Utterance(self.id, tuple(toks), self.reference_tokens)
 
-    def with_labels(self, labels) -> "Utterance":
-        return self.with_column("label", labels)
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -188,25 +185,18 @@ def repair_bio(labels):
 class PhraseTable:
     """Phrase -> payload table matched by greedy longest match.
 
-    Keys are lowercased and split on whitespace once, when added; a
+    Keys are lowercased and split on whitespace once, at construction; a
     later entry for the same key replaces the earlier one.  Payloads
     must not be None, which `matches` reserves for unmatched words.
     """
 
     def __init__(self, entries=()):
-        self.entries = {}
-        self.max_len = 0
-        for phrase, payload in entries:
-            self.add(phrase, payload)
+        self.entries = {self.key(phrase): payload for phrase, payload in entries}
+        self.max_len = max(map(len, self.entries), default=0)
 
     @staticmethod
     def key(phrase: str) -> tuple:
         return tuple(phrase.lower().split())
-
-    def add(self, phrase: str, payload):
-        key = self.key(phrase)
-        self.entries[key] = payload
-        self.max_len = max(self.max_len, len(key))
 
     def matches(self, words):
         """Yield (start, end, payload) spans covering `words` in order.
@@ -227,11 +217,6 @@ class PhraseTable:
             else:
                 yield i, i + 1, None
                 i += 1
-
-
-def segments_of(utterance: Utterance, value_table: PhraseTable | None = None):
-    """`label_segments` of the utterance's words and token labels."""
-    return label_segments(utterance.surfaces(), utterance.labels(), value_table)
 
 
 def label_segments(words, labels, value_table: PhraseTable | None = None):
@@ -287,7 +272,7 @@ def augment_error_labels(utterance: Utterance) -> Utterance:
             labels.append(ERROR_C if tok.label != NULL_LABEL else ERROR_N)
         else:
             labels.append(tok.label)
-    return utterance.with_labels(repair_bio(labels))
+    return utterance.with_column("label", repair_bio(labels))
 
 
 def strip_error_labels(output: TaggerOutput) -> TaggerOutput:
@@ -413,6 +398,9 @@ def read_blocks(path):
 _ROW = ("index", *TOKEN_FIELDS)
 _TEXT = frozenset(("surface", "lemma", "pos", "deprel", "error_flag", "label"))
 _NUMBERS = {"index": int, "governor": int, "pap": float, "mlp_conf": float}
+# the decimals a `pap` or `mlp_conf` cell holds, which the stages filling them round to
+CONFIDENCE_DECIMALS = 6
+_CONFIDENCE_SPEC = f".{CONFIDENCE_DECIMALS}f"
 
 
 def _cell(name, value) -> str:
@@ -438,7 +426,7 @@ def _cell(name, value) -> str:
         if type(value) is not int:  # so that True and 1.0 are refused
             raise SchemaError(f"governor={value!r} is not an int")
         return str(value)
-    text = f"{value:.6f}"
+    text = f"{value:{_CONFIDENCE_SPEC}}"
     if float(text) != value:
         raise SchemaError(f"{name}={value!r} would read back as {text}")
     return text
@@ -464,9 +452,19 @@ def write_dataset(dataset: Dataset, path) -> None:
     write_blocks(path, ((utt.id, _utterance_rows(utt)) for utt in dataset))
 
 
+def _parse_semcats(cell) -> frozenset:
+    """The `sem_categories` of a SEMCATS cell; SchemaError for a cell other
+    than the one `_cell` writes for them (such as "b|a", "a|a" or "a||c")."""
+    value = NO_CATEGORIES if cell == ABSENT else frozenset(cell.split("|"))
+    if _cell("sem_categories", value) != cell:
+        raise SchemaError(f"{cell!r} would be written as another cell")
+    return value
+
+
 def _parse_token(i, line, lineno, path, text: Memo, semcats: Memo, confs: dict) -> Token:
-    """The token of row `i` at `lineno`; `confs` maps each non-zero
-    confidence read so far to its one shared float."""
+    """The token of row `i` at `lineno`; `semcats` is a `Memo` of
+    `_parse_semcats`, and `confs` maps each non-zero confidence read so
+    far to its one shared float."""
     cells = line.split("\t")
     if len(cells) != len(_ROW):
         raise ParseError(f"expected {len(_ROW)} columns, found {len(cells)}", lineno, path)
@@ -492,7 +490,10 @@ def _parse_token(i, line, lineno, path, text: Memo, semcats: Memo, confs: dict) 
             if value and name in ("pap", "mlp_conf"):
                 value = confs.setdefault(value, value)
         else:
-            value = semcats[cell]
+            try:
+                value = semcats[cell]
+            except SchemaError as exc:
+                raise ParseError(f"bad {name} {cell!r}", lineno, path) from exc
         values.append(value)
     try:
         return Token(*values[1:])
@@ -511,10 +512,11 @@ def read_dataset(path) -> Dataset:
     is not shared, so that -0.0 keeps its sign).  The memos are dropped
     before the `Dataset` is built.
     Raises ParseError naming the file and line for malformed rows, a number
-    cell that is not the text `write_dataset` writes for its value (such
-    as "0.5", "1e-7" or a governor "00") and block rule breaches, and
-    SchemaError naming the row for a bad token and the block's header for
-    a bad governor or an I-x that continues no segment.
+    or SEMCATS cell that is not the text `write_dataset` writes for its
+    value (such as "0.5", "1e-7", a governor "00" or categories "b|a") and
+    block rule breaches, and SchemaError naming the row for a bad token
+    and the block's header for a bad governor or an I-x that continues no
+    segment.
     """
     return Dataset(tuple(_read_utterances(path)))
 
@@ -524,7 +526,7 @@ def _read_utterances(path) -> list:
     on return, before the caller builds the `Dataset`."""
     utterances = []
     text = Memo(str)
-    semcats = Memo(lambda cell: frozenset() if cell == ABSENT else frozenset(cell.split("|")))
+    semcats = Memo(_parse_semcats)
     confs = {}
     for uid, rows in read_blocks(path):
         tokens = tuple(_parse_token(i, line, lineno, path, text, semcats, confs)

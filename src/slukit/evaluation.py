@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import alignment
 from .corpus import (FLAG_CORRECT, NULL_LABEL, Dataset, PhraseTable, TaggerOutput,
-                     Utterance, label_segments, repair_bio, segments_of)
+                     Utterance, label_segments, repair_bio)
 
 ABSTAIN = "<abstain>"
 CLIP_EPS = 1e-6
@@ -27,8 +27,6 @@ class EvaluationError(Exception):
 
 @dataclass(frozen=True, slots=True)
 class ConfidenceRecord:
-    utterance_id: str
-    index: int
     correct: bool
     confidence: float
 
@@ -43,14 +41,9 @@ def records_from_dataset(dataset: Dataset, measure: str):
     attr = {"pap": "pap", "mlp": "mlp_conf"}.get(measure)
     if attr is None:
         raise EvaluationError(f"unknown confidence measure {measure!r}, expected 'pap' or 'mlp'")
-    records = []
-    for utt in dataset:
-        for i, tok in enumerate(utt.tokens):
-            conf = getattr(tok, attr)
-            if tok.error_flag is None or conf is None:
-                continue
-            records.append(ConfidenceRecord(utt.id, i, tok.error_flag == FLAG_CORRECT, conf))
-    return records
+    return [ConfidenceRecord(tok.error_flag == FLAG_CORRECT, conf)
+            for utt in dataset for tok in utt.tokens
+            if tok.error_flag is not None and (conf := getattr(tok, attr)) is not None]
 
 
 def nce(records) -> float:
@@ -150,7 +143,7 @@ class _Reference:
         self.values = PhraseTable((value_table or {}).items())
         self.rows = []
         for utt in ref:
-            segs = segments_of(utt, self.values)
+            segs = label_segments(utt.surfaces(), utt.labels(), self.values)
             self.rows.append((utt.id, [g.label for g in segs],
                               [(g.label, g.value) for g in segs]))
         self.segments = sum(len(labels) for _, labels, _ in self.rows)

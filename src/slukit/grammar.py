@@ -130,7 +130,7 @@ _NUMBER_VALUES = {
     "one": "1", "two": "2", "three": "3", "four": "4", "five": "5",
     "six": "6", "seven": "7", "eight": "8", "nine": "9", "ten": "10",
     "eleven": "11", "twelve": "12", "fifteen": "15", "twenty": "20",
-    "thirty": "30", "forty": "40", "fifty": "50",
+    "thirty": "30", "forty": "40", "fifty": "50", "eighty": "80",
     "twenty one": "21", "twenty five": "25", "thirty three": "33",
     "forty five": "45", "fifty five": "55", "thirty-three": "33",
 }
@@ -214,7 +214,6 @@ def _default_categories():
         cats[s] = "SERVICE"
     for num in _NUMBER_VALUES:
         cats[num] = "FIGURE"
-    cats["eighty"] = "FIGURE"
     cats["tomorrow"] = "DAY"
     cats["tonight"] = "DAY"
     return cats
@@ -224,14 +223,12 @@ def _default_values():
     values = dict(_NUMBER_VALUES)
     values["yeah"] = "yes"
     values["nope"] = "no"
-    values["eighty"] = "80"
     return values
 
 
 _POS_GROUPS = {
     "PROPN": _TOWNS + _HOTELS,
-    "NUM": tuple(w for num in _NUMBER_VALUES for w in num.split())
-           + ("eighty",),
+    "NUM": tuple(w for num in _NUMBER_VALUES for w in num.split()),
     "NOUN": _MONTHS + ("tomorrow", "tonight", "room", "rooms", "people", "person",
                        "nights", "night", "price", "car", "morning", "evening",
                        "hotel", "euros", "parking", "wifi", "breakfast", "sauna",
@@ -341,7 +338,7 @@ def default_grammar() -> DomainGrammar:
 # Annotation
 # ---------------------------------------------------------------------------
 
-def annotate_words(words, grammar: DomainGrammar, labels=None):
+def annotate_words(words, grammar: DomainGrammar):
     """Build fully annotated tokens for any word sequence.
 
     The dependency layer is deliberately shallow: the first verb (or
@@ -350,11 +347,11 @@ def annotate_words(words, grammar: DomainGrammar, labels=None):
     lowercased, as categories are matched; an unknown word's lemma is
     its lowercased form.  Each token is a new object.
     """
-    return tuple(Token(*row) for row in _token_rows(words, grammar, labels))
+    return tuple(Token(*row) for row in _token_rows(words, grammar, None))
 
 
 def _token_rows(words, grammar: DomainGrammar, labels):
-    """The `Token` fields, in order, of each token `annotate_words` builds."""
+    """The `Token` fields of each token `annotate_words` builds; label `labels[i]` if any."""
     lowered = [w.lower() for w in words]
     pos = [grammar.word_pos.get(w, "X") for w in lowered]
     head = next((i for i, p in enumerate(pos) if p == "VERB"), 0)
@@ -404,7 +401,7 @@ def generate_corpus(grammar: DomainGrammar, n: int, seed: int) -> Dataset:
 
     Utterance i depends only on (seed, i), so any prefix of a larger
     corpus equals the smaller corpus generated with the same seed.  Its
-    tokens equal `annotate_words` of its words and labels, and equal
+    tokens equal `annotate_words` of its words, with its labels, and equal
     tokens are one shared frozen object: each is looked up by its fields
     in a `Memo` of this call before one is built, so a corpus holds one
     token per distinct annotated word, not one per word.

@@ -258,8 +258,8 @@ def fd_gradcheck(loss_fn, params, grads, h=1e-4, floor=1e-2):
 
 def reference_segments_of(utterance, value_table=None):
     """Concept segments read token by token off the utterance, closing
-    each run in a nested function: `segments_of` as it was before it
-    decoded plain label lists."""
+    each run in a nested function: the segments of an utterance as they
+    were decoded before `label_segments` decoded plain label lists."""
     table = value_table or PhraseTable()
     segments = []
     start = None
@@ -356,6 +356,18 @@ _REFERENCE_POOLED = frozenset(_REFERENCE_COLUMNS.index(c)
                               for c in ("LEMMA", "POS", "DEPREL", "ERRFLAG", "LABEL"))
 
 
+def _reference_parse_cats(cell, semcats, lineno, path):
+    """A SEMCATS cell, refused unless it is "_" or distinct, sorted
+    categories "|"-joined, none of them empty or "_"."""
+    cats = semcats.get(cell)
+    if cats is None:
+        parts = [] if cell == ABSENT else cell.split("|")
+        if parts != sorted(set(parts)) or "" in parts or ABSENT in parts:
+            raise ParseError(f"bad sem_categories {cell!r}", lineno, path)
+        cats = semcats[cell] = frozenset(parts)
+    return cats
+
+
 def reference_parse_token(i, line, lineno, path, text, semcats):
     """`text` maps a cell to its shared string; `semcats` is a dict."""
     cells = line.split("\t")
@@ -366,9 +378,6 @@ def reference_parse_token(i, line, lineno, path, text, semcats):
         raise ParseError(f"index {cells[0]} out of order", lineno, path)
     opt = [None if cell == ABSENT else text[cell] if k in _REFERENCE_POOLED else cell
            for k, cell in enumerate(cells)]
-    cats = semcats.get(cells[6])
-    if cats is None:
-        cats = semcats[cells[6]] = frozenset() if opt[6] is None else frozenset(opt[6].split("|"))
     try:
         return Token(
             surface=text[cells[1]],
@@ -376,7 +385,7 @@ def reference_parse_token(i, line, lineno, path, text, semcats):
             pos=opt[3],
             governor=_reference_parse_opt(cells[4], int, "governor", lineno, path),
             deprel=opt[5],
-            sem_categories=cats,
+            sem_categories=_reference_parse_cats(cells[6], semcats, lineno, path),
             pap=_reference_parse_opt(cells[7], float, "pap", lineno, path),
             mlp_conf=_reference_parse_opt(cells[8], float, "confidence", lineno, path),
             error_flag=opt[9],
@@ -511,7 +520,7 @@ def reference_training_matrix(dataset, vectorizer):
     per_stream = {name: [] for name in STREAM_ORDER}
     labels = []
     for u in dataset:
-        streams = vectorizer.streams(u)
+        streams = vectorizer.gather(vectorizer.encode((u,)))
         for name in STREAM_ORDER:
             per_stream[name].append(streams[name])
         for i, tok in enumerate(u.tokens):

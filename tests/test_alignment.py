@@ -580,14 +580,26 @@ def test_cn_columns_hold_under_half_the_bytes_of_their_bins(small_corpus, noise_
     assert columns <= 0.5 * nested, (columns, nested)
 
 
+_ONE = b"1.000000000e+00"
+
+
 @pytest.mark.parametrize("data, line", [
-    (b"1.0\ta b\n", 1),
-    (b"# id=u\n1.0\ta\n\n2.0\tb\n", 4),
+    (_ONE + b"\ta b\n", 1),
+    (b"# id=u\n" + _ONE + b"\ta\n\n2.000000000e+00\tb\n", 4),
     (b"# id=u\nheavy\ta b\n\n", 2),
-    (b"# id=u\n1.0 a b\n\n", 2),
-    (b"# id=u\r\n1.0\ta\r\n\r\n# id=v\r\n1.0\ta \xffb\r\n\r\n", 5),
+    (b"# id=u\n" + _ONE + b" a b\n\n", 2),
+    (b"# id=u\r\n" + _ONE + b"\ta\r\n\r\n# id=v\r\n" + _ONE + b"\ta \xffb\r\n\r\n", 5),
+    # rows `write_nbest` would write otherwise, or refuse to write
+    (b"# id=u\n" + _ONE + b"\ta\n1.0\ta\n\n", 3),
+    (b"# id=u\n" + _ONE + b"\ta  b\n\n", 2),
+    (b"# id=u\n" + _ONE + b"\t a\n\n", 2),
+    (b"# id=u\n" + _ONE + b"\ta\n\n# id=v\n0\ta\n\n", 5),
+    (b"# id=u\n-1\ta\n\n", 2),
+    (b"# id=u\nnan\ta\n\n", 2),
+    (b"# id=u\n1e400\ta\n\n", 2),
 ], ids=["row-before-header", "row-after-closed-block", "bad-weight", "no-tab",
-        "not-utf8"])
+        "not-utf8", "weight-not-as-written", "words-two-spaces", "words-leading-space",
+        "weight-zero", "weight-negative", "weight-nan", "weight-overflows"])
 def test_read_nbest_malformed_names_file_and_line(tmp_path, data, line):
     p = tmp_path / "bad.nbest"
     p.write_bytes(data)
@@ -619,6 +631,26 @@ def test_nbest_roundtrips_or_refuses(tmp_path_factory, per_utt):
         [[words for _, words in nb] for _, nb in per_utt]
     assert [[w for w, _ in nb] for _, nb in again] == \
         [[float(f"{w:.9e}") for w, _ in nb] for _, nb in per_utt]
+    q = p.with_name("again.txt")
+    write_nbest(q, again)
+    assert q.read_bytes() == p.read_bytes()
+
+
+# weight texts of every kind: as the writer writes them, as repr writes
+# them ("1.0", "nan"), and made of number characters and spaces
+_weight_texts = (st.floats().map(lambda w: f"{w:.9e}") | st.floats().map(repr)
+                 | st.text(alphabet="0123456789.e+- ", max_size=16))
+_gaps = st.sampled_from(["", " ", "  "])
+
+
+@given(_weight_texts, _gaps, _gaps, _gaps)
+def test_nbest_row_text_roundtrips_or_refuses(tmp_path_factory, weight, lead, mid, trail):
+    p = tmp_path_factory.mktemp("nbest") / "n.txt"
+    p.write_bytes(f"# id=u\n{weight}\t{lead}a{mid}b{trail}\n\n".encode())
+    try:
+        again = read_nbest(p)
+    except ParseError:
+        return
     q = p.with_name("again.txt")
     write_nbest(q, again)
     assert q.read_bytes() == p.read_bytes()

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from slukit import corpus
@@ -17,8 +17,7 @@ from slukit.corpus import (ERROR_C, ERROR_N, NULL_LABEL, ConceptSegment,
                            TOKEN_FIELDS, TaggerOutput, Token, Utterance,
                            augment_error_labels, label_segments,
                            read_dataset, read_outputs,
-                           repair_bio,
-                           segments_of, strip_error_labels,
+                           repair_bio, strip_error_labels,
                            validate_label_sequence, write_dataset,
                            write_outputs)
 from slukit.evaluation import ConfidenceRecord
@@ -47,7 +46,8 @@ def test_read_single_utterance(tmp_path):
     )
     ds = read_dataset(p)
     assert len(ds) == 1
-    segs = segments_of(ds.utterances[0])
+    u = ds.utterances[0]
+    segs = label_segments(u.surfaces(), u.labels())
     assert len(segs) == 1
     assert segs[0].label == "TOWN"
 
@@ -111,6 +111,10 @@ def _blob(edit):
      ParseError, "bad.tsv: line 3: bad governor '00'"),
     ("bad.tsv", "# id=u1\n\n", read_dataset, ParseError,
      "bad.tsv: line 1: utterance 'u1' has no rows"),
+    # a SEMCATS cell reads back only as the writer writes its categories
+    *(("bad.tsv", "# id=u1\n" + _row() + _row(index="1", semcats=cell) + "\n", read_dataset,
+       ParseError, re.escape(f"bad.tsv: line 3: bad sem_categories {cell!r}"))
+      for cell in ("b|a", "a|a", "a||c", "", "_|a", "|")),
     ("bad.vec", "a 0.5\nb\n", load_embeddings, ConfidenceError,
      "bad.vec: line 2: no vector components"),
     ("bad.vec", "a 0.5\nb x\n", load_embeddings, ConfidenceError, "bad.vec: line 2: bad float"),
@@ -124,9 +128,10 @@ def _blob(edit):
         "pap-out-of-range", "index-not-int", "mlp-conf-not-float", "mlp-conf-out-of-range",
         "pap-short", "mlp-conf-exponent", "pap-nan", "index-zero-padded",
         "governor-zero-padded",
-        "header-without-rows", "embedding-without-components",
-        "embedding-bad-float", "model-bad-magic", "model-unsupported-version",
-        "model-kind-mismatch"])
+        "header-without-rows", "semcats-unsorted", "semcats-repeated", "semcats-empty-inner",
+        "semcats-empty-cell", "semcats-absent-inner", "semcats-bar-only",
+        "embedding-without-components", "embedding-bad-float", "model-bad-magic",
+        "model-unsupported-version", "model-kind-mismatch"])
 def test_read_malformed_row_reports_line(tmp_path, name, content, read, error, match):
     p = tmp_path / name
     if callable(content):
@@ -206,26 +211,26 @@ def test_duplicate_ids_refused_in_linear_time():
 
 def test_segments_all_null():
     u = utt("u", ["a", "b"], [NULL_LABEL, NULL_LABEL])
-    assert segments_of(u) == []
+    assert label_segments(u.surfaces(), u.labels()) == []
 
 
 def test_segments_single_token():
     u = utt("u", ["yes", "Paris"], [NULL_LABEL, "B-TOWN"])
-    segs = segments_of(u)
+    segs = label_segments(u.surfaces(), u.labels())
     assert segs == [ConceptSegment("TOWN", "paris", 1, 2)]
 
 
 def test_segments_value_normalization():
     # independently derived from the number table: thirty three -> 33
     u = utt("u", ["thirty", "three"], ["B-DATE", "I-DATE"])
-    segs = segments_of(u, PhraseTable([("thirty three", "33")]))
+    segs = label_segments(u.surfaces(), u.labels(), PhraseTable([("thirty three", "33")]))
     assert segs == [ConceptSegment("DATE", "33", 0, 2)]
 
 
 def test_segments_reject_error_labels():
     u = utt("u", ["a"], [ERROR_N])
     with pytest.raises(SchemaError):
-        segments_of(u)
+        label_segments(u.surfaces(), u.labels())
 
 
 @st.composite
@@ -249,7 +254,7 @@ def test_segments_labels_roundtrip(case):
     for lab, a, b in triples:
         labels[a:b] = ["B-" + lab] + ["I-" + lab] * (b - a - 1)
     u = utt("u", words, labels)
-    assert segments_of(u) == segs
+    assert label_segments(u.surfaces(), u.labels()) == segs
 
 
 _seg_words = st.sampled_from(["thirty", "three", "Paris", "a"])
@@ -268,13 +273,10 @@ def test_label_segments_equal_reference(rows, with_table):
     try:
         expected = reference_segments_of(u, table)
     except SchemaError as exc:
-        for decode in (lambda: label_segments(words, labels, table),
-                       lambda: segments_of(u, table)):
-            with pytest.raises(SchemaError, match=re.escape(str(exc))):
-                decode()
+        with pytest.raises(SchemaError, match=re.escape(str(exc))):
+            label_segments(words, labels, table)
         return
     assert label_segments(words, labels, table) == expected
-    assert segments_of(u, table) == expected
 
 
 def test_label_segments_refuse_length_mismatch():
@@ -518,7 +520,7 @@ def _same_outcome(expected, actual):
 
 def _semcats():
     """The SEMCATS memo `read_dataset` makes for one read."""
-    return Memo(lambda cell: frozenset() if cell == "_" else frozenset(cell.split("|")))
+    return Memo(corpus._parse_semcats)
 
 
 @given(st.integers(min_value=0, max_value=3), tokens(),
@@ -534,11 +536,18 @@ def test_token_row_equals_reference(i, tok, governor):
 # cells of every kind a row holds, well-formed or not
 _cells = st.sampled_from(["_", "0", "1", "x", "-1", "0.5", "1.5", "nan", "a", "B-x", "I-x",
                           "a|b", "correct", "wrong", "", "00", "+1", "1e-7", "0.500000",
-                          "1.500000", "-0.000000", "inf"])
+                          "1.500000", "-0.000000", "inf",
+                          # SEMCATS cells `write_dataset` would write otherwise, or not at all
+                          "b|a", "a|a", "a||c", "_|a", "|"])
 
 
 @given(st.just("0") | st.sampled_from(["1", "x", "_"]),
        st.lists(_cells, min_size=10, max_size=10) | st.lists(_cells, max_size=12))
+@example("0", ["a", "_", "_", "_", "_", "b|a", "_", "_", "_", "null"])
+@example("0", ["a", "_", "_", "_", "_", "a|a", "_", "_", "_", "null"])
+@example("0", ["a", "_", "_", "_", "_", "a||c", "_", "_", "_", "null"])
+@example("0", ["a", "_", "_", "_", "_", "_|a", "_", "_", "_", "null"])
+@example("0", ["a", "_", "_", "_", "_", "|", "_", "_", "_", "null"])
 def test_parse_token_equals_reference(index, cells):
     line = "\t".join([index, *cells])
     _same_outcome(lambda: reference_parse_token(0, line, 5, "d.tsv", Memo(str), {}),
@@ -750,15 +759,17 @@ def test_writers_name_the_utterance_once(tmp_path, fmt, blocks, why):
     Utterance("u", (Token("paris"),)),
     TaggerOutput("u", ("B-TOWN",)),
     ConceptSegment("TOWN", "paris", 0, 1),
-    ConfidenceRecord("u", 0, True, 0.5),
+    ConfidenceRecord(True, 0.5),
 ], ids=lambda r: type(r).__name__)
 def test_records_are_slotted_frozen_values(record):
     assert not hasattr(record, "__dict__")
     first = dataclasses.fields(record)[0].name
     same = dataclasses.replace(record)
     assert same == record and hash(same) == hash(record) and same is not record
-    other = dataclasses.replace(record, **{first: getattr(record, first) + "x"})
-    assert other != record and getattr(other, first) == getattr(record, first) + "x"
+    value = getattr(record, first)
+    changed = (not value) if isinstance(value, bool) else value + "x"
+    other = dataclasses.replace(record, **{first: changed})
+    assert other != record and getattr(other, first) == changed
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(record, first, "y")
 

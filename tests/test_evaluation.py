@@ -16,24 +16,21 @@ from helpers import (brute_force_edit_cost, brute_force_tune_weights,
                      reference_combine_weighted, reference_consensus, simplex_grid, utt)
 
 
-def rec(correct, conf, i=0):
-    return ConfidenceRecord("u", i, correct, conf)
-
-
 def test_nce_constant_at_base_rate_is_zero():
-    records = [rec(True, 0.75, i) for i in range(3)] + [rec(False, 0.75, 3)]
+    records = [ConfidenceRecord(True, 0.75)] * 3 + [ConfidenceRecord(False, 0.75)]
     assert nce(records) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_nce_oracle_close_to_one():
-    records = [rec(True, 1.0, i) for i in range(50)] + [rec(False, 0.0, i + 50) for i in range(50)]
+    records = [ConfidenceRecord(True, 1.0)] * 50 + [ConfidenceRecord(False, 0.0)] * 50
     assert nce(records) >= 0.99
 
 
 def test_nce_hand_evaluated_case():
     # frozen from a direct evaluation of the formula:
     # p=3/4, H_base=0.8112781244591328, H_cond=0.2369655941662061
-    records = [rec(True, 0.9, 0), rec(True, 0.8, 1), rec(True, 0.9, 2), rec(False, 0.2, 3)]
+    records = [ConfidenceRecord(True, 0.9), ConfidenceRecord(True, 0.8),
+               ConfidenceRecord(True, 0.9), ConfidenceRecord(False, 0.2)]
     assert nce(records) == pytest.approx(0.7079107805055294, abs=1e-9)
 
 
@@ -48,12 +45,10 @@ def test_records_from_dataset_hand_built():
                          Token("e", pap=0.2, mlp_conf=0.1, error_flag=FLAG_CORRECT))),
     ))
     assert records_from_dataset(ds, "pap") == [
-        ConfidenceRecord("u1", 0, True, 0.9), ConfidenceRecord("u1", 1, False, 0.4),
-        ConfidenceRecord("u2", 1, True, 0.2)]
+        ConfidenceRecord(True, 0.9), ConfidenceRecord(False, 0.4), ConfidenceRecord(True, 0.2)]
     mlp = records_from_dataset(ds, "mlp")
     assert mlp == [
-        ConfidenceRecord("u1", 0, True, 0.8), ConfidenceRecord("u2", 0, False, 0.3),
-        ConfidenceRecord("u2", 1, True, 0.1)]
+        ConfidenceRecord(True, 0.8), ConfidenceRecord(False, 0.3), ConfidenceRecord(True, 0.1)]
     # two correct of three: H_base = h(2/3); H_cond from the three confidences
     h_base = -(2 / 3 * math.log2(2 / 3) + 1 / 3 * math.log2(1 / 3))
     h_cond = -(math.log2(0.8) + math.log2(1 - 0.3) + math.log2(0.1)) / 3
@@ -62,20 +57,20 @@ def test_records_from_dataset_hand_built():
 
 def test_nce_degenerate_single_class():
     with pytest.raises(EvaluationError):
-        nce([rec(True, 0.9, i) for i in range(5)])
+        nce([ConfidenceRecord(True, 0.9)] * 5)
 
 
 def test_nce_calibrated_beats_constant():
     rnd = random.Random(0)
     records = []
-    for i in range(50000):
+    for _ in range(50000):
         c = rnd.betavariate(4, 2)
-        records.append(rec(rnd.random() < c, c, i))
+        records.append(ConfidenceRecord(rnd.random() < c, c))
     assert nce(records) > 0.0
 
 
 def test_calibration_single_bin():
-    records = [rec(True, 0.95, i) for i in range(7)]
+    records = [ConfidenceRecord(True, 0.95)] * 7
     rep = calibration_bins(records, 10)
     assert rep.counts[9] == 7 and sum(rep.counts) == 7
     assert rep.fraction_correct[9] == 1.0
@@ -84,7 +79,7 @@ def test_calibration_single_bin():
 
 def test_calibration_matches_counting_oracle():
     rnd = random.Random(1)
-    records = [rec(rnd.random() < 0.7, rnd.random(), i) for i in range(1000)]
+    records = [ConfidenceRecord(rnd.random() < 0.7, rnd.random()) for _ in range(1000)]
     k = 10
     rep = calibration_bins(records, k)
     counts = [0] * k

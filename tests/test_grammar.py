@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from slukit.corpus import (Dataset, PhraseTable, Utterance, segments_of,
+from slukit.corpus import (Dataset, PhraseTable, Utterance, label_segments,
                            validate_label_sequence, write_dataset)
 from slukit.grammar import (DomainGrammar, GrammarError, SlotSpec, annotate_words,
                             default_grammar, generate_corpus)
@@ -36,9 +36,8 @@ def test_generated_corpus_shares_equal_tokens(tmp_path, default_grammar):
     tokens = [t for u in ds for t in u.tokens]
     assert len({id(t) for t in tokens}) == len(set(tokens)) < len(tokens)
     # the shared tokens are the ones annotation builds, each a new object there
-    fresh = Dataset(tuple(Utterance(u.id, annotate_words(u.surfaces(), default_grammar,
-                                                         labels=u.labels()))
-                          for u in ds))
+    fresh = Dataset(tuple(Utterance(u.id, annotate_words(u.surfaces(), default_grammar))
+                          .with_column("label", u.labels()) for u in ds))
     assert fresh == ds
     assert len({id(t) for u in fresh for t in u.tokens}) == len(tokens)
     write_dataset(ds, tmp_path / "shared.tsv")
@@ -57,7 +56,7 @@ def test_generated_labels_are_valid(default_grammar):
     values = PhraseTable(default_grammar.values.items())
     for u in generate_corpus(default_grammar, 200, 2):
         validate_label_sequence(u.labels())
-        segments_of(u, values)  # must decode without error
+        label_segments(u.surfaces(), u.labels(), values)  # must decode without error
 
 
 def test_confusable_words_occur_as_concept_and_filler(default_grammar):
