@@ -53,58 +53,81 @@ class Alignment:
 
 
 def align(ref, hyp) -> Alignment:
-    """Minimal unit-cost (Levenshtein) alignment of two sequences.
+    """Minimal unit-cost (Levenshtein) alignment of two sequences of
+    hashable items.
 
     Ties are broken by preferring match or substitution, then deletion,
     then insertion, while backtracking from the end of both sequences.
-
-    The integer DP table is filled with explicit comparisons.  Trailing
-    words the two sequences share are matched without a table: where
-    ref[i-1] == hyp[j-1], D[i][j] == D[i-1][j-1], so the backtrack's
-    first (diagonal) test would take each of them as a match anyway, and
-    the tie order is the same as for the full table.  A common prefix is
-    not stripped, since that would change it: ["a"] against ["a", "a"]
-    matches hyp[1] on the full table.
     """
-    n, m = len(ref), len(hyp)
-    k = 0
-    while k < n and k < m and ref[n - 1 - k] == hyp[m - 1 - k]:
-        k += 1
-    n, m = n - k, m - k
-    prev = list(range(m + 1))
-    dist = [prev]
-    for i in range(1, n + 1):
-        r = ref[i - 1]
-        row = [i]
-        diag, left = i - 1, i
-        # D[i][j] is D[i-1][j-1] on a match (never above the other two),
-        # else 1 + the least of the three neighbours; zip stops at hyp[m-1]
-        for h, up in zip(hyp, prev[1:]):
-            if r != h:
-                if up < diag:
-                    diag = up
-                if left < diag:
-                    diag = left
-                diag += 1
-            row.append(diag)
-            left, diag = diag, up
-        dist.append(row)
-        prev = row
+    return _align_each(ref, (hyp,))[0]
 
-    ops = [(MATCH, n + t, m + t) for t in range(k - 1, -1, -1)]
-    i, j = n, m
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and dist[i][j] == dist[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
-            i, j = i - 1, j - 1
-            ops.append((MATCH if ref[i] == hyp[j] else SUB, i, j))
-        elif i > 0 and dist[i][j] == dist[i - 1][j] + 1:
-            i -= 1
-            ops.append((DEL, i, None))
-        else:
-            j -= 1
-            ops.append((INS, None, j))
-    ops.reverse()
-    return Alignment(tuple(ops), dist[n][m])
+
+def _align_each(ref, hyps) -> list:
+    """`align(ref, hyp)` for each of `hyps`, filled in one pass.
+
+    Each hypothesis is a lane of bits in one int, with a guard bit above
+    it.  Per ref item, Hyyrö's global-distance form of Myers' bit-vector
+    recurrence turns row i-1's deltas D[i-1][j] - D[i-1][j-1] (+1 in
+    `vp`, -1 in `vn`) into row i's in every lane at once.  A lane's add
+    carries at most into its guard, as `& mask` keeps the guards of `vp`
+    clear, and `| ones` shifts in each lane's D[i][0] - D[i-1][0] = 1.
+    Row i keeps `d0` (D[i][j] == D[i-1][j-1]) and `up` (D[i][j] ==
+    D[i-1][j] + 1) for the backtrack, which takes the diagonal on a match
+    without a lookup.  Items must be hashable: the match table is a dict.
+    """
+    peq, lows = {}, []
+    mask = ones = 0
+    low = 1
+    for hyp in hyps:
+        for j, w in enumerate(hyp):
+            peq[w] = peq.get(w, 0) | low << j
+        lows.append(low)
+        ones |= low
+        mask |= (low << len(hyp)) - low
+        low <<= len(hyp) + 1
+    vp, vn = mask, 0
+    rows = []
+    for r in ref:
+        eq = peq.get(r, 0)
+        xv = eq | vn
+        d0 = (((eq & vp) + vp) ^ vp) | xv
+        up = vn | ~(d0 | vp)
+        rows.append((d0, up))
+        hn = (vp & d0) << 1
+        hp = up << 1 | ones
+        vp = (hn | ~(xv | hp)) & mask
+        vn = hp & xv
+
+    out = []
+    for hyp, low in zip(hyps, lows):
+        # the cell of ref[i] and hyp[j] is in rows[i], at hyp[j]'s `bit`
+        i, j = len(ref) - 1, len(hyp) - 1
+        below = (low << len(hyp)) - low
+        bit = low << len(hyp) >> 1
+        cost = len(ref) + (vp & below).bit_count() - (vn & below).bit_count()
+        ops = []
+        append = ops.append
+        while i >= 0 and j >= 0:
+            if ref[i] == hyp[j]:
+                append((MATCH, i, j))
+            else:
+                # the cell is its diagonal neighbour + 1 (substitute) or
+                # equal to it; then delete if the cell above is one less
+                d0, up = rows[i]
+                if d0 & bit:
+                    if up & bit:
+                        append((DEL, i, None))
+                        i -= 1
+                    else:
+                        append((INS, None, j))
+                        j, bit = j - 1, bit >> 1
+                    continue
+                append((SUB, i, j))
+            i, j, bit = i - 1, j - 1, bit >> 1
+        ops += [(DEL, t, None) for t in range(i, -1, -1)]
+        ops += [(INS, None, t) for t in range(j, -1, -1)]
+        out.append(Alignment(tuple(ops[::-1]), cost))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +138,14 @@ def align(ref, hyp) -> Alignment:
 class NoiseConfig:
     """Stochastic recognizer channel.
 
-    The expected WER is 100 * (sub + del + ins) since each event makes
-    exactly one edit against the reference.  `nbest_correlation` is the
+    Each reference word is deleted at `del_rate`, substituted at
+    `sub_rate` or kept, and followed by an insertion at `ins_rate`, so
+    the channel draws 100 * (sub + del + ins) events per 100 reference
+    words on average: `target_wer`.  Minimal alignment scores at most
+    the events drawn for a non-empty utterance, and can score fewer: it
+    may count an adjacent deletion and insertion as one substitution, so
+    aligned substitutions tend to run above `sub_rate`, and aligned
+    deletions and insertions below theirs.  `nbest_correlation` is the
     probability that a secondary decode keeps the primary decode's
     decision at a position, standing in for the acoustic correlation
     that makes real n-best lists agree on their mistakes.
@@ -426,11 +455,11 @@ def _spans(ends):
     return zip((0, *ends), ends)
 
 
-def _pivot_column(pivot, hyp, eps) -> tuple:
-    """The entry `hyp` puts in each pivot bin: its aligned entry on
-    match/substitution, `eps` where it skips the bin."""
+def _pivot_column(pivot, hyp, ali: Alignment, eps) -> tuple:
+    """The entry `hyp` puts in each pivot bin by its alignment `ali`: its
+    aligned entry on match/substitution, `eps` where it skips the bin."""
     column = [None] * len(pivot)
-    for op, i, j in align(pivot, hyp).ops:
+    for op, i, j in ali.ops:
         if op in (MATCH, SUB):
             column[i] = hyp[j]
         elif op == DEL:
@@ -449,7 +478,8 @@ def build_cn(nbest: NBest) -> ConfusionNetwork:
     Words it inserts between bins are dropped; at this scale the pivot
     positions are all the taggers consume.  Hypotheses are aligned as
     runs of vocabulary ids, which are equal where the words are, and
-    each distinct run is aligned once; weights are still added in
+    the distinct runs are aligned once each, all in one `_align_each`
+    pass in first-appearance order; weights are still added in
     n-best order, so repeats give the same posteriors, bit for bit, as
     aligning every entry.  A bin's posterior is its word's mass over
     the total weight, and the bin is sorted by (-posterior, word), the
@@ -466,18 +496,18 @@ def build_cn(nbest: NBest) -> ConfusionNetwork:
     eps = words_of.index(EPS)
     ids = tuple(nbest.ids.tolist())
     pivot = ids[:nbest.ends[0]]
+    hyps = [ids[start:end] for start, end in _spans(nbest.ends)]
+    distinct = list(dict.fromkeys(hyps))
+    # a hypothesis's ids -> its id in each pivot bin
+    columns = {hyp: _pivot_column(pivot, hyp, ali, eps)
+               for hyp, ali in zip(distinct, _align_each(pivot, distinct))}
     mass = [dict() for _ in pivot]
-    columns = {}  # a hypothesis's ids -> its id in each pivot bin
     total = 0.0
-    for weight, (start, end) in zip(nbest.weights, _spans(nbest.ends)):
+    for weight, hyp in zip(nbest.weights, hyps):
         if not (math.isfinite(weight) and weight > 0):
             raise AlignmentError(f"hypothesis weight {weight!r} is not finite and positive")
         total += weight
-        hyp = ids[start:end]
-        column = columns.get(hyp)
-        if column is None:
-            column = columns[hyp] = _pivot_column(pivot, hyp, eps)
-        for entries, i in zip(mass, column):
+        for entries, i in zip(mass, columns[hyp]):
             entries[i] = entries.get(i, 0.0) + weight
     if not math.isfinite(total):
         raise AlignmentError(f"hypothesis weights sum to {total}")

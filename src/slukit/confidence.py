@@ -10,6 +10,7 @@ averaged per example (per word).
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -68,8 +69,9 @@ def load_embeddings(path, name="") -> EmbeddingTable:
     The dimension is fixed by the first row; rows that disagree are a
     format error.  A repeated word wins with its last row (warned).
     Raises ConfidenceError naming the file, and the line where there is
-    one, for a row without components, a bad float, a row of another
-    dimension, bytes that are not UTF-8, and a file with no rows.
+    one, for a row without components, a bad float, a component that is
+    not finite (NaN or inf), a row of another dimension, bytes that are
+    not UTF-8, and a file with no rows.
     """
     words, rows = [], []
     index = {}
@@ -84,6 +86,8 @@ def load_embeddings(path, name="") -> EmbeddingTable:
             vec = [float(c) for c in comps]
         except ValueError as exc:
             raise ConfidenceError(f"{path}: line {lineno}: bad float") from exc
+        if not all(map(math.isfinite, vec)):
+            raise ConfidenceError(f"{path}: line {lineno}: a component is not finite")
         if dim is None:
             dim = len(vec)
         elif len(vec) != dim:
@@ -106,11 +110,14 @@ def write_embeddings(table: EmbeddingTable, path) -> None:
 
     Raises ConfidenceError, before the file is opened, for a table that
     would not read back as itself: one with no words or no vector
-    components, or a word that is not text, is empty, holds whitespace,
-    holds text UTF-8 cannot encode (a lone surrogate) or appears twice.
+    components, a component that is not finite (NaN or inf), or a word
+    that is not text, is empty, holds whitespace, holds text UTF-8
+    cannot encode (a lone surrogate) or appears twice.
     """
     if not table.words or table.dim < 1:
         raise ConfidenceError(f"cannot write a {len(table)} x {table.dim} embedding table")
+    if not np.isfinite(table.matrix).all():
+        raise ConfidenceError("cannot write an embedding component that is not finite")
     seen = set()
     for w in table.words:
         if not isinstance(w, str):

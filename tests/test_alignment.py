@@ -77,6 +77,25 @@ def test_align_matches_reference_tie_break(pair):
     assert a.cost == expected.cost
 
 
+# lanes of unequal lengths, empty ones too, that repeat words and hold
+# "z", which no ref holds
+lane_words_st = st.lists(st.sampled_from("abcz"), max_size=10)
+
+
+# the long all-match lane carries out of its top bit into its guard on
+# row 1; the all-mismatch lanes around it must not see that carry
+@example(list("aaa"), [list("zz"), list("aaaaaaaa"), list("zzz"), [], list("z")])
+@given(st.lists(st.sampled_from("abc"), max_size=8),
+       st.lists(lane_words_st, min_size=1, max_size=6))
+def test_align_each_matches_reference(ref, hyps):
+    alignments = alignment._align_each(ref, hyps)
+    assert len(alignments) == len(hyps)
+    for hyp, a in zip(hyps, alignments):
+        expected = reference_align(ref, hyp)
+        assert a.ops == expected.ops
+        assert a.cost == expected.cost
+
+
 @given(words_st, words_st)
 def test_wer_relabel_invariance(ref, hyp):
     # the edit cost S + D + I, WER's numerator, depends only on which words are equal
@@ -117,6 +136,20 @@ def test_corrupt_deterministic_and_flags_follow_alignment(small_corpus, noise_co
         matched = {j for op, _, j in ali.ops if op == MATCH}
         for j, t in enumerate(h1.tokens):
             assert (t.error_flag == "correct") == (j in matched)
+
+
+def test_channel_cost_is_at_most_the_events_drawn(small_corpus, noise_config):
+    # minimal alignment may score an adjacent deletion and insertion as one
+    # substitution, so only the total is bounded, not S, D or I alone
+    for u in small_corpus.utterances:
+        words = u.surfaces()
+        primary = alignment._draw(words, noise_config, u.id, 0)
+        for k in range(4):
+            decisions, inserts, _, hyp = (alignment._draw(words, noise_config, u.id, k, primary)
+                                          if k else primary)
+            events = (sum(kind != "keep" for kind, _ in decisions)
+                      + sum(ins is not None for ins in inserts))
+            assert align(words, hyp).cost <= events
 
 
 def test_decode_nbest_pivot_is_primary_draw(small_corpus, noise_config):
@@ -680,7 +713,7 @@ def test_write_cn_refuses_word_with_whitespace(tmp_path, words):
 def test_build_cn_uncovered_bin_raises(monkeypatch):
     # an alignment that skips a pivot bin breaks the one-entry-per-bin
     # invariant; the check must raise, also under python -O
-    monkeypatch.setattr(alignment, "align",
-                        lambda ref, hyp: alignment.Alignment(((MATCH, 0, 0),), 0.0))
+    monkeypatch.setattr(alignment, "_align_each",
+                        lambda ref, hyps: [alignment.Alignment(((MATCH, 0, 0),), 0)] * len(hyps))
     with pytest.raises(AlignmentError):
         build_cn(NBest.from_pairs([(1.0, ["a", "b"])]))

@@ -65,6 +65,14 @@ def test_load_embeddings_names_the_line_that_is_not_utf8(tmp_path):
         load_embeddings(p)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "-Infinity"])
+def test_load_embeddings_names_the_line_of_a_component_that_is_not_finite(tmp_path, cell):
+    p = tmp_path / "emb.txt"
+    p.write_text(f"a 0.1 0.2\nb 0.3 {cell}\n")
+    with pytest.raises(ConfidenceError, match="emb.txt: line 2: a component is not finite"):
+        load_embeddings(p)
+
+
 def test_load_embeddings_duplicate_last_wins(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("a 1.0 1.0\na 2.0 2.0\n")
@@ -118,6 +126,14 @@ def test_write_embeddings_names_the_word_before_opening(tmp_path, words, bad):
     p = tmp_path / "e.txt"
     with pytest.raises(ConfidenceError, match=re.escape(repr(bad))):
         write_embeddings(EmbeddingTable(words, np.zeros((len(words), 2))), p)
+    assert not p.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_write_embeddings_refuses_a_component_that_is_not_finite(tmp_path, value):
+    p = tmp_path / "e.txt"
+    with pytest.raises(ConfidenceError, match="not finite"):
+        write_embeddings(EmbeddingTable(["a", "b"], [[0.0, 1.0], [value, 0.0]]), p)
     assert not p.exists()
 
 
