@@ -477,9 +477,10 @@ def build_cn(nbest: NBest) -> ConfusionNetwork:
     aligned word on match/substitution, epsilon where it skips the bin.
     Words it inserts between bins are dropped; at this scale the pivot
     positions are all the taggers consume.  Hypotheses are aligned as
-    runs of vocabulary ids, which are equal where the words are, and
-    the distinct runs are aligned once each, all in one `_align_each`
-    pass in first-appearance order; weights are still added in
+    runs of vocabulary ids, which are equal where the words are; the
+    pivot fills each bin with its own id, and the other distinct runs
+    are aligned once each, all in one `_align_each` pass (none when the
+    list holds no other run); weights are still added in
     n-best order, so repeats give the same posteriors, bit for bit, as
     aligning every entry.  A bin's posterior is its word's mass over
     the total weight, and the bin is sorted by (-posterior, word), the
@@ -497,10 +498,12 @@ def build_cn(nbest: NBest) -> ConfusionNetwork:
     ids = tuple(nbest.ids.tolist())
     pivot = ids[:nbest.ends[0]]
     hyps = [ids[start:end] for start, end in _spans(nbest.ends)]
-    distinct = list(dict.fromkeys(hyps))
-    # a hypothesis's ids -> its id in each pivot bin
-    columns = {hyp: _pivot_column(pivot, hyp, ali, eps)
-               for hyp, ali in zip(distinct, _align_each(pivot, distinct))}
+    # a hypothesis's ids -> its id in each pivot bin; the pivot's are its own
+    columns = {pivot: pivot}
+    others = list(dict.fromkeys(hyps))[1:]  # the distinct runs after the pivot
+    if others:
+        columns.update((hyp, _pivot_column(pivot, hyp, ali, eps))
+                       for hyp, ali in zip(others, _align_each(pivot, others)))
     mass = [dict() for _ in pivot]
     total = 0.0
     for weight, hyp in zip(nbest.weights, hyps):

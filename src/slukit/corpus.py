@@ -28,8 +28,6 @@ FLAG_CORRECT = "correct"
 FLAG_ERROR = "error"
 
 ABSENT = "_"
-# the `sem_categories` of a token in no category: one set that every such token shares
-NO_CATEGORIES = frozenset()
 
 
 class CorpusError(Exception):
@@ -49,12 +47,16 @@ class SchemaError(CorpusError):
 
 @dataclass(frozen=True, slots=True)
 class Token:
+    """A word and its annotations; every field but `surface` may be None.
+    `sem_category` is the word's one semantic category, or None, and
+    `pap` and `mlp_conf` are recognizer confidences in [0, 1]."""
+
     surface: str
     lemma: str | None = None
     pos: str | None = None
     governor: int | None = None
     deprel: str | None = None
-    sem_categories: frozenset = NO_CATEGORIES
+    sem_category: str | None = None
     pap: float | None = None
     mlp_conf: float | None = None
     error_flag: str | None = None
@@ -392,11 +394,11 @@ def read_blocks(path):
 
 # ---------------------------------------------------------------------------
 # Corpus TSV rows: one token per row, the index and then one cell per Token
-# field in TOKEN_FIELDS order, "_" for absent fields, SEMCATS "|"-joined.
+# field in TOKEN_FIELDS order, "_" for absent fields.
 # ---------------------------------------------------------------------------
 
 _ROW = ("index", *TOKEN_FIELDS)
-_TEXT = frozenset(("surface", "lemma", "pos", "deprel", "error_flag", "label"))
+_TEXT = frozenset(("surface", "lemma", "pos", "deprel", "sem_category", "error_flag", "label"))
 _NUMBERS = {"index": int, "governor": int, "pap": float, "mlp_conf": float}
 # the decimals a `pap` or `mlp_conf` cell holds, which the stages filling them round to
 CONFIDENCE_DECIMALS = 6
@@ -415,13 +417,6 @@ def _cell(name, value) -> str:
         if value == ABSENT and name != "surface":
             raise SchemaError(f"field {ABSENT!r} would read back as absent")
         return value
-    if name == "sem_categories":
-        if not value:
-            return ABSENT
-        for cat in value:
-            if not isinstance(cat, str) or cat in ("", ABSENT) or "|" in cat:
-                raise SchemaError(f"semantic category {cat!r} would not read back")
-        return "|".join(sorted(value))
     if name == "governor":
         if type(value) is not int:  # so that True and 1.0 are refused
             raise SchemaError(f"governor={value!r} is not an int")
@@ -452,19 +447,9 @@ def write_dataset(dataset: Dataset, path) -> None:
     write_blocks(path, ((utt.id, _utterance_rows(utt)) for utt in dataset))
 
 
-def _parse_semcats(cell) -> frozenset:
-    """The `sem_categories` of a SEMCATS cell; SchemaError for a cell other
-    than the one `_cell` writes for them (such as "b|a", "a|a" or "a||c")."""
-    value = NO_CATEGORIES if cell == ABSENT else frozenset(cell.split("|"))
-    if _cell("sem_categories", value) != cell:
-        raise SchemaError(f"{cell!r} would be written as another cell")
-    return value
-
-
-def _parse_token(i, line, lineno, path, text: Memo, semcats: Memo, confs: dict) -> Token:
-    """The token of row `i` at `lineno`; `semcats` is a `Memo` of
-    `_parse_semcats`, and `confs` maps each non-zero confidence read so
-    far to its one shared float."""
+def _parse_token(i, line, lineno, path, text: Memo, confs: dict) -> Token:
+    """The token of row `i` at `lineno`; `confs` maps each non-zero
+    confidence read so far to its one shared float."""
     cells = line.split("\t")
     if len(cells) != len(_ROW):
         raise ParseError(f"expected {len(_ROW)} columns, found {len(cells)}", lineno, path)
@@ -472,7 +457,7 @@ def _parse_token(i, line, lineno, path, text: Memo, semcats: Memo, confs: dict) 
     for name, cell in zip(_ROW, cells):
         if name in _TEXT:
             value = None if cell == ABSENT and name != "surface" else text[cell]
-        elif name in _NUMBERS:
+        else:
             # only the text the writer writes for a value reads back ("0.5",
             # "1e-7" and "00" do not); not a Memo of the cell texts, which
             # would keep every distinct one alive for the read
@@ -489,11 +474,6 @@ def _parse_token(i, line, lineno, path, text: Memo, semcats: Memo, confs: dict) 
             # a zero keeps its own object, since -0.0 == 0.0 would lose its sign
             if value and name in ("pap", "mlp_conf"):
                 value = confs.setdefault(value, value)
-        else:
-            try:
-                value = semcats[cell]
-            except SchemaError as exc:
-                raise ParseError(f"bad {name} {cell!r}", lineno, path) from exc
         values.append(value)
     try:
         return Token(*values[1:])
@@ -506,17 +486,15 @@ def read_dataset(path) -> Dataset:
 
     Missing fields stay absent (they are never defaulted to zero), and
     `reference_tokens` is None, since `write_dataset` does not write it.
-    Equal text cells read back as one string and equal SEMCATS cells as
-    one frozenset, each through a `Memo` of this read, and equal non-zero
-    PAP and CONF values as one float, through a dict of this read (a zero
-    is not shared, so that -0.0 keeps its sign).  The memos are dropped
-    before the `Dataset` is built.
+    Equal text cells read back as one string, through a `Memo` of this
+    read, and equal non-zero PAP and CONF values as one float, through a
+    dict of this read (a zero is not shared, so that -0.0 keeps its sign).
+    The memos are dropped before the `Dataset` is built.
     Raises ParseError naming the file and line for malformed rows, a number
-    or SEMCATS cell that is not the text `write_dataset` writes for its
-    value (such as "0.5", "1e-7", a governor "00" or categories "b|a") and
-    block rule breaches, and SchemaError naming the row for a bad token
-    and the block's header for a bad governor or an I-x that continues no
-    segment.
+    cell that is not the text `write_dataset` writes for its value (such
+    as "0.5", "1e-7" or a governor "00") and block rule breaches, and
+    SchemaError naming the row for a bad token and the block's header for
+    a bad governor or an I-x that continues no segment.
     """
     return Dataset(tuple(_read_utterances(path)))
 
@@ -526,10 +504,9 @@ def _read_utterances(path) -> list:
     on return, before the caller builds the `Dataset`."""
     utterances = []
     text = Memo(str)
-    semcats = Memo(_parse_semcats)
     confs = {}
     for uid, rows in read_blocks(path):
-        tokens = tuple(_parse_token(i, line, lineno, path, text, semcats, confs)
+        tokens = tuple(_parse_token(i, line, lineno, path, text, confs)
                        for i, (lineno, line) in enumerate(rows))
         try:
             validate_label_sequence([t.label for t in tokens], line_base=rows[0][0])

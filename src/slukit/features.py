@@ -6,7 +6,7 @@ confidence estimator.
 prefixes:
 
     surface         w=         the word, lowercased
-    sem_categories  cat=       each semantic category on the token
+    sem_categories  cat=       the token's semantic category
     syntactic       lemma=     the lemma (the word if none), lowercased
                     pos=       the POS tag
                     deprel=    the dependency relation
@@ -76,8 +76,8 @@ def utterance_features(utt: Utterance, spec: FeatureVectorSpec):
         feats = []
         if "surface" in fam:
             feats.append("w=" + lower)
-        if "sem_categories" in fam:
-            feats += ["cat=" + c for c in tok.sem_categories]
+        if "sem_categories" in fam and tok.sem_category is not None:
+            feats.append("cat=" + tok.sem_category)
         if "syntactic" in fam:
             gov = "root" if tok.governor is None else toks[tok.governor].pos or _ABSENT
             feats += ["lemma=" + (tok.lemma or tok.surface).lower(),

@@ -6,7 +6,7 @@ concept has enough support to train on, that values are recoverable by
 lexicon lookup, and that some concepts (REFERENCE, CONNECTOR) are
 carried by short confusable word sequences that also occur as plain
 filler.  Annotation (POS, lemma, governor, dependency relation,
-semantic categories) is rule-based and applied to any word sequence, so
+semantic category) is rule-based and applied to any word sequence, so
 recognizer hypotheses get re-annotated the same way reference text is.
 """
 from __future__ import annotations
@@ -17,7 +17,7 @@ import random
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
-from .corpus import NO_CATEGORIES, Dataset, Memo, PhraseTable, Token, Utterance
+from .corpus import Dataset, Memo, PhraseTable, Token, Utterance
 from .numutil import derived_seed
 
 
@@ -78,11 +78,9 @@ class DomainGrammar:
     @cached_property
     def category_table(self) -> PhraseTable:
         """`categories` as a phrase table whose payload is the token's
-        `sem_categories` set: one frozenset per category, shared by every
-        phrase and token naming it.  Built on first use (so later changes
-        to `categories` are not seen)."""
-        sets = Memo(lambda cat: frozenset((cat,)))
-        return PhraseTable((phrase, sets[cat]) for phrase, cat in self.categories.items())
+        `sem_category`, the table's own string.  Built on first use (so
+        later changes to `categories` are not seen)."""
+        return PhraseTable(self.categories.items())
 
     def vocabulary(self):
         """Words the clean generator can emit."""
@@ -355,10 +353,9 @@ def _token_rows(words, grammar: DomainGrammar, labels):
     lowered = [w.lower() for w in words]
     pos = [grammar.word_pos.get(w, "X") for w in lowered]
     head = next((i for i, p in enumerate(pos) if p == "VERB"), 0)
-    cats = [NO_CATEGORIES] * len(words)
-    for start, end, cat_set in grammar.category_table.matches(words):
-        if cat_set is not None:
-            cats[start:end] = [cat_set] * (end - start)
+    cats = []  # the spans cover the words in order, None where no phrase matches
+    for start, end, cat in grammar.category_table.matches(words):
+        cats += [cat] * (end - start)
     for i, w in enumerate(words):
         yield (w,
                # an unknown lowercase word is its own lemma, the same object
@@ -404,7 +401,8 @@ def generate_corpus(grammar: DomainGrammar, n: int, seed: int) -> Dataset:
     tokens equal `annotate_words` of its words, with its labels, and equal
     tokens are one shared frozen object: each is looked up by its fields
     in a `Memo` of this call before one is built, so a corpus holds one
-    token per distinct annotated word, not one per word.
+    token per distinct annotated word, not one per word.  A token's
+    `sem_category` is the string `grammar.categories` holds for it.
     """
     grammar.validate()
     if n < 1:

@@ -317,9 +317,6 @@ def _reference_fmt_conf(name, v):
 
 
 def reference_token_row(i, tok):
-    for cat in tok.sem_categories:
-        if cat in ("", ABSENT) or "|" in cat:
-            raise SchemaError(f"semantic category {cat!r} would not read back")
     row = "\t".join((
         str(i),
         tok.surface,
@@ -327,7 +324,7 @@ def reference_token_row(i, tok):
         _reference_fmt_opt(tok.pos),
         ABSENT if tok.governor is None else str(tok.governor),
         _reference_fmt_opt(tok.deprel),
-        "|".join(sorted(tok.sem_categories)) or ABSENT,
+        _reference_fmt_opt(tok.sem_category),
         _reference_fmt_conf("pap", tok.pap),
         _reference_fmt_conf("mlp_conf", tok.mlp_conf),
         _reference_fmt_opt(tok.error_flag),
@@ -353,23 +350,12 @@ def _reference_parse_opt(cell, caster, what, line, path):
 
 
 _REFERENCE_POOLED = frozenset(_REFERENCE_COLUMNS.index(c)
-                              for c in ("LEMMA", "POS", "DEPREL", "ERRFLAG", "LABEL"))
+                              for c in ("LEMMA", "POS", "DEPREL", "SEMCATS", "ERRFLAG",
+                                        "LABEL"))
 
 
-def _reference_parse_cats(cell, semcats, lineno, path):
-    """A SEMCATS cell, refused unless it is "_" or distinct, sorted
-    categories "|"-joined, none of them empty or "_"."""
-    cats = semcats.get(cell)
-    if cats is None:
-        parts = [] if cell == ABSENT else cell.split("|")
-        if parts != sorted(set(parts)) or "" in parts or ABSENT in parts:
-            raise ParseError(f"bad sem_categories {cell!r}", lineno, path)
-        cats = semcats[cell] = frozenset(parts)
-    return cats
-
-
-def reference_parse_token(i, line, lineno, path, text, semcats):
-    """`text` maps a cell to its shared string; `semcats` is a dict."""
+def reference_parse_token(i, line, lineno, path, text):
+    """`text` maps a cell to its shared string."""
     cells = line.split("\t")
     if len(cells) != len(_REFERENCE_COLUMNS):
         raise ParseError(f"expected {len(_REFERENCE_COLUMNS)} columns, found {len(cells)}",
@@ -385,7 +371,7 @@ def reference_parse_token(i, line, lineno, path, text, semcats):
             pos=opt[3],
             governor=_reference_parse_opt(cells[4], int, "governor", lineno, path),
             deprel=opt[5],
-            sem_categories=_reference_parse_cats(cells[6], semcats, lineno, path),
+            sem_category=opt[6],
             pap=_reference_parse_opt(cells[7], float, "pap", lineno, path),
             mlp_conf=_reference_parse_opt(cells[8], float, "confidence", lineno, path),
             error_flag=opt[9],

@@ -712,8 +712,9 @@ def test_write_cn_refuses_word_with_whitespace(tmp_path, words):
 
 def test_build_cn_uncovered_bin_raises(monkeypatch):
     # an alignment that skips a pivot bin breaks the one-entry-per-bin
-    # invariant; the check must raise, also under python -O
+    # invariant; the check must raise, also under python -O.  The pivot
+    # fills its own bins, so the second hypothesis is the one aligned.
     monkeypatch.setattr(alignment, "_align_each",
                         lambda ref, hyps: [alignment.Alignment(((MATCH, 0, 0),), 0)] * len(hyps))
     with pytest.raises(AlignmentError):
-        build_cn(NBest.from_pairs([(1.0, ["a", "b"])]))
+        build_cn(NBest.from_pairs([(1.0, ["a", "b"]), (0.5, ["a", "c"])]))

@@ -68,7 +68,7 @@ def test_read_bad_governor(tmp_path):
 def _row(**cells):
     """A corpus TSV row of token 0, "a", with the given cells replaced."""
     row = dict(index="0", surface="a", lemma="_", pos="_", governor="_", deprel="_",
-               semcats="_", pap="_", mlp_conf="_", error_flag="_", label="null")
+               sem_category="_", pap="_", mlp_conf="_", error_flag="_", label="null")
     row.update(cells)
     return "\t".join(row.values()) + "\n"
 
@@ -111,10 +111,6 @@ def _blob(edit):
      ParseError, "bad.tsv: line 3: bad governor '00'"),
     ("bad.tsv", "# id=u1\n\n", read_dataset, ParseError,
      "bad.tsv: line 1: utterance 'u1' has no rows"),
-    # a SEMCATS cell reads back only as the writer writes its categories
-    *(("bad.tsv", "# id=u1\n" + _row() + _row(index="1", semcats=cell) + "\n", read_dataset,
-       ParseError, re.escape(f"bad.tsv: line 3: bad sem_categories {cell!r}"))
-      for cell in ("b|a", "a|a", "a||c", "", "_|a", "|")),
     ("bad.vec", "a 0.5\nb\n", load_embeddings, ConfidenceError,
      "bad.vec: line 2: no vector components"),
     ("bad.vec", "a 0.5\nb x\n", load_embeddings, ConfidenceError, "bad.vec: line 2: bad float"),
@@ -127,11 +123,9 @@ def _blob(edit):
 ], ids=["too-few-cells", "index-out-of-order", "governor-not-int", "pap-not-float",
         "pap-out-of-range", "index-not-int", "mlp-conf-not-float", "mlp-conf-out-of-range",
         "pap-short", "mlp-conf-exponent", "pap-nan", "index-zero-padded",
-        "governor-zero-padded",
-        "header-without-rows", "semcats-unsorted", "semcats-repeated", "semcats-empty-inner",
-        "semcats-empty-cell", "semcats-absent-inner", "semcats-bar-only",
-        "embedding-without-components", "embedding-bad-float", "model-bad-magic",
-        "model-unsupported-version", "model-kind-mismatch"])
+        "governor-zero-padded", "header-without-rows", "embedding-without-components",
+        "embedding-bad-float", "model-bad-magic", "model-unsupported-version",
+        "model-kind-mismatch"])
 def test_read_malformed_row_reports_line(tmp_path, name, content, read, error, match):
     p = tmp_path / name
     if callable(content):
@@ -284,6 +278,12 @@ def test_label_segments_refuse_length_mismatch():
         label_segments(["a", "b"], ["B-TOWN"])
 
 
+_text = st.text(alphabet="ab #id=_|\t\n\rB-I", max_size=6)
+# text every writer accepts, so that some draws get past the refusals
+_plain = st.text(alphabet="ab", min_size=1, max_size=3)
+# a semantic category is any text, "|" and the empty text included
+_category = st.none() | _plain | _text | st.sampled_from(["", "a|b", "b|a", "|"])
+
 # values of each Token field, including ones the constructor refuses
 # (empty surface, pap/mlp_conf outside [0,1] or NaN, an unknown flag)
 # and governors the utterance refuses
@@ -294,7 +294,7 @@ _column_values = {
     "pos": st.none() | st.sampled_from(["NOUN", "VERB"]),
     "governor": st.none() | st.integers(min_value=-1, max_value=3),
     "deprel": st.none() | st.sampled_from(["obj", "nsubj"]),
-    "sem_categories": st.frozensets(st.sampled_from(["TOWN", "DATE"])),
+    "sem_category": _category,
     "pap": _confidences,
     "mlp_conf": _confidences,
     "error_flag": st.sampled_from([None, "correct", "error", "wrong"]),
@@ -306,7 +306,7 @@ _column_values = {
 def column_cases(draw, name):
     n = draw(st.integers(min_value=1, max_value=3))
     toks = tuple(Token(f"w{i}", lemma=f"w{i}", pos="NOUN", governor=0 if i else None,
-                       deprel="obj", sem_categories=frozenset({"TOWN"}), pap=0.5,
+                       deprel="obj", sem_category="TOWN", pap=0.5,
                        mlp_conf=0.25, error_flag="correct", label="B-TOWN")
                  for i in range(n))
     refs = draw(st.none() | st.just(toks[:1]))
@@ -455,9 +455,6 @@ def test_phrase_table_lowercases_keys_and_words():
 # Block files: every write either reads back as itself or is refused
 # ---------------------------------------------------------------------------
 
-_text = st.text(alphabet="ab #id=_|\t\n\rB-I", max_size=6)
-# text every writer accepts, so that some draws get past the refusals
-_plain = st.text(alphabet="ab", min_size=1, max_size=3)
 # six-decimal values (what the pipeline writes) and arbitrary ones
 _conf = st.none() | st.floats(min_value=0.0, max_value=1.0) | st.integers(
     min_value=0, max_value=10**6).map(lambda i: round(i / 10**6, 6))
@@ -469,7 +466,7 @@ def tokens(draw):
                  lemma=draw(st.none() | _plain),
                  pos=draw(st.none() | _plain),
                  deprel=draw(st.none() | _plain),
-                 sem_categories=frozenset(draw(st.lists(_plain | _text, max_size=2))),
+                 sem_category=draw(_category),
                  pap=draw(_conf),
                  mlp_conf=draw(_conf),
                  error_flag=draw(st.sampled_from([None, "correct", "error"])),
@@ -492,7 +489,7 @@ def datasets(draw):
                 gov = draw(st.sampled_from(kinds))(gov)
             changes = {"governor": gov}
             field = draw(st.sampled_from([None, None, "surface", "lemma", "pos", "deprel",
-                                          "label"]))
+                                          "sem_category", "label"]))
             if field is not None:
                 changes[field] = draw(st.integers(min_value=1, max_value=9) | st.just(0.5))
             toks.append(dataclasses.replace(draw(tokens()), **changes))
@@ -518,26 +515,26 @@ def _same_outcome(expected, actual):
     return got
 
 
-def _semcats():
-    """The SEMCATS memo `read_dataset` makes for one read."""
-    return Memo(corpus._parse_semcats)
-
-
 @given(st.integers(min_value=0, max_value=3), tokens(),
        st.none() | st.integers(min_value=0, max_value=3))
+@example(0, Token("a", sem_category=None), None)
+@example(0, Token("a", sem_category=""), None)
+@example(0, Token("a", sem_category="a|b"), None)
+@example(0, Token("a", sem_category="b|a"), None)
+@example(0, Token("a", sem_category="|"), None)
 def test_token_row_equals_reference(i, tok, governor):
     tok = dataclasses.replace(tok, governor=governor)
     row = _same_outcome(lambda: reference_token_row(i, tok), lambda: corpus._token_row(i, tok))
     if row is not None:
-        _same_outcome(lambda: reference_parse_token(i, row, 2, "d.tsv", Memo(str), {}),
-                      lambda: corpus._parse_token(i, row, 2, "d.tsv", Memo(str), _semcats(), {}))
+        _same_outcome(lambda: reference_parse_token(i, row, 2, "d.tsv", Memo(str)),
+                      lambda: corpus._parse_token(i, row, 2, "d.tsv", Memo(str), {}))
 
 
 # cells of every kind a row holds, well-formed or not
 _cells = st.sampled_from(["_", "0", "1", "x", "-1", "0.5", "1.5", "nan", "a", "B-x", "I-x",
                           "a|b", "correct", "wrong", "", "00", "+1", "1e-7", "0.500000",
                           "1.500000", "-0.000000", "inf",
-                          # SEMCATS cells `write_dataset` would write otherwise, or not at all
+                          # category cells holding "|", which read back as themselves
                           "b|a", "a|a", "a||c", "_|a", "|"])
 
 
@@ -550,8 +547,8 @@ _cells = st.sampled_from(["_", "0", "1", "x", "-1", "0.5", "1.5", "nan", "a", "B
 @example("0", ["a", "_", "_", "_", "_", "|", "_", "_", "_", "null"])
 def test_parse_token_equals_reference(index, cells):
     line = "\t".join([index, *cells])
-    _same_outcome(lambda: reference_parse_token(0, line, 5, "d.tsv", Memo(str), {}),
-                  lambda: corpus._parse_token(0, line, 5, "d.tsv", Memo(str), _semcats(), {}))
+    _same_outcome(lambda: reference_parse_token(0, line, 5, "d.tsv", Memo(str)),
+                  lambda: corpus._parse_token(0, line, 5, "d.tsv", Memo(str), {}))
 
 
 @given(datasets())
@@ -579,18 +576,26 @@ def test_outputs_roundtrip_or_refuse(tmp_path_factory, blocks):
     Token(surface="a\tb"),
     Token(surface="a", label="_"),
     Token(surface="a", lemma="_"),
-    Token(surface="a", sem_categories=frozenset({"X|Y"})),
-    Token(surface="a", sem_categories=frozenset({"_"})),
-    Token(surface="a", sem_categories=frozenset({""})),
+    Token(surface="a", sem_category="X\tY"),
+    Token(surface="a", sem_category="_"),
+    Token(surface="a", sem_category=frozenset({"TOWN"})),
     Token(surface="a", label="a\nb"),
     Token(surface="a", label="I-TOWN"),
     Token(surface="a", pap=0.1234567),
     Token(surface="a", mlp_conf=1 / 3),
-    Token(surface="a", sem_categories=frozenset({5})),
+    Token(surface="a", sem_category=5),
 ])
 def test_write_dataset_refuses_unrepresentable_token(tmp_path, tok):
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="^utterance 'u': "):
         write_dataset(Dataset((Utterance("u", (tok,)),)), tmp_path / "d.tsv")
+
+
+@pytest.mark.parametrize("category", [None, "TOWN", "", "a|b", "|"],
+                         ids=["none", "text", "empty", "bar-joined", "bar"])
+def test_tsv_category_roundtrips(tmp_path, category):
+    ds = Dataset((Utterance("u", (Token("a", sem_category=category),)),))
+    write_dataset(ds, tmp_path / "d.tsv")
+    assert read_dataset(tmp_path / "d.tsv") == ds
 
 
 @pytest.mark.parametrize("out", [
@@ -755,7 +760,7 @@ def test_writers_name_the_utterance_once(tmp_path, fmt, blocks, why):
 
 
 @pytest.mark.parametrize("record", [
-    Token("paris", lemma="paris", sem_categories=frozenset({"TOWN"}), pap=0.5),
+    Token("paris", lemma="paris", sem_category="TOWN", pap=0.5),
     Utterance("u", (Token("paris"),)),
     TaggerOutput("u", ("B-TOWN",)),
     ConceptSegment("TOWN", "paris", 0, 1),
@@ -777,14 +782,14 @@ def test_records_are_slotted_frozen_values(record):
 def test_read_dataset_shares_equal_text(tmp_path):
     def town(uid):
         return Utterance(uid, (Token("paris", lemma="paris", pos="PROPN", deprel="obl",
-                                     sem_categories=frozenset({"TOWN", "CITY"}),
+                                     sem_category="TOWN",
                                      error_flag="correct", label="B-TOWN"),))
 
     p = tmp_path / "two.tsv"
     write_dataset(Dataset((town("u1"), town("u2"))), p)
     (a,), (b,) = (u.tokens for u in read_dataset(p))
     assert a == b == town("u1").tokens[0]
-    for name in ("surface", "lemma", "pos", "deprel", "sem_categories", "error_flag", "label"):
+    for name in ("surface", "lemma", "pos", "deprel", "sem_category", "error_flag", "label"):
         assert getattr(a, name) is getattr(b, name), name
 
 

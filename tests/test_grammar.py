@@ -92,8 +92,8 @@ def test_annotation_looks_words_up_lowercased(default_grammar):
     mixed = annotate_words(["Want", "Paris", "ROOMS"], default_grammar)
     lower = annotate_words(["want", "paris", "rooms"], default_grammar)
     assert [t.surface for t in mixed] == ["Want", "Paris", "ROOMS"]
-    assert [(t.lemma, t.pos, t.governor, t.deprel, t.sem_categories) for t in mixed] == \
-        [(t.lemma, t.pos, t.governor, t.deprel, t.sem_categories) for t in lower]
+    assert [(t.lemma, t.pos, t.governor, t.deprel, t.sem_category) for t in mixed] == \
+        [(t.lemma, t.pos, t.governor, t.deprel, t.sem_category) for t in lower]
     assert mixed[1].pos == "PROPN" and mixed[1].lemma == "paris"
     assert mixed[2].lemma == "room"
     # a lowercase word that is its own lemma keeps one string for both
@@ -102,21 +102,21 @@ def test_annotation_looks_words_up_lowercased(default_grammar):
 
 def test_annotation_multiword_category(default_grammar):
     toks = annotate_words(["swimming", "pool"], default_grammar)
-    assert "SERVICE" in toks[0].sem_categories
-    assert "SERVICE" in toks[1].sem_categories
+    assert toks[0].sem_category == "SERVICE"
+    assert toks[1].sem_category == "SERVICE"
 
 
-def test_annotation_shares_one_set_per_category(default_grammar):
+def test_annotation_shares_one_string_per_category(default_grammar):
     # two utterances naming the same category, by other phrases and by
-    # the same one, share its one set; uncategorized tokens share the empty set
+    # the same one, share the grammar's one string; uncategorized tokens have None
     a = annotate_words(["a", "room", "in", "paris"], default_grammar)
     b = annotate_words(["lyon", "not", "paris"], default_grammar)
-    assert a[3].sem_categories == frozenset({"TOWN"})
-    assert a[3].sem_categories is b[0].sem_categories is b[2].sem_categories
-    assert a[0].sem_categories == frozenset() and a[0].sem_categories is b[1].sem_categories
-    # tokens still compare equal to ones built with sets of their own
-    assert a[3] == dataclasses.replace(a[3], sem_categories=frozenset({"TOWN"}))
-    assert b[1] == dataclasses.replace(b[1], sem_categories=frozenset())
+    town = default_grammar.categories["paris"]
+    assert town == "TOWN" and default_grammar.categories["lyon"] is town
+    assert a[3].sem_category is b[0].sem_category is b[2].sem_category is town
+    assert a[0].sem_category is None and b[1].sem_category is None
+    # tokens still compare equal to ones built with a string of their own
+    assert a[3] == dataclasses.replace(a[3], sem_category="".join(["TO", "WN"]))
 
 
 def _small_grammar():
@@ -152,7 +152,7 @@ def test_grammar_json_equals_reference(grammar, sha256):
     ("values", {"twenty": 5}), ("categories", {"paris": 7}), ("word_pos", {"paris": 3}),
     ("lemmas", {"rooms": 1}), ("insertion_words", (1,)), ("extra_vocab", (2,)),
 ], ids=["values", "categories", "word_pos", "lemmas", "insertion_words", "extra_vocab"])
-def test_grammar_from_json_refuses_a_value_of_the_wrong_type(default_grammar, key, value):
+def test_validate_refuses_a_table_value_of_the_wrong_type(default_grammar, key, value):
     old = getattr(default_grammar, key)
     bad = {**old, **value} if isinstance(value, dict) else old + value
     with pytest.raises(GrammarError, match=f"grammar key {key!r}"):

@@ -1,5 +1,6 @@
 """Every public function, class and method of `slukit` has a caller in the
-library or the benchmark, or a planned one.
+library or the benchmark, or a planned one, and every private name of
+`slukit` has a reader in the library.
 
 The scan parses `src/slukit/*.py` and `bench/*.py` and collects every
 public `def` and `class` name in the library, methods included.  A name
@@ -14,6 +15,13 @@ Two notes:
 - A change that adds library code for a later caller, such as ROADMAP
   item 1's CRF, lists its new names in `PLANNED` with the item that will
   call them, and the item that brings the caller takes them out.
+
+The private check collects every `_name` (dunders and `_` itself aside)
+that a `src/slukit` module binds at module level or in a class body: a
+`def`, a `class` or an assignment.  Each must be read, as a `Name`, an
+`Attribute` or a `from ... import`, by some `src/slukit` module; tests
+and the benchmark do not count.  So a private helper kept alive only for
+the tests that call it fails here.
 """
 import ast
 from pathlib import Path
@@ -61,6 +69,40 @@ def _scan():
     defined = {name for path in SRC for name in _defined(trees[path])}
     referred = {name for tree in trees.values() for name in _referred(tree)}
     return defined, referred
+
+
+def _private(name):
+    return name.startswith("_") and name != "_" and not (
+        name.startswith("__") and name.endswith("__"))
+
+
+def _bound(body):
+    """Names a module or class body binds by def, class or assignment, nested classes included."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+            if isinstance(node, ast.ClassDef):
+                yield from _bound(node.body)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+
+
+def _read(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            yield node.id if isinstance(node, ast.Name) else node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_private_library_name_has_a_reader_in_the_library():
+    trees = [ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SRC]
+    bound = {name for tree in trees for name in _bound(tree.body) if _private(name)}
+    read = {name for tree in trees for name in _read(tree)}
+    assert bound, "the scan found no private names"
+    unread = sorted(bound - read)
+    assert not unread, f"private names that no src/slukit module reads: {unread}"
 
 
 def test_every_public_library_name_has_a_caller():
