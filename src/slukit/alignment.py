@@ -24,9 +24,8 @@ from array import array
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .corpus import (CONFIDENCE_DECIMALS, FLAG_CORRECT, FLAG_ERROR, NULL_LABEL, Memo,
-                     ParseError, SchemaError, Token, Utterance, read_blocks, repair_bio,
-                     write_blocks)
+from .corpus import (CONFIDENCE_DECIMALS, FLAG_CORRECT, FLAG_ERROR, NULL_LABEL, ParseError,
+                     SchemaError, Token, Utterance, read_blocks, repair_bio, write_blocks)
 from .numutil import derived_seed
 
 EPS = "<eps>"
@@ -622,16 +621,16 @@ def _parse_weight(text) -> float:
     return weight
 
 
-def _nbest_pairs(path, rows, weight_of: Memo):
+def _nbest_pairs(path, rows, weight_of):
     """(weight, words) of each weight<TAB>words row of an n-best block;
     ParseError for a row other than the one `_nbest_rows` writes for them.
-    `weight_of` is a `Memo` of `_parse_weight`."""
+    `weight_of` is a `functools.cache` of `_parse_weight`."""
     for lineno, row in rows:
         weight_text, tab, words_text = row.partition("\t")
         if not tab:
             raise ParseError("expected weight<TAB>words", lineno, path)
         try:
-            weight = weight_of[weight_text]
+            weight = weight_of(weight_text)
         except (ValueError, SchemaError) as exc:
             raise ParseError(f"bad weight {weight_text!r}", lineno, path) from exc
         words = words_text.split()
@@ -652,7 +651,7 @@ def read_nbest(path):
     precision, its columns built as the rows are parsed.  Across the
     whole file, equal words are one string, and equal weight texts are
     parsed and checked once: each list's vocabulary and weights go
-    through a `corpus.Memo` of this read.  So a read-back costs about
+    through a `functools.cache` of this read.  So a read-back costs about
     what the `decode_nbest` lists cost, and `write_nbest` of it writes
     the same bytes.
     Only rows `write_nbest` writes read back.  Raises ParseError naming
@@ -662,7 +661,7 @@ def read_nbest(path):
     "a  b" or " a"), and each refusal of `corpus.read_blocks`, which owns
     the block rules.
     """
-    weight_of, shared_word = Memo(_parse_weight), Memo(str).__getitem__
+    weight_of, shared_word = functools.cache(_parse_weight), functools.cache(str)
     return [(uid, _nbest_block(path, rows, weight_of, shared_word))
             for uid, rows in read_blocks(path)]
 
@@ -677,9 +676,10 @@ def write_cn(path, per_utt) -> None:
     """per_utt: iterable of (utterance_id, ConfusionNetwork).
 
     Each bin is one row of `word:posterior` entries, read from the
-    network's columns.  Raises SchemaError naming the utterance for a
-    breach of the block rules (`corpus`), such as a network of no bins,
-    and a word that is not text, is empty or holds whitespace (entries are
-    space-joined).
+    network's columns.  The file records the bins but not the pivot, so
+    as it stands it cannot be read back as a `ConfusionNetwork`.  Raises
+    SchemaError naming the utterance for a breach of the block rules
+    (`corpus`), such as a network of no bins, and a word that is not
+    text, is empty or holds whitespace (entries are space-joined).
     """
     write_blocks(path, ((uid, _cn_rows(cn)) for uid, cn in per_utt))

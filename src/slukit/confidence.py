@@ -69,9 +69,10 @@ def load_embeddings(path, name="") -> EmbeddingTable:
     The dimension is fixed by the first row; rows that disagree are a
     format error.  A repeated word wins with its last row (warned).
     Raises ConfidenceError naming the file, and the line where there is
-    one, for a row without components, a bad float, a component that is
-    not finite (NaN or inf), a row of another dimension, bytes that are
-    not UTF-8, and a file with no rows.
+    one, for a row without components, a word `write_embeddings` would
+    refuse as empty or holding whitespace (such as a no-break space), a
+    bad float, a component that is not finite (NaN or inf), a row of
+    another dimension, bytes that are not UTF-8, and a file with no rows.
     """
     words, rows = [], []
     index = {}
@@ -82,6 +83,9 @@ def load_embeddings(path, name="") -> EmbeddingTable:
         if len(parts) < 2:
             raise ConfidenceError(f"{path}: line {lineno}: no vector components")
         word, comps = parts[0], parts[1:]
+        if word.split() != [word]:
+            raise ConfidenceError(
+                f"{path}: line {lineno}: word {word!r} is empty or holds whitespace")
         try:
             vec = [float(c) for c in comps]
         except ValueError as exc:

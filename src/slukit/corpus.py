@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, fields
+from functools import cache
 from itertools import chain
 from operator import attrgetter
 
@@ -292,8 +293,9 @@ def strip_error_labels(output: TaggerOutput) -> TaggerOutput:
 # not blank, and does not start with the header.  `write_blocks` refuses a
 # breach with SchemaError naming the utterance, `read_blocks` with
 # ParseError at the line of the block's header.  Readers parse equal cell
-# texts once per read, in a `Memo`, so equal text reads back as one object
-# and a read-back costs about what the data cost before it was written.
+# texts once per read, through a `functools.cache` made by the read, so
+# equal text reads back as one object and a read-back costs about what the
+# data cost before it was written.
 # ---------------------------------------------------------------------------
 
 HEADER = "# id="
@@ -326,24 +328,6 @@ def write_blocks(path, blocks) -> None:
             except (SchemaError, UnicodeEncodeError) as exc:
                 why = exc if isinstance(exc, SchemaError) else "text UTF-8 cannot encode"
                 raise SchemaError(f"utterance {block_id!r}: {why}") from exc
-
-
-class Memo(dict):
-    """`memo[key]` is `parse(key)`, computed on first use and then shared,
-    so equal text reads back as one object; `Memo(str)` shares equal strings.
-
-    Make one per read.  A memo is dropped with its read, unlike
-    `sys.intern`, whose strings are immortal on CPython 3.12.
-    """
-
-    __slots__ = ("parse",)
-
-    def __init__(self, parse):  # dict.__new__ has made the empty dict
-        self.parse = parse
-
-    def __missing__(self, key):
-        value = self[key] = self.parse(key)
-        return value
 
 
 def text_lines(path, refuse):
@@ -406,8 +390,9 @@ _CONFIDENCE_SPEC = f".{CONFIDENCE_DECIMALS}f"
 
 
 def _cell(name, value) -> str:
-    """The cell of a Token field; SchemaError for a value that would not
-    read back as itself.  The branches go from the most taken down."""
+    """The cell of column `name` of a row, the index or a Token field;
+    SchemaError for a value that would not read back as itself.  The
+    branches go from the most taken down."""
     if value is None:
         return ABSENT
     if name in _TEXT:
@@ -417,9 +402,9 @@ def _cell(name, value) -> str:
         if value == ABSENT and name != "surface":
             raise SchemaError(f"field {ABSENT!r} would read back as absent")
         return value
-    if name == "governor":
+    if name in ("index", "governor"):
         if type(value) is not int:  # so that True and 1.0 are refused
-            raise SchemaError(f"governor={value!r} is not an int")
+            raise SchemaError(f"{name}={value!r} is not an int")
         return str(value)
     text = f"{value:{_CONFIDENCE_SPEC}}"
     if float(text) != value:
@@ -428,7 +413,7 @@ def _cell(name, value) -> str:
 
 
 def _token_row(i, tok: Token) -> str:
-    row = "\t".join((str(i), *map(_cell, TOKEN_FIELDS, _token_row_values(tok))))
+    row = "\t".join(map(_cell, _ROW, (i, *_token_row_values(tok))))
     if row.count("\t") != len(_ROW) - 1:
         raise SchemaError(f"token {i} ({tok.surface!r}) has a field holding a tab")
     return row
@@ -447,28 +432,27 @@ def write_dataset(dataset: Dataset, path) -> None:
     write_blocks(path, ((utt.id, _utterance_rows(utt)) for utt in dataset))
 
 
-def _parse_token(i, line, lineno, path, text: Memo, confs: dict) -> Token:
-    """The token of row `i` at `lineno`; `confs` maps each non-zero
-    confidence read so far to its one shared float."""
+def _parse_token(i, line, lineno, path, text, confs: dict) -> Token:
+    """The token of row `i` at `lineno`; `text` maps a cell to its one
+    shared string, and `confs` maps each non-zero confidence read so far
+    to its one shared float."""
     cells = line.split("\t")
     if len(cells) != len(_ROW):
         raise ParseError(f"expected {len(_ROW)} columns, found {len(cells)}", lineno, path)
     values = []
     for name, cell in zip(_ROW, cells):
         if name in _TEXT:
-            value = None if cell == ABSENT and name != "surface" else text[cell]
+            value = None if cell == ABSENT and name != "surface" else text(cell)
         else:
             # only the text the writer writes for a value reads back ("0.5",
-            # "1e-7" and "00" do not); not a Memo of the cell texts, which
+            # "1e-7" and "00" do not); not a cache of the cell texts, which
             # would keep every distinct one alive for the read
             try:
                 value = None if cell == ABSENT else _NUMBERS[name](cell)
-                written = (cell if value is None else str(value) if name == "index"
-                           else _cell(name, value))
+                if _cell(name, value) != cell:
+                    raise ValueError(cell)
             except (ValueError, SchemaError):
-                written = None
-            if written != cell:
-                raise ParseError(f"bad {name} {cell!r}", lineno, path)
+                raise ParseError(f"bad {name} {cell!r}", lineno, path) from None
             if name == "index" and value != i:
                 raise ParseError(f"index {cell} out of order", lineno, path)
             # a zero keeps its own object, since -0.0 == 0.0 would lose its sign
@@ -486,10 +470,10 @@ def read_dataset(path) -> Dataset:
 
     Missing fields stay absent (they are never defaulted to zero), and
     `reference_tokens` is None, since `write_dataset` does not write it.
-    Equal text cells read back as one string, through a `Memo` of this
-    read, and equal non-zero PAP and CONF values as one float, through a
-    dict of this read (a zero is not shared, so that -0.0 keeps its sign).
-    The memos are dropped before the `Dataset` is built.
+    Equal text cells read back as one string, through a `functools.cache`
+    of this read, and equal non-zero PAP and CONF values as one float,
+    through a dict of this read (a zero is not shared, so that -0.0 keeps
+    its sign).  Both are dropped before the `Dataset` is built.
     Raises ParseError naming the file and line for malformed rows, a number
     cell that is not the text `write_dataset` writes for its value (such
     as "0.5", "1e-7" or a governor "00") and block rule breaches, and
@@ -500,10 +484,10 @@ def read_dataset(path) -> Dataset:
 
 
 def _read_utterances(path) -> list:
-    """The utterances of a corpus TSV; the memos of the read are dropped
+    """The utterances of a corpus TSV; the caches of the read are dropped
     on return, before the caller builds the `Dataset`."""
     utterances = []
-    text = Memo(str)
+    text = cache(str)
     confs = {}
     for uid, rows in read_blocks(path):
         tokens = tuple(_parse_token(i, line, lineno, path, text, confs)
@@ -525,6 +509,6 @@ def write_outputs(outputs, path) -> None:
 
 
 def read_outputs(path):
-    text = Memo(str)
-    return [TaggerOutput(uid, tuple(text[row] for _, row in rows))
+    text = cache(str)
+    return [TaggerOutput(uid, tuple(text(row) for _, row in rows))
             for uid, rows in read_blocks(path)]

@@ -152,9 +152,10 @@ class _Reference:
 def score(ref: Dataset, hyp: Dataset, outputs, value_table=None) -> ScoreReport:
     """CER/CVER of tagger outputs against the reference annotation.
 
-    `outputs` are matched to utterances by id and must cover every
-    reference utterance.  Each output's label list is segmented over the
-    recognizer words of its `hyp` utterance as it is (`output_segments`),
+    `outputs` and `hyp` are matched to utterances by id and must each
+    cover every reference utterance; EvaluationError names the side that
+    does not.  Each output's label list is segmented over the recognizer
+    words of its `hyp` utterance as it is (`output_segments`),
     with no token copied, and the hypothesized values are recovered from
     those words.  Error labels must already be stripped.  `value_table`
     maps phrases to normalized values.
@@ -172,8 +173,10 @@ def score(ref: Dataset, hyp: Dataset, outputs, value_table=None) -> ScoreReport:
     concepts, values = Counter(), Counter()
     hyp_total = 0
     for uid, ref_labels, ref_values in reference.rows:
-        if uid not in by_id or uid not in hyp_by_id:
+        if uid not in by_id:
             raise EvaluationError(f"no output for utterance {uid!r}")
+        if uid not in hyp_by_id:
+            raise EvaluationError(f"no recognizer hypothesis for utterance {uid!r}")
         hyp_segs = output_segments(hyp_by_id[uid], by_id[uid].labels, reference.values)
         hyp_total += len(hyp_segs)
         concepts.update(alignment.align(ref_labels, [g.label for g in hyp_segs]).counts())

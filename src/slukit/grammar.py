@@ -15,9 +15,9 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
-from .corpus import Dataset, Memo, PhraseTable, Token, Utterance
+from .corpus import Dataset, PhraseTable, Token, Utterance
 from .numutil import derived_seed
 
 
@@ -400,14 +400,14 @@ def generate_corpus(grammar: DomainGrammar, n: int, seed: int) -> Dataset:
     corpus equals the smaller corpus generated with the same seed.  Its
     tokens equal `annotate_words` of its words, with its labels, and equal
     tokens are one shared frozen object: each is looked up by its fields
-    in a `Memo` of this call before one is built, so a corpus holds one
-    token per distinct annotated word, not one per word.  A token's
-    `sem_category` is the string `grammar.categories` holds for it.
+    in a `functools.cache` of this call before one is built, so a corpus
+    holds one token per distinct annotated word, not one per word.  A
+    token's `sem_category` is the string `grammar.categories` holds for it.
     """
     grammar.validate()
     if n < 1:
         raise GrammarError(f"need n >= 1 utterances, got {n}")
-    shared_token = Memo(lambda row: Token(*row)).__getitem__
+    shared_token = cache(lambda row: Token(*row))
     utterances = []
     for i in range(n):
         rng = random.Random(derived_seed("gen", seed, i))

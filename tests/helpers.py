@@ -355,18 +355,18 @@ _REFERENCE_POOLED = frozenset(_REFERENCE_COLUMNS.index(c)
 
 
 def reference_parse_token(i, line, lineno, path, text):
-    """`text` maps a cell to its shared string."""
+    """`text(cell)` is the cell's shared string."""
     cells = line.split("\t")
     if len(cells) != len(_REFERENCE_COLUMNS):
         raise ParseError(f"expected {len(_REFERENCE_COLUMNS)} columns, found {len(cells)}",
                          lineno, path)
     if _reference_parse_opt(cells[0], int, "index", lineno, path) != i:
         raise ParseError(f"index {cells[0]} out of order", lineno, path)
-    opt = [None if cell == ABSENT else text[cell] if k in _REFERENCE_POOLED else cell
+    opt = [None if cell == ABSENT else text(cell) if k in _REFERENCE_POOLED else cell
            for k, cell in enumerate(cells)]
     try:
         return Token(
-            surface=text[cells[1]],
+            surface=text(cells[1]),
             lemma=opt[2],
             pos=opt[3],
             governor=_reference_parse_opt(cells[4], int, "governor", lineno, path),

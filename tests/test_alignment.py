@@ -109,6 +109,8 @@ def test_noise_config_invariants():
         NoiseConfig(sub_rate=0.0, del_rate=1.0, ins_rate=0.0)
     with pytest.raises(AlignmentError):
         NoiseConfig(sub_rate=0.6, del_rate=0.3, ins_rate=0.2)
+    with pytest.raises(AlignmentError, match=r"nbest_correlation outside \[0,1\]"):
+        NoiseConfig(nbest_correlation=1.5)
     assert NoiseConfig().target_wer == pytest.approx(23.8)
 
 
@@ -362,6 +364,13 @@ def test_build_cn_refuses_weight_not_finite_and_positive(weight):
         build_cn(NBest.from_pairs([(weight, ["a", "b"]), (0.5, ["a"])]))
 
 
+def test_decode_nbest_and_build_cn_refuse_an_empty_list(noise_config):
+    with pytest.raises(AlignmentError, match="need n >= 1 hypotheses, got 0"):
+        decode_nbest(utt("u", ["a"]), noise_config, 0)
+    with pytest.raises(AlignmentError, match="need at least one hypothesis"):
+        build_cn(NBest.from_pairs([]))
+
+
 def test_build_cn_refuses_weights_whose_sum_overflows():
     with pytest.raises(AlignmentError):
         build_cn(NBest.from_pairs([(1e308, ["a"]), (1e308, ["a"])]))
@@ -377,6 +386,9 @@ def test_pap_of():
     assert pap_of(cn, ["a", "b"]) == [1.0, 0.5]
     with pytest.raises(AlignmentError):
         pap_of(cn, ["a", "c"])
+    # a network built by hand may lack a pivot word in its own bin
+    cn = cn_from_bins(((("c", 1.0),), (("b", 0.75), (EPS, 0.25))), ("a", "b"))
+    assert pap_of(cn, ["a", "b"]) == [0.0, 0.75]
 
 
 def test_attach_pap_sets_rounded_pap_and_nothing_else(small_corpus, noise_config):
@@ -407,6 +419,11 @@ def test_project_insertion_gets_null():
     hyp_toks = tuple(Token(surface=w) for w in ["book", "euh", "paris"])
     hyp = Utterance("u", hyp_toks, reference_tokens=ref.tokens)
     assert project_labels(hyp).labels() == [NULL_LABEL, NULL_LABEL, "B-TOWN"]
+
+
+def test_project_refuses_an_utterance_without_reference_tokens():
+    with pytest.raises(AlignmentError, match="utterance 'u' has no reference tokens"):
+        project_labels(utt("u", ["a"]))
 
 
 def test_project_promotes_orphan_continuation():
@@ -452,6 +469,22 @@ def test_read_nbest_shares_equal_words(tmp_path):
     assert nb1.ids == array("I", [0, 1, 0, 0, 1]) and nb1.ends == array("I", [2, 3, 5])
     assert nb2.ids == array("I", [0, 0, 1]) and nb2.ends == array("I", [2, 3])
     assert len(nb1) == 3 and nb1[2] == (0.25, ("paris", "lyon")) and nb1[-3] == nb1[0]
+
+
+def test_read_nbest_parses_each_weight_text_once(tmp_path, monkeypatch):
+    p = tmp_path / "hyp.nbest"
+    write_nbest(p, [("u1", NBest.from_pairs([(0.5, ["a"]), (0.25, ["b"]), (0.5, ["c"])])),
+                    ("u2", NBest.from_pairs([(0.25, ["a"]), (1.0, ["b"])]))])
+    texts = []
+
+    def counted(text, parse=alignment._parse_weight):
+        texts.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(alignment, "_parse_weight", counted)
+    (_, nb1), (_, nb2) = read_nbest(p)
+    assert texts == ["5.000000000e-01", "2.500000000e-01", "1.000000000e+00"]
+    assert list(nb1.weights) == [0.5, 0.25, 0.5] and list(nb2.weights) == [0.25, 1.0]
 
 
 @pytest.mark.parametrize("weights, vocab, ids, ends, match", [

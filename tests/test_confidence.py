@@ -73,6 +73,20 @@ def test_load_embeddings_names_the_line_of_a_component_that_is_not_finite(tmp_pa
         load_embeddings(p)
 
 
+@pytest.mark.parametrize("word", ["a\xa0b", "c\x0bd", "e\x85f", "g\x1ch", "", "i j"],
+                         ids=["no-break-space", "vertical-tab", "next-line", "file-separator",
+                              "empty", "space"])
+def test_load_embeddings_refuses_a_word_the_writer_refuses(tmp_path, word):
+    p = tmp_path / "emb.txt"
+    p.write_text(f"a 0.1 0.2\n{word} 0.5 1\n", encoding="utf-8", newline="\n")
+    # a space splits the row, so the rest of that word is read as a component
+    why = "bad float" if " " in word else f"word {word!r} is empty or holds whitespace"
+    with pytest.raises(ConfidenceError, match=f"^{re.escape(f'{p}: line 2: {why}')}$"):
+        load_embeddings(p)
+    with pytest.raises(ConfidenceError, match="is empty or holds whitespace"):
+        write_embeddings(EmbeddingTable([word], np.zeros((1, 2))), tmp_path / "out.txt")
+
+
 def test_load_embeddings_duplicate_last_wins(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("a 1.0 1.0\na 2.0 2.0\n")
@@ -145,6 +159,14 @@ def test_write_embeddings_refuses_empty_table(tmp_path, shape):
     assert not p.exists()
 
 
+@pytest.mark.parametrize("words, matrix", [
+    (["a", "b"], np.zeros((1, 2))), (["a"], np.zeros((2, 1))), (["a", "b"], np.zeros(2)),
+], ids=["fewer-rows", "more-rows", "not-a-matrix"])
+def test_embedding_table_refuses_a_matrix_other_than_its_vocabulary(words, matrix):
+    with pytest.raises(ConfidenceError, match="embedding matrix does not match vocabulary"):
+        EmbeddingTable(words, matrix)
+
+
 # ---------------------------------------------------------------------------
 # Autoencoder
 # ---------------------------------------------------------------------------
@@ -154,6 +176,12 @@ def tiny_tables():
     vocab = [f"w{i}" for i in range(50)]
     return [make_hash_embeddings(vocab, 5, "cbow", 3),
             make_hash_embeddings(vocab, 7, "glove", 4)]
+
+
+def test_train_autoencoder_refuses_tables_sharing_no_vocabulary():
+    tables = [make_hash_embeddings(["a"], 2, "cbow", 1), make_hash_embeddings(["b"], 2, "glove", 1)]
+    with pytest.raises(ConfidenceError, match="embedding tables share no vocabulary"):
+        train_autoencoder(tables, d=2, epochs=0, seed=0)
 
 
 def test_ae_gradient_matches_finite_differences(tiny_tables):

@@ -3,6 +3,7 @@ import math
 import re
 import struct
 import time
+from functools import cache
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from slukit import corpus
 from slukit.alignment import NBest, corrupt, decode_nbest, read_nbest, write_cn, write_nbest
 from slukit.confidence import ConfidenceError, load_embeddings
 from slukit.corpus import (ERROR_C, ERROR_N, NULL_LABEL, ConceptSegment,
-                           Dataset, Memo, ParseError, PhraseTable, SchemaError,
+                           Dataset, ParseError, PhraseTable, SchemaError,
                            TOKEN_FIELDS, TaggerOutput, Token, Utterance,
                            augment_error_labels, label_segments,
                            read_dataset, read_outputs,
@@ -183,6 +184,11 @@ def test_confidence_absent_is_not_zero(tmp_path):
     p.write_text("# id=u\n0\tword\t_\t_\t_\t_\t_\t_\t_\t_\t_\n\n")
     tok = read_dataset(p).utterances[0].tokens[0]
     assert tok.pap is None and tok.mlp_conf is None and tok.label is None
+
+
+def test_utterance_refuses_no_tokens():
+    with pytest.raises(SchemaError, match="utterance 'u' has no tokens"):
+        Utterance("u", ())
 
 
 def test_duplicate_ids_rejected():
@@ -382,7 +388,10 @@ def test_augment_inserted_token():
 
 def test_augment_requires_flags():
     u = utt("u", ["a"], [NULL_LABEL])
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="token 0 of 'u' lacks an error flag"):
+        augment_error_labels(u)
+    u = utt("u", ["a"], flags=["correct"])
+    with pytest.raises(SchemaError, match="token 0 of 'u' lacks a projected label"):
         augment_error_labels(u)
 
 
@@ -526,8 +535,8 @@ def test_token_row_equals_reference(i, tok, governor):
     tok = dataclasses.replace(tok, governor=governor)
     row = _same_outcome(lambda: reference_token_row(i, tok), lambda: corpus._token_row(i, tok))
     if row is not None:
-        _same_outcome(lambda: reference_parse_token(i, row, 2, "d.tsv", Memo(str)),
-                      lambda: corpus._parse_token(i, row, 2, "d.tsv", Memo(str), {}))
+        _same_outcome(lambda: reference_parse_token(i, row, 2, "d.tsv", cache(str)),
+                      lambda: corpus._parse_token(i, row, 2, "d.tsv", cache(str), {}))
 
 
 # cells of every kind a row holds, well-formed or not
@@ -547,8 +556,8 @@ _cells = st.sampled_from(["_", "0", "1", "x", "-1", "0.5", "1.5", "nan", "a", "B
 @example("0", ["a", "_", "_", "_", "_", "|", "_", "_", "_", "null"])
 def test_parse_token_equals_reference(index, cells):
     line = "\t".join([index, *cells])
-    _same_outcome(lambda: reference_parse_token(0, line, 5, "d.tsv", Memo(str)),
-                  lambda: corpus._parse_token(0, line, 5, "d.tsv", Memo(str), {}))
+    _same_outcome(lambda: reference_parse_token(0, line, 5, "d.tsv", cache(str)),
+                  lambda: corpus._parse_token(0, line, 5, "d.tsv", cache(str), {}))
 
 
 @given(datasets())
@@ -818,15 +827,6 @@ def test_tsv_confidences_roundtrip_shared_and_signed(tmp_path_factory, utts):
     for v in confs:
         if v:
             assert first.setdefault(v, v) is v
-
-
-def test_memo_parses_each_text_once():
-    calls = []
-    memo = Memo(lambda text: calls.append(text) or float(text))
-    assert memo["0.5"] is memo["0.5"] and calls == ["0.5"]
-    with pytest.raises(ValueError):
-        memo["x"]
-    assert "x" not in memo
 
 
 def test_read_outputs_shares_equal_labels(tmp_path):

@@ -137,8 +137,11 @@ def test_score_repairs_and_ignores_abstain():
 
 def test_score_missing_output():
     ref, hyp, outs = _pair(["B-A"], ["B-A"])
-    with pytest.raises(EvaluationError):
+    with pytest.raises(EvaluationError, match="no output for utterance 'u'"):
         score(ref, hyp, [TaggerOutput("other", ("B-A",))])
+    # the outputs cover the reference, the recognizer hypotheses do not
+    with pytest.raises(EvaluationError, match="no recognizer hypothesis for utterance 'u'"):
+        score(ref, Dataset((utt("other", ["r0"]),)), outs)
 
 
 def test_score_alignment_matches_exhaustive_oracle():
@@ -277,16 +280,30 @@ def test_tune_weights_prefers_dominant_system():
     assert weights == (1.0, 0.0, 0.0)
 
 
-@pytest.mark.parametrize("call", [
-    lambda systems, ref, hyp: tune_weights(systems, ref, hyp, step=0.0),
-    lambda systems, ref, hyp: tune_weights(systems, ref, hyp, step=math.nan),
-    lambda systems, ref, hyp: records_from_dataset(hyp, "bogus"),
-], ids=["step-zero", "step-nan", "unknown-measure"])
-def test_bad_arguments_raise_evaluation_error(call):
+@pytest.mark.parametrize("call, match", [
+    (lambda systems, ref, hyp: tune_weights(systems, ref, hyp, step=0.0), "outside"),
+    (lambda systems, ref, hyp: tune_weights(systems, ref, hyp, step=math.nan), "outside"),
+    (lambda systems, ref, hyp: records_from_dataset(hyp, "bogus"), "unknown confidence measure"),
+    (lambda systems, ref, hyp: tune_weights(systems, ref, hyp, step=0.3), "does not divide 1"),
+    (lambda systems, ref, hyp: ConfidenceRecord(True, 1.5), r"1.5 outside \[0,1\]"),
+    (lambda systems, ref, hyp: nce([]), "no confidence records"),
+    (lambda systems, ref, hyp: calibration_bins([], 1), "need >= 2 bins, got 1"),
+    (lambda systems, ref, hyp: evaluation.output_segments(hyp.utterances[0], ("B-A", "B-A")),
+     "'u': 2 labels for 1 tokens"),
+    (lambda systems, ref, hyp: score(hyp, hyp, systems[0]), "no concept segments"),
+    (lambda systems, ref, hyp: combine_weighted([], []), "no systems to combine"),
+    (lambda systems, ref, hyp: consensus([systems[0], [TaggerOutput("v", ("B-A",))]]),
+     "systems tagged different utterance sets"),
+    (lambda systems, ref, hyp: combine_weighted(systems, [1.0]), "2 systems but 1 weights"),
+], ids=["step-zero", "step-nan", "unknown-measure", "step-not-dividing-one",
+        "confidence-outside", "nce-no-records", "one-bin", "labels-for-tokens",
+        "reference-without-concepts", "no-systems", "different-utterances",
+        "weights-for-systems"])
+def test_bad_arguments_raise_evaluation_error(call, match):
     ref = Dataset((utt("u", ["a"], ["B-A"]),))
     hyp = Dataset((utt("u", ["a"]),))
     systems = [[TaggerOutput("u", ("B-A",))], [TaggerOutput("u", (NULL_LABEL,))]]
-    with pytest.raises(EvaluationError):
+    with pytest.raises(EvaluationError, match=match):
         call(systems, ref, hyp)
 
 

@@ -76,6 +76,8 @@ def test_empty_grammar_rejected(default_grammar):
                           word_pos={})
     with pytest.raises(GrammarError):
         generate_corpus(empty, 5, 0)
+    with pytest.raises(GrammarError, match="grammar has no slots"):
+        dataclasses.replace(default_grammar, slots={}).validate()
     with pytest.raises(GrammarError):
         generate_corpus(default_grammar, 0, 0)
 
@@ -180,9 +182,15 @@ def _with_realization(grammar, weight, words):
      r"slot TOWN realization \('rome',\) has weight '1'"),
     (lambda g: _with_realization(g, math.nan, ("rome",)),
      r"slot TOWN realization \('rome',\) has weight nan"),
+    (lambda g: _with_pattern(g, 1.0, ()), r"bad pattern \(\)"),
+    (lambda g: _with_pattern(g, 1.0, ("$NOWHERE",)), r"pattern references unknown slot \$NOWHERE"),
+    (lambda g: dataclasses.replace(g, slots={**g.slots, "TOWN": SlotSpec("TOWN", ())}),
+     "slot TOWN has no realizations"),
+    (lambda g: _with_realization(g, 1.0, ()), "slot TOWN has an empty realization"),
 ], ids=["pattern-item", "pattern-weight-text", "pattern-weight-nan", "pattern-weight-inf",
         "pattern-weight-bool", "realization-word", "realization-weight-text",
-        "realization-weight-nan"])
+        "realization-weight-nan", "pattern-empty", "pattern-unknown-slot",
+        "slot-without-realizations", "realization-empty"])
 def test_validate_names_a_pattern_or_slot_entry_of_the_wrong_type(default_grammar, edit, match):
     grammar = edit(default_grammar)
     with pytest.raises(GrammarError, match=match):
