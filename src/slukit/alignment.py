@@ -280,9 +280,10 @@ class NBest:
     iteration give (weight, words tuple), the tuple built on each access.
 
     Raises AlignmentError for a `weights` column of another length than
-    `ends`, `ends` that decrease or whose last value is not `len(ids)`,
-    an id outside `vocab`, and a word twice in `vocab`; an entry may be
-    empty.  Lists compare equal column by column and are not hashable.
+    `ends`, `ends` that start below 0, decrease or whose last value is not
+    `len(ids)`, an id outside `vocab` (a negative one too), and a word
+    twice in `vocab`; an entry may be empty.  Lists compare equal column
+    by column and are not hashable.
     """
 
     weights: array
@@ -296,11 +297,12 @@ class NBest:
         if len(self.weights) != len(self.ends):
             raise AlignmentError(f"{len(self.weights)} weights for {len(self.ends)} entries")
         if ((self.ends[-1] if self.ends else 0) != len(self.ids)
-                or list(self.ends) != sorted(self.ends)):
+                or not all(start <= end for start, end in _spans(self.ends))):
             raise AlignmentError(f"the ends column does not split {len(self.ids)} ids "
                                  "into entries")
-        if self.ids and max(self.ids) >= len(self.vocab):
-            raise AlignmentError(f"id {max(self.ids)} is outside a vocabulary of "
+        outside = [i for i in self.ids if not 0 <= i < len(self.vocab)]
+        if outside:
+            raise AlignmentError(f"id {outside[0]} is outside a vocabulary of "
                                  f"{len(self.vocab)} words")
         if len(set(self.vocab)) != len(self.vocab):
             raise AlignmentError("a word appears twice in the vocabulary")

@@ -11,7 +11,6 @@ averaged per example (per word).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -38,16 +37,22 @@ class ConfidenceError(Exception):
 # ---------------------------------------------------------------------------
 
 class EmbeddingTable:
-    """vocabulary -> fixed-dimension vectors; an unknown word maps to the
-    zero vector."""
+    """vocabulary -> fixed-dimension vectors, one row per word (a word twice is a
+    ConfidenceError).  `padded` is the matrix over one zero row, row `len(table)`,
+    the row of every word the table lacks; `matrix` is a view of its other rows."""
 
     def __init__(self, words, matrix, name=""):
         self.words = list(words)
-        self.matrix = np.asarray(matrix, dtype=np.float64)
-        if self.matrix.ndim != 2 or len(self.words) != self.matrix.shape[0]:
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.ndim != 2 or len(self.words) != matrix.shape[0]:
             raise ConfidenceError("embedding matrix does not match vocabulary")
+        self._index = {}
+        for i, w in enumerate(self.words):
+            if self._index.setdefault(w, i) != i:
+                raise ConfidenceError(f"word {w!r} appears twice")
+        self.padded = np.vstack([matrix, np.zeros((1, matrix.shape[1]))])
+        self.matrix = self.padded[:-1]
         self.name = name
-        self._index = {w: i for i, w in enumerate(self.words)}
 
     def __len__(self):
         return len(self.words)
@@ -56,26 +61,24 @@ class EmbeddingTable:
     def dim(self):
         return self.matrix.shape[1]
 
-    def lookup(self, word):
-        i = self._index.get(word)
-        if i is not None:
-            return self.matrix[i]
-        return np.zeros(self.dim)
+    def row_ids(self, words) -> list:
+        """Each word's row of `padded`; the zero row for a word the table lacks."""
+        zero = len(self.words)
+        return [self._index.get(w, zero) for w in words]
 
 
 def load_embeddings(path, name="") -> EmbeddingTable:
     """Text format: one "word v1 v2 ... vd" per line, space separated.
 
     The dimension is fixed by the first row; rows that disagree are a
-    format error.  A repeated word wins with its last row (warned).
-    Raises ConfidenceError naming the file, and the line where there is
-    one, for a row without components, a word `write_embeddings` would
-    refuse as empty or holding whitespace (such as a no-break space), a
-    bad float, a component that is not finite (NaN or inf), a row of
-    another dimension, bytes that are not UTF-8, and a file with no rows.
+    format error.  Raises ConfidenceError naming the file, and the line
+    where there is one, for a row without components, a word
+    `write_embeddings` would refuse as empty or holding whitespace (such
+    as a no-break space), a word on an earlier line (named too), a bad
+    float, a component that is not finite (NaN or inf), a row of another
+    dimension, bytes that are not UTF-8, and a file with no rows.
     """
-    words, rows = [], []
-    index = {}
+    lines, rows = {}, []  # each word's line, in file order, and its row
     dim = None
     for lineno, line in text_lines(
             path, lambda n: ConfidenceError(f"{path}: line {n}: text is not UTF-8")):
@@ -86,6 +89,9 @@ def load_embeddings(path, name="") -> EmbeddingTable:
         if word.split() != [word]:
             raise ConfidenceError(
                 f"{path}: line {lineno}: word {word!r} is empty or holds whitespace")
+        if word in lines:
+            raise ConfidenceError(
+                f"{path}: line {lineno}: word {word!r} repeats line {lines[word]}")
         try:
             vec = [float(c) for c in comps]
         except ValueError as exc:
@@ -97,32 +103,27 @@ def load_embeddings(path, name="") -> EmbeddingTable:
         elif len(vec) != dim:
             raise ConfidenceError(
                 f"{path}: line {lineno}: dimension {len(vec)} != {dim}")
-        if word in index:
-            warnings.warn(f"{path}: duplicate word {word!r}, keeping last")
-            rows[index[word]] = vec
-        else:
-            index[word] = len(words)
-            words.append(word)
-            rows.append(vec)
-    if not words:
+        lines[word] = lineno
+        rows.append(vec)
+    if not rows:
         raise ConfidenceError(f"{path}: no embedding rows")
-    return EmbeddingTable(words, np.array(rows, dtype=np.float64), name=name or str(path))
+    return EmbeddingTable(lines, np.array(rows, dtype=np.float64), name=name or str(path))
 
 
 def write_embeddings(table: EmbeddingTable, path) -> None:
-    """Write `table` in the format `load_embeddings` reads.
+    """Write `table` in the format `load_embeddings` reads, which reads it
+    back with each component rounded to six decimals.
 
     Raises ConfidenceError, before the file is opened, for a table that
-    would not read back as itself: one with no words or no vector
-    components, a component that is not finite (NaN or inf), or a word
-    that is not text, is empty, holds whitespace, holds text UTF-8
-    cannot encode (a lone surrogate) or appears twice.
+    would not read back: one with no words or no vector components, a
+    component that is not finite (NaN or inf), or a word that is not
+    text, is empty, holds whitespace or holds text UTF-8 cannot encode (a
+    lone surrogate).
     """
     if not table.words or table.dim < 1:
         raise ConfidenceError(f"cannot write a {len(table)} x {table.dim} embedding table")
     if not np.isfinite(table.matrix).all():
         raise ConfidenceError("cannot write an embedding component that is not finite")
-    seen = set()
     for w in table.words:
         if not isinstance(w, str):
             raise ConfidenceError(f"word {w!r} is not text")
@@ -132,9 +133,6 @@ def write_embeddings(table: EmbeddingTable, path) -> None:
             w.encode("utf-8")
         except UnicodeEncodeError as exc:
             raise ConfidenceError(f"word {w!r} holds text UTF-8 cannot encode") from exc
-        if w in seen:
-            raise ConfidenceError(f"word {w!r} appears twice")
-        seen.add(w)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for w, row in zip(table.words, table.matrix):
             fh.write(w + " " + " ".join(f"{v:.6f}" for v in row) + "\n")
@@ -268,7 +266,7 @@ def shared_vocabulary(tables):
 
 
 def concat_vectors(tables, words):
-    return np.stack([np.concatenate([t.lookup(w) for t in tables]) for w in words])
+    return np.hstack([t.padded[t.row_ids(words)] for t in tables])
 
 
 def train_autoencoder(tables, d, epochs=300, seed=0):
@@ -386,8 +384,6 @@ class MsMlpVectorizer:
         self.bigrams = frozenset(bigrams)
         self._pos_idx = {p: i for i, p in enumerate(self.pos_vocab)}
         self._rel_idx = {r: i for i, r in enumerate(self.deprel_vocab)}
-        # fused rows plus one zero row for unknown words and padding
-        self._rows = np.vstack([fused.matrix, np.zeros((1, fused.dim))])
         # one-hot rows for the categorical streams
         self._lm_eye = np.eye(3)
         self._pos_eye = np.eye(len(self.pos_vocab))
@@ -424,9 +420,8 @@ class MsMlpVectorizer:
         n = sum(lengths)
         ids = {name: np.empty((n, 2 * WINDOW + 1) if name == "window" else n, np.int32)
                for name in STREAM_ORDER}
-        zero_row = len(self.fused)
         # each utterance's fused rows between WINDOW zero rows on either side
-        padded = np.full(n + 2 * WINDOW * len(lengths), zero_row, np.int32)
+        rows = np.full(n + 2 * WINDOW * len(lengths), len(self.fused), np.int32)
         pos_unk, rel_unk = self._pos_idx["<unk>"], self._rel_idx["<unk>"]
         root = self._pos_idx.get("root", pos_unk)
         at = 0
@@ -435,8 +430,7 @@ class MsMlpVectorizer:
             end = at + len(toks)
             words = [t.surface for t in toks]
             shift = (2 * k + 1) * WINDOW
-            padded[at + shift:end + shift] = [self.fused._index.get(w.lower(), zero_row)
-                                              for w in words]
+            rows[at + shift:end + shift] = self.fused.row_ids(w.lower() for w in words)
             ids["length"][at:end] = [len(w) for w in words]
             ids["lm"][at:end] = [lm_category(prev, w, self.unigrams, self.bigrams)
                                  for prev, w in zip([BOS] + words, words)]
@@ -448,13 +442,13 @@ class MsMlpVectorizer:
                                      for t in toks]
             at = end
         first = np.arange(n) + np.repeat(2 * WINDOW * np.arange(len(lengths)), lengths)
-        ids["window"][:] = padded[first[:, None] + np.arange(2 * WINDOW + 1)]
+        ids["window"][:] = rows[first[:, None] + np.arange(2 * WINDOW + 1)]
         return ids
 
     def gather(self, ids, sel=slice(None)) -> dict:
         """Each stream's float64 rows for the tokens that `sel`, an index array
         or a slice, selects from the `encode` ids `ids`."""
-        window = self._rows[ids["window"][sel]]
+        window = self.fused.padded[ids["window"][sel]]
         return {
             "window": window.reshape(len(window), (2 * WINDOW + 1) * self.fused.dim),
             "length": ids["length"][sel, None] / 10.0,

@@ -54,8 +54,9 @@ class DomainGrammar:
             if not all(type(k) is str and type(v) is str for k, v in getattr(self, key).items()):
                 raise GrammarError(f"grammar key {key!r} is not a table of text to text")
         for key in ("insertion_words", "extra_vocab"):
-            if not all(type(w) is str for w in getattr(self, key)):
-                raise GrammarError(f"grammar key {key!r} is not a list of text")
+            if not all(type(w) is str and w.split() == [w] for w in getattr(self, key)):
+                raise GrammarError(f"grammar key {key!r} is not a list of words "
+                                   "(non-empty text without whitespace)")
         if not self.patterns:
             raise GrammarError("grammar has no patterns")
         if not self.slots:
@@ -103,13 +104,15 @@ class DomainGrammar:
 def _check_entry(what, weight, words):
     """GrammarError naming `what`, a pattern or a slot realization, for a
     weight that is not a finite number above 0 (a bool is not one) and a
-    word that is not text."""
+    word that is not text, is empty or holds whitespace (`write_nbest`'s
+    rule)."""
     if (not isinstance(weight, (int, float)) or isinstance(weight, bool)
             or not (math.isfinite(weight) and weight > 0)):
         raise GrammarError(f"{what} has weight {weight!r}, not a finite positive number")
     for word in words:
-        if type(word) is not str:
-            raise GrammarError(f"{what} holds {word!r}, which is not text")
+        if type(word) is not str or word.split() != [word]:
+            raise GrammarError(f"{what} holds {word!r}, which is not a word "
+                               "(non-empty text without whitespace)")
 
 
 # ---------------------------------------------------------------------------

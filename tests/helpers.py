@@ -519,8 +519,9 @@ def reference_training_matrix(dataset, vectorizer):
 
 
 def reference_streams(vectorizer, u):
-    """MS-MLP input streams built token by token: each window slot
-    looked up in the fused table (zeros past either end) and joined with
+    """MS-MLP input streams built token by token: each window slot read
+    from a word -> row dict of the fused table's words and matrix (zeros
+    for an unknown word and past either end) and joined with
     `np.concatenate`, and each one-hot set in a fresh zero vector."""
 
     def onehot(vocab, tag):
@@ -530,8 +531,9 @@ def reference_streams(vectorizer, u):
 
     n = len(u.tokens)
     d = vectorizer.fused.dim
-    vecs = [vectorizer.fused.lookup(t.surface.lower()) for t in u.tokens]
     pad = np.zeros(d)
+    fused = dict(zip(vectorizer.fused.words, vectorizer.fused.matrix))
+    vecs = [fused.get(t.surface.lower(), pad) for t in u.tokens]
     out = {name: np.zeros((n, dim)) for name, dim in vectorizer.stream_dims().items()}
     for i, tok in enumerate(u.tokens):
         window = []

@@ -18,7 +18,9 @@ from slukit.alignment import (DEL, EPS, INS, MATCH, SUB, AlignmentError,
                               ConfusionNetwork, NBest, NoiseConfig, align, attach_pap,
                               build_cn, corrupt, decode_nbest, pap_of, project_labels,
                               read_nbest, write_cn, write_nbest)
-from slukit.corpus import NULL_LABEL, ParseError, SchemaError, Token, Utterance
+from slukit.corpus import (NULL_LABEL, Dataset, ParseError, SchemaError, Token, Utterance,
+                           write_dataset)
+from slukit.grammar import annotate_words
 
 from helpers import (brute_force_edit_cost, cn_bins, cn_from_bins, reference_align,
                      reference_build_cn, reference_corrupt, reference_decode_nbest, utt)
@@ -493,11 +495,16 @@ def test_read_nbest_parses_each_weight_text_once(tmp_path, monkeypatch):
     ([1.0], ("a", "b"), [0, 1], [1], "does not split 2 ids"),
     ([1.0], ("a", "b"), [0, 2], [2], "id 2 is outside a vocabulary of 2 words"),
     ([1.0], ("a", "a"), [0, 1], [2], "a word appears twice"),
+    ([1.0], ("a", "b"), [-1], [1], "id -1 is outside a vocabulary of 2 words"),
+    ([1.0, 1.0], ("a",), [0], [-1, 1], "does not split 1 ids"),
 ], ids=["weights-for-ends", "ends-decrease", "ends-short-of-ids", "id-outside-vocab",
-        "word-twice"])
+        "word-twice", "id-negative", "end-negative"])
 def test_nbest_refuses_columns_that_break_its_rules(weights, vocab, ids, ends, match):
+    # signed arrays, so that a negative id or end can be given
     with pytest.raises(AlignmentError, match=match):
-        NBest(array("d", weights), vocab, array("I", ids), array("I", ends))
+        NBest(array("d", weights), vocab, array("i", ids), array("i", ends))
+    with pytest.raises(AlignmentError, match=match):
+        NBest(array("d", weights), vocab, ids, ends)
 
 
 def test_nbest_entries_may_be_empty():
@@ -578,11 +585,13 @@ def test_nbest_wide_vocab_roundtrip(tmp_path_factory, pairs):
     assert p.with_name("again.txt").read_bytes() == p.read_bytes()
 
 
-# sha256 of the n-best and confusion network files below, recorded
-# before `align` and `build_cn` were made faster; a change that moves
-# one bit of either file fails here
+# sha256 of the n-best, confusion network and corpus TSV files below,
+# recorded before `align` and `build_cn` were made faster (the TSV's
+# later, from the same code); a change that moves one bit of any of
+# them fails here
 NBEST_SHA256 = "791a3decb729a1d8397c8c0b607628ab2416deb5136ed9f8ba48af6470feb3f4"
 CN_SHA256 = "580d19520395697bad326849031ccd3d2047305f5ffb03584844ca94862eceeb"
+TSV_SHA256 = "2f4ea7c081b6e6b0a6be666ab84bb78cac77f5fd8335e47834f5e623ecf762ee"
 
 
 def test_nbest_and_cn_bytes_are_pinned(tmp_path, small_corpus, noise_config):
@@ -591,6 +600,20 @@ def test_nbest_and_cn_bytes_are_pinned(tmp_path, small_corpus, noise_config):
     write_cn(tmp_path / "hyp.cn", [(uid, build_cn(nb)) for uid, nb in per_utt])
     assert hashlib.sha256((tmp_path / "hyp.nbest").read_bytes()).hexdigest() == NBEST_SHA256
     assert hashlib.sha256((tmp_path / "hyp.cn").read_bytes()).hexdigest() == CN_SHA256
+
+
+def test_corpus_tsv_bytes_are_pinned(tmp_path, default_grammar, small_corpus, noise_config):
+    # the pipeline's hypothesis path: the primary draw, re-annotated with
+    # its error flags kept, its PAP and its projected labels
+    hyps = []
+    for u in small_corpus.utterances:
+        hyp = corrupt(u, noise_config)
+        toks = annotate_words(hyp.surfaces(), default_grammar)
+        hyp = dataclasses.replace(hyp, tokens=tuple(
+            dataclasses.replace(t, error_flag=src.error_flag) for t, src in zip(toks, hyp.tokens)))
+        hyps.append(project_labels(attach_pap(hyp, build_cn(decode_nbest(u, noise_config, 5)))))
+    write_dataset(Dataset(tuple(hyps)), tmp_path / "hyp.tsv")
+    assert hashlib.sha256((tmp_path / "hyp.tsv").read_bytes()).hexdigest() == TSV_SHA256
 
 
 def test_cn_validates_bin_sums():

@@ -40,8 +40,10 @@ def test_load_embeddings(tmp_path):
     p.write_text("paris 0.1 0.2 0.3\nlyon -1.0 0.0 1.0\n")
     table = load_embeddings(p)
     assert len(table) == 2 and table.dim == 3
-    assert table.lookup("paris") == pytest.approx([0.1, 0.2, 0.3])
-    assert table.lookup("zzz") == pytest.approx([0.0, 0.0, 0.0])
+    assert table.row_ids(["lyon", "zzz", "paris"]) == [1, 2, 0]
+    assert table.padded.tolist() == [[0.1, 0.2, 0.3], [-1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
+    assert np.shares_memory(table.matrix, table.padded)
+    assert table.matrix.tolist() == table.padded[:2].tolist()
 
 
 def test_load_embeddings_dim_mismatch(tmp_path):
@@ -87,12 +89,12 @@ def test_load_embeddings_refuses_a_word_the_writer_refuses(tmp_path, word):
         write_embeddings(EmbeddingTable([word], np.zeros((1, 2))), tmp_path / "out.txt")
 
 
-def test_load_embeddings_duplicate_last_wins(tmp_path):
+def test_load_embeddings_refuses_a_repeated_word_naming_both_lines(tmp_path):
     p = tmp_path / "emb.txt"
-    p.write_text("a 1.0 1.0\na 2.0 2.0\n")
-    with pytest.warns(UserWarning):
-        table = load_embeddings(p)
-    assert table.lookup("a") == pytest.approx([2.0, 2.0])
+    p.write_text("a 1.0 1.0\nb 0.0 0.0\na 2.0 2.0\n")
+    why = "line 3: word 'a' repeats line 1"
+    with pytest.raises(ConfidenceError, match=f"^{re.escape(f'{p}: {why}')}$"):
+        load_embeddings(p)
 
 
 def test_embeddings_file_roundtrip(tmp_path):
@@ -134,7 +136,7 @@ def test_embeddings_roundtrip_or_refuse(tmp_path_factory, words, bad, dim, data)
 
 @pytest.mark.parametrize("words, bad", [
     (["a", "b c"], "b c"), (["a", ""], ""), (["\xa0"], "\xa0"),
-    (["a", "b\ud800"], "b\ud800"), (["a", "b", "a"], "a"), (["a", 3], 3),
+    (["a", "b\ud800"], "b\ud800"), (["a", 3], 3),
 ])
 def test_write_embeddings_names_the_word_before_opening(tmp_path, words, bad):
     p = tmp_path / "e.txt"
@@ -159,11 +161,17 @@ def test_write_embeddings_refuses_empty_table(tmp_path, shape):
     assert not p.exists()
 
 
-@pytest.mark.parametrize("words, matrix", [
-    (["a", "b"], np.zeros((1, 2))), (["a"], np.zeros((2, 1))), (["a", "b"], np.zeros(2)),
-], ids=["fewer-rows", "more-rows", "not-a-matrix"])
-def test_embedding_table_refuses_a_matrix_other_than_its_vocabulary(words, matrix):
-    with pytest.raises(ConfidenceError, match="embedding matrix does not match vocabulary"):
+_NOT_ITS_VOCABULARY = "embedding matrix does not match vocabulary"
+
+
+@pytest.mark.parametrize("words, matrix, match", [
+    (["a", "b"], np.zeros((1, 2)), _NOT_ITS_VOCABULARY),
+    (["a"], np.zeros((2, 1)), _NOT_ITS_VOCABULARY),
+    (["a", "b"], np.zeros(2), _NOT_ITS_VOCABULARY),
+    (["a", "b", "a"], np.zeros((3, 2)), "^word 'a' appears twice$"),
+], ids=["fewer-rows", "more-rows", "not-a-matrix", "word-twice"])
+def test_embedding_table_refuses_a_matrix_other_than_its_vocabulary(words, matrix, match):
+    with pytest.raises(ConfidenceError, match=match):
         EmbeddingTable(words, matrix)
 
 
@@ -241,12 +249,15 @@ def test_ae_loss_monotone_full_batch(tiny_tables):
 
 def test_fuse_properties(tiny_tables):
     model, _ = train_autoencoder(tiny_tables, d=4, epochs=10, seed=0)
-    v1 = build_fused_table(model, tiny_tables, ["w3"]).lookup("w3")
-    v2 = build_fused_table(model, tiny_tables, ["w3"]).lookup("w3")
+
+    def row(word):
+        table = build_fused_table(model, tiny_tables, [word])
+        return table.padded[table.row_ids([word])[0]]
+
+    v1, v2 = row("w3"), row("w3")
     assert np.array_equal(v1, v2) and v1.shape == (4,)
     # unseen word under zero-OOV tables: bottleneck of the zero vector
-    oov = build_fused_table(model, tiny_tables, ["zzz"]).lookup("zzz")
-    assert oov == pytest.approx(np.tanh(model.b_enc))
+    assert row("zzz") == pytest.approx(np.tanh(model.b_enc))
 
 
 @pytest.mark.parametrize("pick, first", [
@@ -535,6 +546,14 @@ def test_msmlp_load_refuses_a_vocabulary_without_unk(tmp_path, tiny_widths, key)
     vocab = ["<UNK>" if tag == "<unk>" else tag for tag in header[key]]
     modelio.save_blob(p, "msmlp", dict(header, **{key: vocab}), arrays)
     with pytest.raises(ModelIOError, match=re.escape(str(p)) + ".*" + repr(key)):
+        MsMlpModel.load(p)
+
+
+def test_msmlp_load_refuses_a_fused_word_twice(tmp_path, tiny_widths):
+    p, header, arrays = _saved_tiny_model(tmp_path)
+    words = [header["fused_words"][0]] * len(header["fused_words"])
+    modelio.save_blob(p, "msmlp", dict(header, fused_words=words), arrays)
+    with pytest.raises(ModelIOError, match=re.escape(f"{p}: word {words[0]!r} appears twice")):
         MsMlpModel.load(p)
 
 

@@ -153,7 +153,9 @@ def test_grammar_json_equals_reference(grammar, sha256):
 @pytest.mark.parametrize("key, value", [
     ("values", {"twenty": 5}), ("categories", {"paris": 7}), ("word_pos", {"paris": 3}),
     ("lemmas", {"rooms": 1}), ("insertion_words", (1,)), ("extra_vocab", (2,)),
-], ids=["values", "categories", "word_pos", "lemmas", "insertion_words", "extra_vocab"])
+    ("insertion_words", ("",)), ("extra_vocab", ("good day",)), ("extra_vocab", ("a\xa0b",)),
+], ids=["values", "categories", "word_pos", "lemmas", "insertion_words", "extra_vocab",
+        "insertion_words-empty", "extra_vocab-space", "extra_vocab-no-break-space"])
 def test_validate_refuses_a_table_value_of_the_wrong_type(default_grammar, key, value):
     old = getattr(default_grammar, key)
     bad = {**old, **value} if isinstance(value, dict) else old + value
@@ -187,10 +189,19 @@ def _with_realization(grammar, weight, words):
     (lambda g: dataclasses.replace(g, slots={**g.slots, "TOWN": SlotSpec("TOWN", ())}),
      "slot TOWN has no realizations"),
     (lambda g: _with_realization(g, 1.0, ()), "slot TOWN has an empty realization"),
+    (lambda g: _with_pattern(g, 1.0, ("hello", "good day")),
+     r"pattern \('hello', 'good day'\) holds 'good day', which is not a word"),
+    (lambda g: _with_pattern(g, 1.0, ("hello", "")),
+     r"pattern \('hello', ''\) holds '', which is not a word"),
+    (lambda g: _with_realization(g, 1.0, ("saint\tmalo",)),
+     r"slot TOWN realization \('saint\\tmalo',\) holds 'saint\\tmalo', which is not a word"),
+    (lambda g: _with_realization(g, 1.0, ("",)),
+     r"slot TOWN realization \('',\) holds '', which is not a word"),
 ], ids=["pattern-item", "pattern-weight-text", "pattern-weight-nan", "pattern-weight-inf",
         "pattern-weight-bool", "realization-word", "realization-weight-text",
         "realization-weight-nan", "pattern-empty", "pattern-unknown-slot",
-        "slot-without-realizations", "realization-empty"])
+        "slot-without-realizations", "realization-empty", "pattern-item-space",
+        "pattern-item-empty", "realization-word-tab", "realization-word-empty"])
 def test_validate_names_a_pattern_or_slot_entry_of_the_wrong_type(default_grammar, edit, match):
     grammar = edit(default_grammar)
     with pytest.raises(GrammarError, match=match):
